@@ -42,7 +42,7 @@ class RunConfig:
     newton_tol: float = 1e-11
     newton_max_iterations: int = 25
     accept_iteration_budget: int = 8
-    # None resolves per flux: 1e-10 for lax-friedrichs/upwind, inf for centered.
+    # None resolves to 1e-10 for every flux; inf disables the guard.
     mass_diff_drift_tol: float | None = None
     output_dir: str = "run"
     snapshot_times: tuple[float, ...] = ()

@@ -16,7 +16,7 @@ from .grid import (
     forward_gradient,
     second_difference,
 )
-from .state import SpeciesPair, collision_linear, moments_ujs
+from .state import SpeciesPair, build_equilibrium, collision_linear, moments_ujs
 
 LAX_FRIEDRICHS = "lax-friedrichs"
 CENTERED = "centered"
@@ -112,21 +112,6 @@ def transport_matrix(flux: Flux, grid: GridSpec) -> sp.csr_matrix:
     ).tocsr()
 
 
-def collision_matrix(
-    chi1: VelocityProfile, chi2: VelocityProfile, rho: float, grid: GridSpec
-) -> sp.csr_matrix:
-    """Linearized collision operator on the stacked (f, g) vector."""
-    n = grid.n_unknowns
-    eye_x = sp.identity(grid.nx, format="csr")
-    avg1 = grid.dv * np.outer(chi1.values, np.ones(grid.n_vel))
-    avg2 = grid.dv * np.outer(chi2.values, np.ones(grid.n_vel))
-    l_fg = -rho * sp.kron(eye_x, sp.csr_matrix(avg1))
-    l_gf = -sp.kron(eye_x, sp.csr_matrix(avg2)) / rho
-    l_ff = -sp.identity(n) / rho
-    l_gg = -rho * sp.identity(n)
-    return sp.bmat([[l_ff, l_fg], [l_gf, l_gg]], format="csr")
-
-
 def stack_pair(state: SpeciesPair) -> np.ndarray:
     return np.concatenate([state.f.ravel(), state.g.ravel()])
 
@@ -137,11 +122,91 @@ def unstack_pair(x: np.ndarray, grid: GridSpec) -> SpeciesPair:
     return SpeciesPair(x[:n].reshape(shape).copy(), x[n:].reshape(shape).copy())
 
 
+class DensityAugmentedSystem:
+    """Backward-Euler Newton matrix with the site densities as extra unknowns.
+
+    The reaction rho_g*f couples every velocity at a site, but its derivative
+    in g is rank one per site: eff_f[i, m] times dv*mask_g[i, :].  Carrying
+    the 2*nx masked site densities (sigma_f, sigma_g) as unknowns, with rows
+    sigma - dv*sum_m mask*h = 0, gives the bordered sparse matrix
+
+        [[A, E], [-S, I]]
+
+    on (f, g, sigma_f, sigma_g): A holds shift on the diagonal plus scale
+    times the transport and the masked rho diagonals, E holds scale*eff in
+    the partner species' sigma column (one entry per row), S holds dv*mask.
+    Eliminating sigma leaves the Jacobian A + E S, so a factorization of the
+    augmented matrix solves the reduced system with far less fill.  The
+    coordinate template is fixed per grid and flux; each matrix only fills
+    its data vector.
+    """
+
+    def __init__(self, flux: Flux, grid: GridSpec) -> None:
+        self.grid = grid
+        n = grid.n_unknowns
+        n_sites = 2 * grid.nx
+        self.n_reduced = 2 * n
+        self.shape = (2 * n + n_sites, 2 * n + n_sites)
+        transport = transport_matrix(flux, grid).tocoo()
+        cells = np.arange(2 * n)
+        sites = cells // grid.n_vel  # f rows on sites 0..nx-1, g rows on nx..2nx-1
+        self._partner = (sites + grid.nx) % n_sites
+        sigma = 2 * n + np.arange(n_sites)
+        self._rows = np.concatenate(
+            [transport.row, transport.row + n, cells, cells, 2 * n + sites, sigma]
+        )
+        self._cols = np.concatenate(
+            [transport.col, transport.col + n, cells, 2 * n + self._partner, cells, sigma]
+        )
+        self._transport = np.concatenate([transport.data, transport.data])
+
+    def matrix(
+        self,
+        eff: SpeciesPair,
+        shift: float,
+        scale: float,
+        mask: SpeciesPair | None = None,
+    ) -> sp.csc_matrix:
+        """Augmented matrix of shift*I + scale*(transport + reaction derivative).
+
+        eff is the state the reaction rho_g*f, rho_f*g is evaluated at; mask
+        (1 where a cell is unclamped, 0 where clamped) zeroes the derivative
+        through clamped cells, and None means no clamp.
+        """
+        dv = self.grid.dv
+        h = stack_pair(eff)
+        rho = dv * h.reshape(-1, self.grid.n_vel).sum(axis=1)
+        weight = np.ones(self.n_reduced) if mask is None else stack_pair(mask)
+        data = np.concatenate(
+            [
+                scale * self._transport,
+                shift + scale * (rho[self._partner] * weight),
+                scale * h,
+                -dv * weight,
+                np.ones(self.shape[0] - self.n_reduced),
+            ]
+        )
+        return sp.coo_matrix((data, (self._rows, self._cols)), shape=self.shape).tocsc()
+
+    def reduced(self, augmented: sp.csc_matrix) -> sp.csc_matrix:
+        """Schur complement A + E S of an augmented matrix, on (f, g) alone."""
+        n2 = self.n_reduced
+        return (augmented[:n2, :n2] - augmented[:n2, n2:] @ augmented[n2:, :n2]).tocsc()
+
+    def solve(self, lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
+        """Solve the reduced system through a factorized augmented matrix."""
+        padded = np.zeros(self.shape[0])
+        padded[: self.n_reduced] = rhs
+        return lu.solve(padded)[: self.n_reduced]
+
+
 class ImplicitLinearOperator:
     """Backward-Euler system matrix I + dt*(transport - collision), factorized once.
 
-    solve advances one step; apply evaluates the matrix, giving tests a path
-    independent of the stencil implementations.
+    The matrix is dt times the nonlinear Jacobian at the uniform steady state,
+    so it is factorized through the same density-augmented system as Newton.
+    solve advances one step; apply evaluates the reduced matrix, giving tests
+    a path independent of the stencil implementations.
     """
 
     def __init__(
@@ -163,16 +228,12 @@ class ImplicitLinearOperator:
         self.rho = float(rho)
         self.dt = float(dt)
         self.flux = flux
-        transport = transport_matrix(flux, grid)
-        two_species = sp.block_diag([transport, transport], format="csr")
-        matrix = (
-            sp.identity(2 * grid.n_unknowns, format="csr")
-            + dt * two_species
-            - dt * collision_matrix(chi1, chi2, rho, grid)
-        )
-        self.matrix = matrix.tocsc()
+        self._system = DensityAugmentedSystem(flux, grid)
+        equilibrium = build_equilibrium(rho, chi1, chi2, grid).state
+        augmented = self._system.matrix(equilibrium, 1.0, dt)
+        self.matrix = self._system.reduced(augmented)
         try:
-            self._lu = spla.splu(self.matrix)
+            self._lu = spla.splu(augmented)
         except RuntimeError as exc:  # pragma: no cover - defensive
             raise RuntimeError(f"implicit operator is singular: {exc}") from exc
 
@@ -180,7 +241,7 @@ class ImplicitLinearOperator:
         return unstack_pair(self.matrix @ stack_pair(state), self.grid)
 
     def solve(self, rhs: SpeciesPair) -> SpeciesPair:
-        return unstack_pair(self._lu.solve(stack_pair(rhs)), self.grid)
+        return unstack_pair(self._system.solve(self._lu, stack_pair(rhs)), self.grid)
 
 
 def assemble_linear_operator(

@@ -10,7 +10,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import GridSpec, VelocityProfile, centered_gradient, second_difference
-from .linear import Flux, flux_divergence, stack_pair, transport_matrix, unstack_pair
+from .linear import (
+    DensityAugmentedSystem,
+    Flux,
+    flux_divergence,
+    stack_pair,
+    unstack_pair,
+)
 from .state import EquilibriumData, SpeciesPair, mass_difference, moments_ujs
 
 
@@ -209,9 +215,11 @@ def residual_nonlinear(
 class NonlinearStepper:
     """Newton driver with a fixed grid, flux, and profile pair.
 
-    Holds the constant transport stencil and the sparsity template of the
-    reaction coupling so that per-iteration work is data filling, one
-    factorization, and one solve.
+    Each Newton iteration factorizes the density-augmented system of
+    DensityAugmentedSystem: the Jacobian on (f, g) bordered by the 2*nx site
+    densities, which keeps the rank-one reaction coupling sparse.  The
+    coordinate template is built once here, so per-iteration work is data
+    filling, one factorization, and one solve.
     """
 
     def __init__(
@@ -229,26 +237,7 @@ class NonlinearStepper:
         self.flux = flux
         self.envelope = envelope
         self.rho = rho
-        n = grid.n_unknowns
-        self._n = n
-        transport = transport_matrix(flux, grid).tocoo()
-        rows = [transport.row, transport.row + n]
-        cols = [transport.col, transport.col + n]
-        self._transport_data = np.concatenate([transport.data, transport.data])
-        # Dense (2nv x 2nv) reaction blocks at each site, f-rows vs g-columns
-        # and vice versa.
-        nvel = grid.n_vel
-        site = np.arange(grid.nx)[:, None, None] * nvel
-        shape = (grid.nx, nvel, nvel)
-        tiled_rows = np.broadcast_to(site + np.arange(nvel)[None, :, None], shape).ravel()
-        tiled_cols = np.broadcast_to(site + np.arange(nvel)[None, None, :], shape).ravel()
-        rows += [tiled_rows, tiled_rows + n]       # f-block rows, g-block rows
-        cols += [tiled_cols + n, tiled_cols]       # d/d g,        d/d f
-        diag = np.arange(2 * n)
-        rows.append(diag)
-        cols.append(diag)
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
+        self._system = DensityAugmentedSystem(flux, grid)
 
     def residual(self, state_next: SpeciesPair, state_prev: SpeciesPair, dt: float) -> SpeciesPair:
         return residual_nonlinear(
@@ -263,56 +252,37 @@ class NonlinearStepper:
             self.rho,
         )
 
+    def _augmented(self, state: SpeciesPair, dt: float) -> sp.csc_matrix:
+        """Density-augmented Newton matrix at the candidate new state.
+
+        With an envelope, the reaction uses the clamped state and cells
+        clamped by the truncation contribute zero derivative through the clamp.
+        """
+        if self.envelope is None:
+            return self._system.matrix(state, 1.0 / dt, 1.0)
+        f_lo, f_hi, g_lo, g_hi = self.envelope.levels(self.rho)
+        chi1, chi2 = self.chi1.values, self.chi2.values
+        mask = SpeciesPair(
+            ((state.f > f_lo * chi1) & (state.f < f_hi * chi1)).astype(float),
+            ((state.g > g_lo * chi2) & (state.g < g_hi * chi2)).astype(float),
+        )
+        eff = truncate_state(state, self.envelope, self.rho, self.chi1, self.chi2)
+        return self._system.matrix(eff, 1.0 / dt, 1.0, mask)
+
     def jacobian(self, state: SpeciesPair, dt: float) -> sp.csc_matrix:
         """Exact derivative of the residual at the candidate new state.
 
-        The reaction part carries the bilinear density coupling: the
-        derivative of rho_g[i]*f[i, m] in g[i, m'] is dv*f[i, m], plus the
-        diagonal rho_g[i].  With an envelope, cells clamped by the truncation
-        contribute zero derivative through the clamp.
+        The Schur complement of the augmented matrix Newton factorizes.
         """
-        grid = self.grid
-        rho_f, rho_g, eff = _collision_terms(
-            state, self.chi1, self.chi2, grid, self.envelope, self.rho
-        )
-        if self.envelope is None:
-            mask_f = mask_g = None
-        else:
-            f_lo, f_hi, g_lo, g_hi = self.envelope.levels(self.rho)
-            mask_f = (
-                (state.f > f_lo * self.chi1.values) & (state.f < f_hi * self.chi1.values)
-            ).astype(float)
-            mask_g = (
-                (state.g > g_lo * self.chi2.values) & (state.g < g_hi * self.chi2.values)
-            ).astype(float)
+        return self._system.reduced(self._augmented(state, dt))
 
-        nvel = grid.n_vel
-        dv = grid.dv
-        # d(residual_f)/dg: dv * f_eff[i,m] spread over the velocity row,
-        # masked where g is clamped; symmetrically for d(residual_g)/df.
-        dfg = np.broadcast_to(dv * eff.f[:, :, None], (grid.nx, nvel, nvel))
-        dgf = np.broadcast_to(dv * eff.g[:, :, None], (grid.nx, nvel, nvel))
-        if mask_g is not None:
-            dfg = dfg * mask_g[:, None, :]
-            dgf = dgf * mask_f[:, None, :]
-        react_f = np.repeat(rho_g, nvel)
-        react_g = np.repeat(rho_f, nvel)
-        if mask_f is not None:
-            react_f = react_f * mask_f.ravel()
-            react_g = react_g * mask_g.ravel()
-        diag_f = 1.0 / dt + react_f
-        diag_g = 1.0 / dt + react_g
-        data = np.concatenate(
-            [
-                self._transport_data,
-                dfg.ravel(),
-                dgf.ravel(),
-                diag_f,
-                diag_g,
-            ]
-        )
-        n2 = 2 * self._n
-        return sp.coo_matrix((data, (self._rows, self._cols)), shape=(n2, n2)).tocsc()
+    def newton_update(self, state: SpeciesPair, res: SpeciesPair, dt: float) -> np.ndarray:
+        """Newton increment -J^{-1} res at state, solved on the augmented system."""
+        try:
+            lu = spla.splu(self._augmented(state, dt))
+        except RuntimeError as exc:
+            raise RuntimeError(f"Newton linear solve failed: {exc}") from exc
+        return self._system.solve(lu, -stack_pair(res))
 
     def newton(
         self, state_prev: SpeciesPair, dt: float, cfg: NewtonConfig
@@ -333,11 +303,7 @@ class NonlinearStepper:
                     f"residual {res_norm:.3e} after {iterations} iterations "
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
-            jac = self.jacobian(state, dt)
-            try:
-                delta = spla.splu(jac).solve(-stack_pair(res))
-            except RuntimeError as exc:
-                raise RuntimeError(f"Newton linear solve failed: {exc}") from exc
+            delta = self.newton_update(state, res, dt)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
             state = state + unstack_pair(delta, self.grid)

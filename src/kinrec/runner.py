@@ -32,7 +32,7 @@ from .grid import (
     discretize_profile,
     profile_from_samples,
 )
-from .linear import CENTERED, LAX_FRIEDRICHS, Flux, assemble_linear_operator
+from .linear import LAX_FRIEDRICHS, Flux, assemble_linear_operator
 from .nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -85,12 +85,11 @@ def resolve_drift_tolerance(cfg: RunConfig) -> float:
 
     Every flux conserves the mass difference: conservative two-point fluxes
     telescope over the torus and the two collision sinks cancel in the mass
-    functional.  The centered flux still defaults to inf, which disables the
-    check; its runs drift no more than the monotone ones.
+    functional.  So every flux defaults to 1e-10.
     """
     if cfg.mass_diff_drift_tol is not None:
         return cfg.mass_diff_drift_tol
-    return math.inf if cfg.flux == CENTERED else 1e-10
+    return 1e-10
 
 
 def resolve_profile(name: str, grid: GridSpec) -> VelocityProfile:

@@ -66,7 +66,7 @@ class TestResolution:
     def test_drift_tolerance_defaults(self):
         assert resolve_drift_tolerance(tiny_config()) == 1e-10
         assert resolve_drift_tolerance(tiny_config(flux="upwind")) == 1e-10
-        assert math.isinf(resolve_drift_tolerance(tiny_config(flux="centered")))
+        assert resolve_drift_tolerance(tiny_config(flux="centered")) == 1e-10
         assert resolve_drift_tolerance(tiny_config(mass_diff_drift_tol=1e-8)) == 1e-8
 
     def test_named_profile_resolution(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import (
     dense_reference_operator,
@@ -17,7 +18,6 @@ from kinrec.linear import (
     UPWIND,
     Flux,
     assemble_linear_operator,
-    collision_matrix,
     flux_divergence,
     lax_friedrichs_dissipation,
     residual_linear,
@@ -115,9 +115,14 @@ class TestFluxDivergence:
 class TestCollisionMatrix:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_matches_entrywise_operator(self, setting, rho):
+        # The collision part of the implicit operator, (I + dt*T - matrix)/dt
+        # with T the transport on both species.
         grid, chi1, chi2 = setting
         state = random_pair(grid, np.random.default_rng(5))
-        mat = collision_matrix(chi1, chi2, rho, grid)
+        dt, flux = 0.25, Flux.lax_friedrichs(1.3)
+        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
+        transport = sp.block_diag([transport_matrix(flux, grid)] * 2)
+        mat = (sp.identity(2 * grid.n_unknowns) + dt * transport - op.matrix) / dt
         via_matrix = unstack_pair(mat @ stack_pair(state), grid)
         direct = collision_linear(state, rho, chi1, chi2, grid)
         np.testing.assert_allclose(via_matrix.f, direct.f, atol=1e-13)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from conftest import make_grid, make_profiles, random_pair, random_positive_pair
-from kinrec.linear import Flux, residual_linear, stack_pair
+from kinrec.linear import Flux, residual_linear, stack_pair, unstack_pair
 from kinrec.nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -127,8 +128,6 @@ class TestJacobian:
         n = base.size
         jac = np.zeros((n, n))
         h = 1e-6
-        from kinrec.linear import unstack_pair
-
         for k in range(n):
             bump = np.zeros(n)
             bump[k] = h
@@ -177,6 +176,54 @@ class TestJacobian:
         ).toarray()
         approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid, envelope, rho)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
+
+
+class TestAugmentedNewtonUpdate:
+    """Fast (density-augmented sparse) against reference (dense reduced) solve."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        nx=st.sampled_from([3, 5, 7]),
+        nv=st.integers(min_value=1, max_value=3),
+        flux=st.sampled_from([Flux.lax_friedrichs(1.5), Flux.centered(), Flux.upwind()]),
+        truncated=st.booleans(),
+        rho=st.floats(min_value=0.5, max_value=2.0),
+        dt=st.floats(min_value=1e-3, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_update_matches_dense_solve_and_conserves_mass(
+        self, nx, nv, flux, truncated, rho, dt, seed
+    ):
+        grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
+        chi1, chi2 = make_profiles(grid)
+        rng = np.random.default_rng(seed)
+        shape = (grid.nx, grid.n_vel)
+
+        def positive_state():
+            # Within +-50% of the steady state, so the envelope clamps some
+            # cells and leaves others free.
+            return SpeciesPair(
+                rho * chi1.values * rng.uniform(0.5, 1.5, shape),
+                chi2.values / rho * rng.uniform(0.5, 1.5, shape),
+            )
+
+        state, prev = positive_state(), positive_state()
+        envelope = BoundsEnvelope(0.3 * rho, 0.3 * rho) if truncated else None
+        stepper = NonlinearStepper(
+            grid, chi1, chi2, flux, envelope, rho if truncated else None
+        )
+        res = stepper.residual(state, prev, dt)
+        delta = stepper.newton_update(state, res, dt)
+        reference = np.linalg.solve(stepper.jacobian(state, dt).toarray(), -stack_pair(res))
+        assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+        # The mass difference of the residual is the step's mass change over
+        # dt and the reaction's derivative carries none, so one Newton step
+        # lands on the previous mass difference.
+        stepped = state + unstack_pair(delta, grid)
+        scale = grid.dx * grid.dv * float(np.sum(prev.f + prev.g))
+        drift = abs(mass_difference(stepped, grid) - mass_difference(prev, grid))
+        assert drift <= 1e-12 * scale
 
 
 class TestNewton:
