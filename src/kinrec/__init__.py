@@ -12,7 +12,7 @@ from .grid import (
     poincare_constant,
     profile_from_samples,
 )
-from .linear import Flux, assemble_linear_operator, step_linear
+from .linear import Flux, assemble_linear_operator
 from .nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -76,7 +76,6 @@ __all__ = [
     "profile_from_samples",
     "run_experiment",
     "solve_discrete_poisson",
-    "step_linear",
     "weighted_norm",
 ]
 

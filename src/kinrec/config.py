@@ -224,6 +224,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise bad("snapshot_times", f"times must be non-negative, got {cfg.snapshot_times}")
     if cfg.t_final is not None and cfg.t_final < 0:
         raise bad("t_final", f"must be non-negative, got {cfg.t_final}")
+    if cfg.model == "linear" and cfg.t_final is not None:
+        # The linear march takes fixed steps of dt and must land on t_final.
+        steps = round(cfg.t_final / cfg.dt)
+        if abs(steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
+            raise bad("t_final", f"must be a whole number of dt={cfg.dt} steps, got {cfg.t_final}")
     if not 0 < cfg.delta_fraction < 1:
         raise bad("delta_fraction", f"must lie in (0, 1), got {cfg.delta_fraction}")
     if cfg.newton_tol <= 0:

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridSpec, VelocityProfile, centered_gradient
 from .state import ConstantsLedger, SpeciesPair, moments_ujs, weighted_norm
@@ -16,9 +15,11 @@ def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Mean-free potential phi with (Dc Dc phi)_i = -u_h[i] on the periodic grid.
 
     Dc Dc is the wide five-point stencil (phi_{i+2} - 2 phi_i + phi_{i-2}) /
-    (4 dx^2); it is invertible on mean-free fields because nx is odd.  Solved
-    through the dense bordered system that appends the zero-mean constraint
-    with a Lagrange multiplier.
+    (4 dx^2), diagonal in Fourier space with symbol -sin^2(2 pi k / nx) / dx^2.
+    The symbol vanishes only where 2k/nx is an integer, which for odd nx is
+    k = 0 alone, so the stencil is invertible on mean-free fields and phi is
+    the inverse Fourier transform of -u_hat / symbol with the k = 0 mode set
+    to zero.
     """
     u = np.asarray(u_h, dtype=float)
     if u.shape != (grid.nx,):
@@ -28,18 +29,9 @@ def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(
             f"source must be mean-free for solvability, got cell-sum {mean:.3e}"
         )
-    n = grid.nx
-    idx = np.arange(n)
-    a = np.zeros((n + 1, n + 1))
-    coef = 1.0 / (4.0 * grid.dx**2)
-    a[idx, (idx + 2) % n] += coef
-    a[idx, (idx - 2) % n] += coef
-    a[idx, idx] -= 2.0 * coef
-    a[:n, n] = 1.0
-    a[n, :n] = grid.dx
-    rhs = np.concatenate([-u, [0.0]])
-    phi = scipy.linalg.solve(a, rhs)[:n]
-    return phi
+    symbol = -np.sin(2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx) ** 2 / grid.dx**2
+    symbol[0] = np.inf  # zeroes the k = 0 mode, so phi is mean-free
+    return np.fft.irfft(-np.fft.rfft(u) / symbol, grid.nx)
 
 
 @dataclass(frozen=True)

@@ -255,11 +255,6 @@ def assemble_linear_operator(
     return ImplicitLinearOperator(grid, chi1, chi2, rho, dt, flux)
 
 
-def step_linear(state: SpeciesPair, op: ImplicitLinearOperator) -> SpeciesPair:
-    """One backward-Euler step of the linearized system."""
-    return op.solve(state)
-
-
 def residual_linear(
     state_next: SpeciesPair,
     state_prev: SpeciesPair,

@@ -403,31 +403,3 @@ def adaptive_advance(
             next_dt = dt
         return StepResult(state, dt, replace(controller, dt=next_dt), iterations)
 
-
-def jacobian_nonlinear(
-    state: SpeciesPair,
-    dt: float,
-    flux: Flux,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    grid: GridSpec,
-    envelope: BoundsEnvelope | None = None,
-    rho: float | None = None,
-) -> sp.csc_matrix:
-    return NonlinearStepper(grid, chi1, chi2, flux, envelope, rho).jacobian(state, dt)
-
-
-def newton_solve(
-    state_prev: SpeciesPair,
-    dt: float,
-    flux: Flux,
-    cfg: NewtonConfig,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    grid: GridSpec,
-    envelope: BoundsEnvelope | None = None,
-    rho: float | None = None,
-) -> tuple[SpeciesPair, int]:
-    return NonlinearStepper(grid, chi1, chi2, flux, envelope, rho).newton(
-        state_prev, dt, cfg
-    )

@@ -20,6 +20,25 @@ def make_grid(torus_length=1.0, nx=7, nv=3, v_star=3.0) -> GridSpec:
     return build_grid(torus_length, nx, nv, v_star)
 
 
+def dense_poisson(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Dense oracle for the mean-free wide-stencil Poisson problem.
+
+    Solves the (nx+1)^2 bordered system [[Dc Dc, 1], [dx, 0]] (phi, mu) =
+    (-u, 0), which appends the zero-mean constraint with a Lagrange
+    multiplier, entry by entry and independent of any Fourier argument.
+    """
+    n = grid.nx
+    idx = np.arange(n)
+    a = np.zeros((n + 1, n + 1))
+    coef = 1.0 / (4.0 * grid.dx**2)
+    a[idx, (idx + 2) % n] += coef
+    a[idx, (idx - 2) % n] += coef
+    a[idx, idx] -= 2.0 * coef
+    a[:n, n] = 1.0
+    a[n, :n] = grid.dx
+    return np.linalg.solve(a, np.concatenate([-u, [0.0]]))[:n]
+
+
 def make_profiles(grid: GridSpec):
     """An asymmetric pair so species-1/species-2 mixups cannot cancel."""
     return (

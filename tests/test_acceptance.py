@@ -49,8 +49,6 @@ from kinrec.nonlinear import (
     NonlinearStepper,
     adaptive_advance,
     check_maximum_principle,
-    jacobian_nonlinear,
-    newton_solve,
     residual_nonlinear,
     verify_moment_schemes_nonlinear,
 )
@@ -391,7 +389,7 @@ def test_criterion_08_newton_jacobian_exactness():
     for _ in range(3):
         state = random_positive_pair(grid, rng)
         prev = random_positive_pair(grid, rng)
-        exact = jacobian_nonlinear(state, dt, flux, chi1, chi2, grid).toarray()
+        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt).toarray()
         fd = np.empty((2 * n, 2 * n))
         base = stack_pair(state)
         for col in range(2 * n):
@@ -411,8 +409,8 @@ def test_criterion_08_newton_jacobian_exactness():
     eq = setup.equilibrium.state
     newton_cfg = NewtonConfig(tol_residual=1e-11, max_iterations=25,
                               mass_diff_drift_tol=1e-10)
-    result, iterations = newton_solve(eq, 0.1, setup.flux, newton_cfg,
-                                      setup.chi1, setup.chi2, setup.grid)
+    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux)
+    result, iterations = stepper.newton(eq, 0.1, newton_cfg)
     assert iterations <= 1
     drift = np.max(np.abs(stack_pair(result) - stack_pair(eq)))
     assert drift <= 1e-9

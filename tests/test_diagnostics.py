@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_grid, make_profiles, random_pair
+from conftest import dense_poisson, make_grid, make_profiles, random_pair
 from kinrec.diagnostics import (
     PotentialState,
     fit_decay_rate,
@@ -62,6 +63,32 @@ class TestPoisson:
         grid = make_grid(nx=7)
         with pytest.raises(ValueError, match="shape"):
             solve_discrete_poisson(np.zeros(grid.nx + 2), grid)
+
+
+class TestPoissonProperties:
+    """Closed-form Fourier solve against the dense bordered oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        half=st.integers(min_value=1, max_value=150),
+        torus_length=st.floats(min_value=0.5, max_value=10.0),
+        amplitude=st.floats(min_value=1e-3, max_value=1e3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_dense_oracle_and_inverts_the_stencil(
+        self, half, torus_length, amplitude, seed
+    ):
+        grid = make_grid(torus_length=torus_length, nx=2 * half + 1)
+        u = amplitude * np.random.default_rng(seed).standard_normal(grid.nx)
+        u -= u.mean()
+        phi = solve_discrete_poisson(u, grid)
+        scale = np.max(np.abs(phi))
+        assert np.max(np.abs(phi - dense_poisson(u, grid))) <= 1e-12 * scale
+        assert abs(grid.dx * np.sum(phi)) <= 1e-12 * grid.torus_length * scale
+        # Rounding in the stencil scales with its largest coefficient.
+        np.testing.assert_allclose(
+            wide_second_difference(phi, grid), -u, rtol=0.0, atol=1e-12 * scale / grid.dx**2
+        )
 
 
 class TestPotentialState:

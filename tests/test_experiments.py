@@ -377,6 +377,17 @@ class TestCli:
         assert main(["--nx", "100"]) == 2
         assert "grid.nx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tfinal", "0.55", "--snapshots", "0,0.3,0.55"], ["--dt", "0.3", "--tfinal", "1.0"]],
+    )
+    def test_linear_horizon_off_the_step_grid_exits_two(self, tmp_path, capsys, flags):
+        # A fixed-step linear march would stop one partial step short.
+        out = tmp_path / "short"
+        assert main(["--test", "1", "--nx", "11", "--nv", "2", "--out", str(out), *flags]) == 2
+        assert "time.t_final" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.ini")]) == 2
         assert "error" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from kinrec.linear import (
     lax_friedrichs_dissipation,
     residual_linear,
     stack_pair,
-    step_linear,
     transport_matrix,
     transport_quadratic_form,
     unstack_pair,
@@ -169,7 +168,7 @@ class TestImplicitOperator:
         flux = Flux.lax_friedrichs(0.5)
         op = assemble_linear_operator(grid, chi1, chi2, 1.3, 0.2, flux)
         state = random_pair(grid, np.random.default_rng(7))
-        stepped = step_linear(state, op)
+        stepped = op.solve(state)
         dense = dense_reference_operator(grid, chi1, chi2, 1.3, 0.2, flux)
         expected = np.linalg.solve(dense, stack_pair(state))
         np.testing.assert_allclose(stack_pair(stepped), expected, atol=1e-12)
@@ -178,7 +177,7 @@ class TestImplicitOperator:
         grid, chi1, chi2 = setting
         op = assemble_linear_operator(grid, chi1, chi2, 1.0, 0.1, Flux.centered())
         shape = (grid.nx, grid.n_vel)
-        out = step_linear(SpeciesPair(np.zeros(shape), np.zeros(shape)), op)
+        out = op.solve(SpeciesPair(np.zeros(shape), np.zeros(shape)))
         assert np.all(out.f == 0.0) and np.all(out.g == 0.0)
 
     @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.kind)
@@ -192,7 +191,7 @@ class TestImplicitOperator:
         row_f, row_g = rng.standard_normal(nvel), rng.standard_normal(nvel)
         state = SpeciesPair(np.tile(row_f, (grid.nx, 1)), np.tile(row_g, (grid.nx, 1)))
         op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
-        stepped = step_linear(state, op)
+        stepped = op.solve(state)
 
         ident = np.eye(nvel)
         cell = np.block(
@@ -212,7 +211,7 @@ class TestImplicitOperator:
         rho, dt = 0.9, 0.1
         op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
         state = random_pair(grid, np.random.default_rng(9))
-        nxt = step_linear(state, op)
+        nxt = op.solve(state)
         res = residual_linear(nxt, state, dt, flux, chi1, chi2, rho, grid)
         scale = max(1.0, float(np.max(np.abs(state.f))), float(np.max(np.abs(state.g))))
         assert float(np.max(np.abs(res.f))) <= 1e-11 * scale
@@ -225,7 +224,7 @@ class TestImplicitOperator:
         state = random_pair(grid, np.random.default_rng(10))
         before = mass_difference(state, grid)
         for _ in range(20):
-            state = step_linear(state, op)
+            state = op.solve(state)
         assert mass_difference(state, grid) == pytest.approx(
             before, abs=1e-11 * max(1.0, abs(before))
         )
@@ -253,7 +252,7 @@ class TestEnergyStructure:
         rng = np.random.default_rng(11)
         for _ in range(34):
             state = random_pair(grid, rng)
-            nxt = step_linear(state, op)
+            nxt = op.solve(state)
             before = weighted_inner(state, state, chi1, chi2, rho, grid)
             after = weighted_inner(nxt, nxt, chi1, chi2, rho, grid)
             rest = nxt - project_pi(nxt, rho, chi1, chi2, grid)
@@ -311,7 +310,7 @@ class TestMomentSchemes:
         op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
         state = random_pair(grid, np.random.default_rng(15))
         for _ in range(5):
-            nxt = step_linear(state, op)
+            nxt = op.solve(state)
             res_u, res_j = verify_moment_schemes(state, nxt, grid, rho, eq.d0, dt, lam)
             assert res_u <= 1e-11
             assert res_j <= 1e-11
@@ -323,7 +322,7 @@ class TestMomentSchemes:
         eq = build_equilibrium(rho, chi1, chi2, grid)
         op = assemble_linear_operator(grid, chi1, chi2, rho, dt, Flux.lax_friedrichs(lam))
         state = random_pair(grid, np.random.default_rng(16))
-        nxt = step_linear(state, op)
+        nxt = op.solve(state)
         bad = nxt.copy()
         bad.f[2, 1] += 1e-3
         res_u, res_j = verify_moment_schemes(state, bad, grid, rho, eq.d0, dt, lam)

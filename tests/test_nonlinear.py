@@ -16,8 +16,6 @@ from kinrec.nonlinear import (
     StepFailedError,
     adaptive_advance,
     check_maximum_principle,
-    jacobian_nonlinear,
-    newton_solve,
     residual_nonlinear,
     truncate_state,
     verify_moment_schemes_nonlinear,
@@ -152,7 +150,7 @@ class TestJacobian:
         chi1, chi2 = make_profiles(grid)
         state = random_positive_pair(grid, np.random.default_rng(4))
         dt = 0.15
-        exact = jacobian_nonlinear(state, dt, flux, chi1, chi2, grid).toarray()
+        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt).toarray()
         approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
@@ -171,9 +169,9 @@ class TestJacobian:
         state = SpeciesPair(f, g)
         dt = 0.15
         flux = Flux.lax_friedrichs(1.5)
-        exact = jacobian_nonlinear(
-            state, dt, flux, chi1, chi2, grid, envelope, rho
-        ).toarray()
+        exact = NonlinearStepper(
+            grid, chi1, chi2, flux, envelope, rho
+        ).jacobian(state, dt).toarray()
         approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid, envelope, rho)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
@@ -231,9 +229,9 @@ class TestNewton:
         grid, chi1, chi2 = setting
         eq = build_equilibrium(1.4, chi1, chi2, grid)
         cfg = NewtonConfig()
-        state, iterations = newton_solve(
-            eq.state, 0.2, Flux.lax_friedrichs(1.5), cfg, chi1, chi2, grid
-        )
+        state, iterations = NonlinearStepper(
+            grid, chi1, chi2, Flux.lax_friedrichs(1.5)
+        ).newton(eq.state, 0.2, cfg)
         assert iterations <= 1
         np.testing.assert_allclose(state.f, eq.state.f, atol=1e-10)
         np.testing.assert_allclose(state.g, eq.state.g, atol=1e-10)
@@ -248,7 +246,7 @@ class TestNewton:
         prev = SpeciesPair(np.tile(row_f, (grid.nx, 1)), np.tile(row_g, (grid.nx, 1)))
         dt = 0.25
         cfg = NewtonConfig(tol_residual=1e-13)
-        state, _ = newton_solve(prev, dt, Flux.upwind(), cfg, chi1, chi2, grid)
+        state, _ = NonlinearStepper(grid, chi1, chi2, Flux.upwind()).newton(prev, dt, cfg)
 
         def cell_residual(z):
             zf, zg = z[:nvel], z[nvel:]
@@ -277,7 +275,7 @@ class TestNewton:
         prev = random_positive_pair(grid, np.random.default_rng(7))
         cfg = NewtonConfig(tol_residual=1e-30, max_iterations=2)
         with pytest.raises(NewtonDivergedError, match="iterations"):
-            newton_solve(prev, 0.1, Flux.centered(), cfg, chi1, chi2, grid)
+            NonlinearStepper(grid, chi1, chi2, Flux.centered()).newton(prev, 0.1, cfg)
 
     def test_mass_drift_guard_trips_on_tiny_tolerance(self, setting):
         # The conserved quantity moves at rounding level per step; an absurdly
@@ -287,7 +285,7 @@ class TestNewton:
         prev = random_positive_pair(grid, rng)
         cfg = NewtonConfig(tol_residual=1e-9, mass_diff_drift_tol=1e-18)
         with pytest.raises(NewtonDivergedError, match="drift"):
-            newton_solve(prev, 0.2, Flux.lax_friedrichs(1.5), cfg, chi1, chi2, grid)
+            NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5)).newton(prev, 0.2, cfg)
 
     def test_mass_conserved_over_steps(self, setting):
         grid, chi1, chi2 = setting
@@ -318,7 +316,7 @@ class TestNewton:
         grid, chi1, chi2 = setting
         prev = random_positive_pair(grid, np.random.default_rng(10))
         cfg = NewtonConfig(tol_residual=1e-10, mass_diff_drift_tol=np.inf)
-        state, _ = newton_solve(prev, 0.1, Flux.centered(), cfg, chi1, chi2, grid)
+        state, _ = NonlinearStepper(grid, chi1, chi2, Flux.centered()).newton(prev, 0.1, cfg)
         assert np.all(np.isfinite(state.f))
 
 
