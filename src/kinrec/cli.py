@@ -31,14 +31,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", choices=MODEL_NAMES)
     parser.add_argument("--nx", type=int, help="spatial cells (odd)")
     parser.add_argument("--nv", type=int, help="velocity cells per half-axis")
-    parser.add_argument("--vstar", type=float, help="velocity cutoff")
+    parser.add_argument(
+        "--vstar", dest="v_star", type=float, metavar="VSTAR", help="velocity cutoff"
+    )
     parser.add_argument("--dt", type=float, help="time step (initial step when adaptive)")
     parser.add_argument("--dt-max", type=float, help="adaptive step ceiling")
-    parser.add_argument("--tfinal", type=float, help="final time")
+    parser.add_argument(
+        "--tfinal", dest="t_final", type=float, metavar="TFINAL", help="final time"
+    )
     parser.add_argument("--seed", type=int, help="RNG seed for random initial data")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     parser.add_argument(
         "--snapshots",
+        dest="snapshot_times",
         type=_parse_snapshot_list,
         metavar="t1,t2,...",
         help="comma-separated snapshot times",
@@ -52,30 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "test": "test",
-    "flux": "flux",
-    "model": "model",
-    "nx": "nx",
-    "nv": "nv",
-    "vstar": "v_star",
-    "dt": "dt",
-    "dt_max": "dt_max",
-    "tfinal": "t_final",
-    "seed": "seed",
-    "out": "output_dir",
-    "snapshots": "snapshot_times",
-    "emit_plot_script": "emit_plot_script",
-}
-
-
 def overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
-    overrides: dict[str, Any] = {}
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    return overrides
+    """RunConfig overrides: every option given on the command line.
+
+    Option destinations are named after the RunConfig fields they set.
+    """
+    return {
+        field: value
+        for field, value in vars(args).items()
+        if field != "config" and value is not None
+    }
 
 
 def main(argv: Sequence[str] | None = None) -> int:

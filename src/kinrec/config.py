@@ -38,12 +38,8 @@ class RunConfig:
     dt_min: float = 1e-8
     dt_max: float = 0.3
     t_final: float | None = None
-    delta_fraction: float = 0.9
     newton_tol: float = 1e-11
     newton_max_iterations: int = 25
-    accept_iteration_budget: int = 8
-    # None resolves to 1e-10 for every flux; inf disables the guard.
-    mass_diff_drift_tol: float | None = None
     output_dir: str = "run"
     snapshot_times: tuple[float, ...] = ()
     seed: int = 0
@@ -120,14 +116,6 @@ def _parse_snapshots(text: str) -> tuple[float, ...]:
         return ()
     return tuple(sorted(_parse_float(part) for part in text.split(",")))
 
-def _parse_drift_tol(text: str) -> float | None:
-    t = text.strip().lower()
-    if t == "auto":
-        return None
-    if t in ("inf", "infinity"):
-        return math.inf
-    return _parse_float(text)
-
 
 # (section, key) -> (config field, parser)
 _SCHEMA: dict[tuple[str, str], tuple[str, Any]] = {
@@ -146,11 +134,8 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Any]] = {
     ("time", "dt_min"): ("dt_min", _parse_float),
     ("time", "dt_max"): ("dt_max", _parse_float),
     ("time", "t_final"): ("t_final", _parse_optional_float),
-    ("entropy", "delta_fraction"): ("delta_fraction", _parse_float),
     ("newton", "tol_residual"): ("newton_tol", _parse_float),
     ("newton", "max_iterations"): ("newton_max_iterations", _parse_int),
-    ("newton", "accept_iteration_budget"): ("accept_iteration_budget", _parse_int),
-    ("newton", "mass_diff_drift_tol"): ("mass_diff_drift_tol", _parse_drift_tol),
     ("output", "dir"): ("output_dir", str),
     ("output", "snapshots"): ("snapshot_times", _parse_snapshots),
     ("output", "seed"): ("seed", _parse_int),
@@ -229,16 +214,10 @@ def validate_config(cfg: RunConfig) -> None:
         steps = round(cfg.t_final / cfg.dt)
         if abs(steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
             raise bad("t_final", f"must be a whole number of dt={cfg.dt} steps, got {cfg.t_final}")
-    if not 0 < cfg.delta_fraction < 1:
-        raise bad("delta_fraction", f"must lie in (0, 1), got {cfg.delta_fraction}")
     if cfg.newton_tol <= 0:
         raise bad("newton_tol", f"must be positive, got {cfg.newton_tol}")
     if cfg.newton_max_iterations < 1:
         raise bad("newton_max_iterations", f"must be >= 1, got {cfg.newton_max_iterations}")
-    if cfg.accept_iteration_budget < 0:
-        raise bad("accept_iteration_budget", f"must be >= 0, got {cfg.accept_iteration_budget}")
-    if cfg.mass_diff_drift_tol is not None and cfg.mass_diff_drift_tol <= 0:
-        raise bad("mass_diff_drift_tol", f"must be positive, inf, or auto, got {cfg.mass_diff_drift_tol}")
     if cfg.seed < 0:
         raise bad("seed", f"must be non-negative, got {cfg.seed}")
 
@@ -291,8 +270,7 @@ def _format_value(value: Any) -> str:
 def effective_config_text(cfg: RunConfig) -> str:
     """Render the fully-resolved configuration; reloading it reproduces cfg."""
     lines: list[str] = []
-    section_order = ("grid", "model", "time", "entropy", "newton", "output")
-    for section in section_order:
+    for section in dict.fromkeys(sec for sec, _ in _SCHEMA):
         lines.append(f"[{section}]")
         for (sec, key), (field, _) in _SCHEMA.items():
             if sec != section:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,8 +32,8 @@ class StepFailedError(RuntimeError):
 class NewtonConfig:
     tol_residual: float = 1e-11
     max_iterations: int = 25
-    # Relative per-step tolerance on the conserved mass difference; inf
-    # disables the check.  Every flux conserves it, the centered one included.
+    # Relative per-step tolerance on the conserved mass difference, which
+    # every flux conserves, the centered one included.
     mass_diff_drift_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -47,34 +47,24 @@ class NewtonConfig:
             )
 
 
+# Step-size rule of the nonlinear march: grow after an accept within the
+# iteration budget, shrink after a reject.
+DT_GROWTH = 2.0
+DT_SHRINK = 0.5
+ACCEPT_ITERATION_BUDGET = 8
+
+
 @dataclass(frozen=True)
 class AdaptiveController:
-    """Time-step state for the nonlinear march.
+    """Bounds on the step size of the nonlinear march."""
 
-    dt is the next step to attempt; growth applies after an accept that took
-    at most accept_iteration_budget Newton iterations, shrink after a reject.
-    """
-
-    dt: float
-    dt_min: float = 1e-8
-    dt_max: float = 0.3
-    growth: float = 2.0
-    shrink: float = 0.5
-    accept_iteration_budget: int = 8
+    dt_min: float
+    dt_max: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt_min <= self.dt <= self.dt_max:
+        if not 0.0 < self.dt_min <= self.dt_max:
             raise ValueError(
-                f"need 0 < dt_min <= dt <= dt_max, got "
-                f"{self.dt_min}, {self.dt}, {self.dt_max}"
-            )
-        if self.growth <= 1.0:
-            raise ValueError(f"growth must exceed 1, got {self.growth}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if self.accept_iteration_budget < 0:
-            raise ValueError(
-                f"accept_iteration_budget must be >= 0, got {self.accept_iteration_budget}"
+                f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}"
             )
 
 
@@ -290,8 +280,8 @@ class NonlinearStepper:
         """Solve the implicit step; returns the new state and iteration count.
 
         Starts from the previous state.  Raises NewtonDivergedError when the
-        iteration budget is exhausted or, for finite drift tolerance, when
-        the converged state moved the conserved mass difference too far.
+        iteration budget is exhausted or when the converged state moved the
+        conserved mass difference too far.
         """
         state = state_prev.copy()
         res = self.residual(state, state_prev, dt)
@@ -312,13 +302,12 @@ class NonlinearStepper:
             if not math.isfinite(res_norm):
                 raise NewtonDivergedError(f"non-finite residual at dt {dt:.3e}")
             iterations += 1
-        if math.isfinite(cfg.mass_diff_drift_tol):
-            m_prev = mass_difference(state_prev, self.grid)
-            drift = abs(mass_difference(state, self.grid) - m_prev)
-            if drift > cfg.mass_diff_drift_tol * (1.0 + abs(m_prev)):
-                raise NewtonDivergedError(
-                    f"mass-difference drift {drift:.3e} exceeds tolerance at dt {dt:.3e}"
-                )
+        m_prev = mass_difference(state_prev, self.grid)
+        drift = abs(mass_difference(state, self.grid) - m_prev)
+        if drift > cfg.mass_diff_drift_tol * (1.0 + abs(m_prev)):
+            raise NewtonDivergedError(
+                f"mass-difference drift {drift:.3e} exceeds tolerance at dt {dt:.3e}"
+            )
         return state, iterations
 
 
@@ -370,23 +359,23 @@ def verify_moment_schemes_nonlinear(
 class StepResult:
     state: SpeciesPair
     dt_used: float
-    controller: AdaptiveController
+    next_dt: float
     newton_iterations: int
 
 
 def adaptive_advance(
     state_prev: SpeciesPair,
+    dt: float,
     controller: AdaptiveController,
     cfg: NewtonConfig,
     stepper: NonlinearStepper,
 ) -> StepResult:
-    """Advance one accepted step, shrinking dt on Newton failure.
+    """Advance one accepted step from an attempt of dt, shrinking on Newton failure.
 
-    The accepted step grows the next dt only when Newton stayed within the
-    controller's iteration budget; a rejection halves (by shrink) down to
-    dt_min, below which StepFailedError propagates the last failure.
+    The accepted step grows the next dt, up to dt_max, only when Newton took
+    at most ACCEPT_ITERATION_BUDGET iterations; a rejection shrinks dt down
+    to dt_min.  A failure at or below dt_min raises StepFailedError.
     """
-    dt = controller.dt
     while True:
         try:
             state, iterations = stepper.newton(state_prev, dt, cfg)
@@ -395,11 +384,10 @@ def adaptive_advance(
                 raise StepFailedError(
                     f"no acceptable step above dt_min={controller.dt_min}: {exc}"
                 ) from exc
-            dt = max(dt * controller.shrink, controller.dt_min)
+            dt = max(dt * DT_SHRINK, controller.dt_min)
             continue
-        if iterations <= controller.accept_iteration_budget:
-            next_dt = min(dt * controller.growth, controller.dt_max)
+        if iterations <= ACCEPT_ITERATION_BUDGET:
+            next_dt = min(dt * DT_GROWTH, controller.dt_max)
         else:
             next_dt = dt
-        return StepResult(state, dt, replace(controller, dt=next_dt), iterations)
-
+        return StepResult(state, dt, next_dt, iterations)

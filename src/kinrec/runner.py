@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, effective_config_text
+from .config import RunConfig, effective_config_text, validate_config
 from .diagnostics import (
     DecayFit,
     PotentialState,
@@ -80,18 +80,6 @@ def resolve_lambda(cfg: RunConfig, grid: GridSpec) -> float:
     return max(cfg.v_star / 2.0, grid.dx / (2.0 * cfg.dt))
 
 
-def resolve_drift_tolerance(cfg: RunConfig) -> float:
-    """Relative mass-difference drift allowed per Newton solve.
-
-    Every flux conserves the mass difference: conservative two-point fluxes
-    telescope over the torus and the two collision sinks cancel in the mass
-    functional.  So every flux defaults to 1e-10.
-    """
-    if cfg.mass_diff_drift_tol is not None:
-        return cfg.mass_diff_drift_tol
-    return 1e-10
-
-
 def resolve_profile(name: str, grid: GridSpec) -> VelocityProfile:
     if name in NAMED_PROFILES:
         return discretize_profile(NAMED_PROFILES[name], grid)
@@ -145,7 +133,6 @@ class RunSetup:
     equilibrium: EquilibriumData
     ledger: ConstantsLedger
     envelope: BoundsEnvelope
-    drift_tol: float
     t_final: float
 
 
@@ -160,7 +147,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     lam = resolve_lambda(cfg, grid)
     flux = Flux(kind=cfg.flux, lam=lam)
     dt_cap = cfg.dt if cfg.model == "linear" else cfg.dt_max
-    ledger = constants_ledger(chi1, chi2, rho, grid, lam, dt_cap, cfg.delta_fraction)
+    ledger = constants_ledger(chi1, chi2, rho, grid, lam, dt_cap)
     envelope = BoundsEnvelope(
         gamma1=REPORT_ENVELOPE_FRACTION * rho,
         gamma2=REPORT_ENVELOPE_FRACTION * rho,
@@ -177,7 +164,6 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         equilibrium=eq,
         ledger=ledger,
         envelope=envelope,
-        drift_tol=resolve_drift_tolerance(cfg),
         t_final=t_final,
     )
 
@@ -307,7 +293,7 @@ def _march_linear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
     )
     recorder.observe(0.0, deviation, deviation, None, None, False)
-    n_steps = int(math.floor(setup.t_final / cfg.dt + 1e-9))
+    n_steps = round(setup.t_final / cfg.dt)
     for n in range(1, n_steps + 1):
         deviation = op.solve(deviation)
         recorder.observe(n * cfg.dt, deviation, deviation, cfg.dt, None, False)
@@ -325,30 +311,17 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         rho=setup.rho if cfg.truncated else None,
     )
     newton_cfg = NewtonConfig(
-        tol_residual=cfg.newton_tol,
-        max_iterations=cfg.newton_max_iterations,
-        mass_diff_drift_tol=setup.drift_tol,
+        tol_residual=cfg.newton_tol, max_iterations=cfg.newton_max_iterations
     )
-    controller = AdaptiveController(
-        dt=cfg.dt,
-        dt_min=cfg.dt_min,
-        dt_max=cfg.dt_max,
-        accept_iteration_budget=cfg.accept_iteration_budget,
-    )
+    controller = AdaptiveController(dt_min=cfg.dt_min, dt_max=cfg.dt_max)
     recorder.observe(0.0, state, state - setup.equilibrium.state, None, None, True)
-    t = 0.0
+    t, next_dt = 0.0, cfg.dt
     while t < setup.t_final - 1e-12:
-        remaining = setup.t_final - t
-        attempt = controller
-        if remaining < controller.dt:
-            attempt = replace(
-                controller, dt=remaining, dt_min=min(controller.dt_min, remaining)
-            )
-        result = adaptive_advance(state, attempt, newton_cfg, stepper)
-        state = result.state
+        result = adaptive_advance(
+            state, min(next_dt, setup.t_final - t), controller, newton_cfg, stepper
+        )
+        state, next_dt = result.state, result.next_dt
         t += result.dt_used
-        next_dt = min(max(result.controller.dt, cfg.dt_min), cfg.dt_max)
-        controller = replace(controller, dt=next_dt)
         recorder.observe(
             t,
             state,
@@ -410,6 +383,7 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
 
 
 def execute_run(cfg: RunConfig) -> RunData:
+    validate_config(cfg)
     start = time.perf_counter()
     setup = build_setup(cfg)
     recorder = DiagnosticsRecorder(setup)

@@ -3,12 +3,13 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kinrec.cli import build_parser, main, overrides_from_args
-from kinrec.config import RunConfig, load_config
+from kinrec.config import RunConfig, ValidationError, load_config
 from kinrec.diagnostics import fit_decay_rate
 from kinrec.grid import build_grid, discretize_profile, heavytail_profile
 from kinrec.runner import (
@@ -19,7 +20,6 @@ from kinrec.runner import (
     build_setup,
     execute_run,
     initial_data,
-    resolve_drift_tolerance,
     resolve_lambda,
     resolve_profile,
     run_experiment,
@@ -62,12 +62,6 @@ class TestResolution:
         cfg = tiny_config(flux=flux)
         grid = build_grid(cfg.torus_length, cfg.nx, cfg.nv, cfg.v_star)
         assert resolve_lambda(cfg, grid) == 0.0
-
-    def test_drift_tolerance_defaults(self):
-        assert resolve_drift_tolerance(tiny_config()) == 1e-10
-        assert resolve_drift_tolerance(tiny_config(flux="upwind")) == 1e-10
-        assert resolve_drift_tolerance(tiny_config(flux="centered")) == 1e-10
-        assert resolve_drift_tolerance(tiny_config(mass_diff_drift_tol=1e-8)) == 1e-8
 
     def test_named_profile_resolution(self):
         grid = build_grid(2.0, 7, 4, 3.0)
@@ -199,6 +193,30 @@ class TestMarches:
         )
         assert data.summary.f_ratio_min is not None
         assert data.summary.max_mass_drift_rel <= 1e-9
+
+    def test_nonlinear_march_ends_on_a_piece_below_dt_min(self):
+        cfg = tiny_config(
+            model="nonlinear", t_final=1.02, dt=0.05, dt_min=0.05, dt_max=0.05
+        )
+        data = execute_run(cfg)
+        assert data.summary.n_steps == 21
+        assert data.records[-1].t == pytest.approx(1.02, abs=1e-12)
+        assert data.records[-1].dt_used == pytest.approx(0.02)
+
+    def test_linear_march_lands_on_a_horizon_within_rounding(self):
+        # 50 - 4e-8 passes validation as 500 steps of 0.1, so the march must
+        # take all 500 and record the t_final snapshot.
+        t_final = 50.0 - 4e-8
+        cfg = tiny_config(t_final=t_final, snapshot_times=(t_final,))
+        data = execute_run(cfg)
+        assert data.summary.n_steps == 500
+        assert data.records[-1].t == pytest.approx(50.0, abs=1e-9)
+        assert [s.requested_t for s in data.snapshots] == [t_final]
+
+    def test_unvalidated_horizon_is_refused(self):
+        cfg = replace(tiny_config(t_final=0.5), t_final=0.55, snapshot_times=(0.55,))
+        with pytest.raises(ValidationError, match=r"time\.t_final"):
+            execute_run(cfg)
 
     def test_mid_run_failure_flushes_partial_outputs(self, tmp_path):
         out = tmp_path / "broken"
