@@ -6,15 +6,16 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .config import FLUX_NAMES, MODEL_NAMES, ParseError, ValidationError, load_config
+from .config import (
+    FLUX_NAMES,
+    MODEL_NAMES,
+    TEST_PRESETS,
+    ParseError,
+    ValidationError,
+    load_config,
+    parse_snapshots,
+)
 from .runner import ExperimentAbortedError, run_experiment
-
-
-def _parse_snapshot_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(sorted(float(part) for part in text.split(",") if part.strip()))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad snapshot list {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("config", nargs="?", default=None, help="INI config file (optional)")
-    parser.add_argument("--test", type=int, choices=(1, 2, 3, 4), help="experiment preset")
+    parser.add_argument("--test", type=int, choices=sorted(TEST_PRESETS), help="experiment preset")
     parser.add_argument("--flux", choices=FLUX_NAMES)
     parser.add_argument("--model", choices=MODEL_NAMES)
     parser.add_argument("--nx", type=int, help="spatial cells (odd)")
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--snapshots",
         dest="snapshot_times",
-        type=_parse_snapshot_list,
+        type=parse_snapshots,
         metavar="t1,t2,...",
         help="comma-separated snapshot times",
     )

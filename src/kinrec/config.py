@@ -7,9 +7,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
-FLUX_NAMES = ("lax-friedrichs", "centered", "upwind")
+from .grid import NAMED_PROFILES
+from .linear import FLUX_NAMES
+
 MODEL_NAMES = ("linear", "nonlinear")
-PROFILE_NAMES = ("gaussian", "heavytail", "oscillating")
 
 
 class ParseError(ValueError):
@@ -110,7 +111,8 @@ def _parse_optional_float(text: str) -> float | None:
 def _parse_optional_test(text: str) -> int | None:
     return None if text.strip().lower() == "none" else _parse_int(text)
 
-def _parse_snapshots(text: str) -> tuple[float, ...]:
+def parse_snapshots(text: str) -> tuple[float, ...]:
+    """Comma-separated snapshot times, sorted; the empty string gives none."""
     text = text.strip()
     if not text:
         return ()
@@ -137,7 +139,7 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Any]] = {
     ("newton", "tol_residual"): ("newton_tol", _parse_float),
     ("newton", "max_iterations"): ("newton_max_iterations", _parse_int),
     ("output", "dir"): ("output_dir", str),
-    ("output", "snapshots"): ("snapshot_times", _parse_snapshots),
+    ("output", "snapshots"): ("snapshot_times", parse_snapshots),
     ("output", "seed"): ("seed", _parse_int),
     ("output", "emit_plot_script"): ("emit_plot_script", _parse_bool),
 }
@@ -191,10 +193,10 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.lam is not None and cfg.lam <= 0:
         raise bad("lam", f"must be positive or auto, got {cfg.lam}")
     for field, name in (("chi1", cfg.chi1), ("chi2", cfg.chi2)):
-        if name not in PROFILE_NAMES and not name.startswith("file:"):
+        if name not in NAMED_PROFILES and not name.startswith("file:"):
             raise bad(
                 field,
-                f"must be one of {PROFILE_NAMES} or file:<path>, got {name!r}",
+                f"must be one of {tuple(NAMED_PROFILES)} or file:<path>, got {name!r}",
             )
     if cfg.truncated and cfg.model != "nonlinear":
         raise bad("truncated", "only the nonlinear model supports truncation")
@@ -247,10 +249,13 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
     if test is not None:
         merged["test"] = test
 
-    cfg = replace(RunConfig(), **merged)
+    return resolve_config(replace(RunConfig(), **merged))
+
+
+def resolve_config(cfg: RunConfig) -> RunConfig:
+    """The config a run uses: t_final = auto set to the last snapshot time, else 50."""
     if cfg.t_final is None:
-        t_final = max(cfg.snapshot_times) if cfg.snapshot_times else 50.0
-        cfg = replace(cfg, t_final=t_final)
+        cfg = replace(cfg, t_final=max(cfg.snapshot_times, default=50.0))
     validate_config(cfg)
     return cfg
 

@@ -152,7 +152,7 @@ class TimeSeriesRecord:
     weighted_norm: float
     rho_f_l2: float
     rho_g_l2: float
-    entropy: float | None
+    entropy: float
     mass_difference: float
     bounds_pass: bool | None
     dt_used: float | None

@@ -13,33 +13,31 @@ from .grid import (
     VelocityProfile,
     backward_gradient,
     centered_gradient,
-    forward_gradient,
     second_difference,
 )
-from .state import SpeciesPair, build_equilibrium, collision_linear, moments_ujs
+from .state import SpeciesPair, build_equilibrium, collision_linear, moments_ujs, weighted_inner
 
 LAX_FRIEDRICHS = "lax-friedrichs"
 CENTERED = "centered"
 UPWIND = "upwind"
+FLUX_NAMES = (LAX_FRIEDRICHS, CENTERED, UPWIND)
 
 
 @dataclass(frozen=True)
 class Flux:
     """Numerical flux for the periodic transport term.
 
-    kind selects the interface formula; lam is the LF diffusion strength
-    (interface jump penalty divided by dv), unused by the other kinds.  The
-    LF interface value between cells i and i+1 at velocity v is
-    dv*(v/2)*(h_i + h_{i+1}) - dv*lam*(h_{i+1} - h_i); the resulting cell
-    update equals the centered one minus lam*dx times the second difference.
-    Monotone iff lam >= v_star/2.
+    kind selects the interface weights (see interface_weights); lam is the LF
+    diffusion strength (interface jump penalty divided by dv), unused by the
+    other kinds.  The LF cell update equals the centered one minus lam*dx
+    times the second difference.  Monotone iff lam >= v_star/2.
     """
 
     kind: str
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (LAX_FRIEDRICHS, CENTERED, UPWIND):
+        if self.kind not in FLUX_NAMES:
             raise ValueError(f"unknown flux kind {self.kind!r}")
         if self.kind == LAX_FRIEDRICHS and self.lam <= 0.0:
             raise ValueError(f"lax_friedrichs flux needs lam > 0, got {self.lam}")
@@ -59,57 +57,50 @@ class Flux:
         return Flux(UPWIND)
 
 
+def interface_weights(flux: Flux, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-velocity weights (a, b) of the interface value F = a*h_i + b*h_{i+1}.
+
+    F is the flux between cells i and i+1 divided by dv.  LF takes
+    a = v/2 + lam and b = v/2 - lam, the centered flux being LF with lam = 0;
+    upwind takes a = max(v, 0) and b = min(v, 0).  The flux is monotone iff
+    a >= 0 >= b at every velocity.
+    """
+    v = grid.v_centers
+    if flux.kind == UPWIND:
+        return np.maximum(v, 0.0), np.minimum(v, 0.0)
+    return v / 2.0 + flux.lam, v / 2.0 - flux.lam
+
+
 def flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray:
     """Per-cell transport update (flux difference over cell area) of one species.
 
-    field has shape (nx, 2*nv); velocity enters through the midpoint values.
+    field has shape (nx, 2*nv).  The difference of interface values keeps a
+    constant field exactly stationary.
     """
-    v = grid.v_centers
-    if flux.kind == CENTERED:
-        return v * centered_gradient(field, grid)
-    if flux.kind == LAX_FRIEDRICHS:
-        return v * centered_gradient(field, grid) - flux.lam * grid.dx * second_difference(
-            field, grid
-        )
-    vplus = np.maximum(v, 0.0)
-    vminus = -np.minimum(v, 0.0)
-    return vplus * backward_gradient(field, grid) - vminus * forward_gradient(field, grid)
-
-
-def _shift_matrix(n: int, offset: int) -> sp.csr_matrix:
-    """Periodic shift: (S u)_i = u_{i+offset}."""
-    cols = (np.arange(n) + offset) % n
-    return sp.csr_matrix((np.ones(n), (np.arange(n), cols)), shape=(n, n))
+    a, b = interface_weights(flux, grid)
+    right = a * field + b * np.roll(field, -1, axis=0)
+    return (right - np.roll(right, 1, axis=0)) / grid.dx
 
 
 def transport_matrix(flux: Flux, grid: GridSpec) -> sp.csr_matrix:
     """Sparse transport operator on one species, spatial-major flattening.
 
-    Row/column index is i * (2*nv) + m, so the matrix is a Kronecker product
-    of a spatial difference stencil with a velocity-diagonal weight.
+    Row/column index is i * (2*nv) + m.  Row (i, m) holds -a/dx, (a - b)/dx
+    and b/dx at cells i-1, i and i+1 of velocity m; bands whose weight
+    vanishes (the centered diagonal, one side of upwind) are left out.
     """
-    n, nvel = grid.nx, grid.n_vel
-    splus = _shift_matrix(n, 1)
-    sminus = _shift_matrix(n, -1)
-    eye_x = sp.identity(n, format="csr")
-    eye_v = sp.identity(nvel, format="csr")
-    v = grid.v_centers
-    vdiag = sp.diags(v)
-    if flux.kind == CENTERED:
-        cen = (splus - sminus) / (2.0 * grid.dx)
-        return sp.kron(cen, vdiag, format="csr")
-    if flux.kind == LAX_FRIEDRICHS:
-        cen = (splus - sminus) / (2.0 * grid.dx)
-        lap = (splus - 2.0 * eye_x + sminus) / grid.dx**2
-        return (
-            sp.kron(cen, vdiag) - flux.lam * grid.dx * sp.kron(lap, eye_v)
-        ).tocsr()
-    dplus = (splus - eye_x) / grid.dx
-    dminus = (eye_x - sminus) / grid.dx
-    return (
-        sp.kron(dminus, sp.diags(np.maximum(v, 0.0)))
-        - sp.kron(dplus, sp.diags(-np.minimum(v, 0.0)))
-    ).tocsr()
+    a, b = interface_weights(flux, grid)
+    n = grid.n_unknowns
+    cells = np.arange(n).reshape(grid.nx, grid.n_vel)
+    rows, cols, vals = [], [], []
+    for offset, weight in ((-1, -a), (0, a - b), (1, b)):
+        keep = weight != 0.0
+        rows.append(cells[:, keep].ravel())
+        cols.append(np.roll(cells, -offset, axis=0)[:, keep].ravel())
+        vals.append(np.tile(weight[keep] / grid.dx, grid.nx))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
 
 
 def stack_pair(state: SpeciesPair) -> np.ndarray:
@@ -136,9 +127,9 @@ class DensityAugmentedSystem:
     times the transport and the masked rho diagonals, E holds scale*eff in
     the partner species' sigma column (one entry per row), S holds dv*mask.
     Eliminating sigma leaves the Jacobian A + E S, so a factorization of the
-    augmented matrix solves the reduced system with far less fill.  The
-    coordinate template is fixed per grid and flux; each matrix only fills
-    its data vector.
+    augmented matrix solves the reduced system with far less fill.  The CSC
+    pattern, every (row, col) listed once, is sorted once per grid and flux;
+    each matrix only fills its data vector.
     """
 
     def __init__(self, flux: Flux, grid: GridSpec) -> None:
@@ -148,17 +139,19 @@ class DensityAugmentedSystem:
         self.n_reduced = 2 * n
         self.shape = (2 * n + n_sites, 2 * n + n_sites)
         transport = transport_matrix(flux, grid).tocoo()
+        off = transport.row != transport.col
+        t_rows, t_cols = transport.row[off], transport.col[off]
         cells = np.arange(2 * n)
         sites = cells // grid.n_vel  # f rows on sites 0..nx-1, g rows on nx..2nx-1
         self._partner = (sites + grid.nx) % n_sites
         sigma = 2 * n + np.arange(n_sites)
-        self._rows = np.concatenate(
-            [transport.row, transport.row + n, cells, cells, 2 * n + sites, sigma]
-        )
-        self._cols = np.concatenate(
-            [transport.col, transport.col + n, cells, 2 * n + self._partner, cells, sigma]
-        )
-        self._transport = np.concatenate([transport.data, transport.data])
+        rows = np.concatenate([t_rows, t_rows + n, cells, cells, 2 * n + sites, sigma])
+        cols = np.concatenate([t_cols, t_cols + n, cells, 2 * n + self._partner, cells, sigma])
+        self._transport = np.tile(transport.data[off], 2)
+        self._transport_diagonal = np.tile(transport.diagonal(), 2)
+        self._order = np.lexsort((rows, cols))
+        self._indices = rows[self._order]
+        self._indptr = np.searchsorted(cols[self._order], np.arange(self.shape[1] + 1))
 
     def matrix(
         self,
@@ -180,13 +173,13 @@ class DensityAugmentedSystem:
         data = np.concatenate(
             [
                 scale * self._transport,
-                shift + scale * (rho[self._partner] * weight),
+                shift + scale * (self._transport_diagonal + rho[self._partner] * weight),
                 scale * h,
                 -dv * weight,
                 np.ones(self.shape[0] - self.n_reduced),
             ]
         )
-        return sp.coo_matrix((data, (self._rows, self._cols)), shape=self.shape).tocsc()
+        return sp.csc_matrix((data[self._order], self._indices, self._indptr), shape=self.shape)
 
     def reduced(self, augmented: sp.csc_matrix) -> sp.csc_matrix:
         """Schur complement A + E S of an augmented matrix, on (f, g) alone."""
@@ -223,11 +216,6 @@ class ImplicitLinearOperator:
         if rho <= 0.0:
             raise ValueError(f"rho must be positive, got {rho}")
         self.grid = grid
-        self.chi1 = chi1
-        self.chi2 = chi2
-        self.rho = float(rho)
-        self.dt = float(dt)
-        self.flux = flux
         self._system = DensityAugmentedSystem(flux, grid)
         equilibrium = build_equilibrium(rho, chi1, chi2, grid).state
         augmented = self._system.matrix(equilibrium, 1.0, dt)
@@ -330,8 +318,6 @@ def transport_quadratic_form(
     difference between the LF and centered forms is the explicit gradient
     dissipation returned by lax_friedrichs_dissipation.
     """
-    from .state import weighted_inner
-
     div = SpeciesPair(
         flux_divergence(state.f, flux, grid), flux_divergence(state.g, flux, grid)
     )

@@ -208,7 +208,7 @@ class NonlinearStepper:
     Each Newton iteration factorizes the density-augmented system of
     DensityAugmentedSystem: the Jacobian on (f, g) bordered by the 2*nx site
     densities, which keeps the rank-one reaction coupling sparse.  The
-    coordinate template is built once here, so per-iteration work is data
+    sparsity pattern is built once here, so per-iteration work is data
     filling, one factorization, and one solve.
     """
 

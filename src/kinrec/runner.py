@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, effective_config_text, validate_config
+from .config import RunConfig, effective_config_text, resolve_config
 from .diagnostics import (
     DecayFit,
     PotentialState,
@@ -137,6 +137,7 @@ class RunSetup:
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
+    """Grid, profiles, initial data and constants of a resolved configuration."""
     grid = build_grid(cfg.torus_length, cfg.nx, cfg.nv, cfg.v_star)
     chi1 = resolve_profile(cfg.chi1, grid)
     chi2 = resolve_profile(cfg.chi2, grid)
@@ -152,7 +153,6 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         gamma1=REPORT_ENVELOPE_FRACTION * rho,
         gamma2=REPORT_ENVELOPE_FRACTION * rho,
     )
-    t_final = cfg.t_final if cfg.t_final is not None else 50.0
     return RunSetup(
         cfg=cfg,
         grid=grid,
@@ -164,7 +164,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         equilibrium=eq,
         ledger=ledger,
         envelope=envelope,
-        t_final=t_final,
+        t_final=cfg.t_final,
     )
 
 
@@ -178,10 +178,9 @@ class Snapshot:
 class DiagnosticsRecorder:
     """Per-step diagnostics shared by both marches.
 
-    Entropy recording degrades gracefully: once the deviation density stops
-    being mean-free (the mass difference has drifted, which none of the three
-    fluxes does) the discrete potential is no longer defined and the entropy
-    column goes empty.
+    The entropy needs a mean-free deviation density; a run whose mass
+    difference drifts, which none of the three fluxes does, aborts on the
+    Poisson solve's error.
     """
 
     def __init__(self, setup: RunSetup) -> None:
@@ -191,14 +190,10 @@ class DiagnosticsRecorder:
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
 
-    def _entropy(self, deviation: SpeciesPair, dt: float) -> float | None:
+    def _entropy(self, deviation: SpeciesPair, dt: float) -> float:
         setup = self._setup
         u = moments_ujs(deviation.f - deviation.g, setup.grid, setup.equilibrium.d0)[0]
-        try:
-            phi = solve_discrete_poisson(u, setup.grid)
-        except ValueError:
-            self._pot = None
-            return None
+        phi = solve_discrete_poisson(u, setup.grid)
         if self._pot is None:
             self._pot = PotentialState(phi=phi)
         else:
@@ -383,7 +378,7 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
 
 
 def execute_run(cfg: RunConfig) -> RunData:
-    validate_config(cfg)
+    cfg = resolve_config(cfg)
     start = time.perf_counter()
     setup = build_setup(cfg)
     recorder = DiagnosticsRecorder(setup)

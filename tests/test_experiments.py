@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinrec import runner
 from kinrec.cli import build_parser, main, overrides_from_args
-from kinrec.config import RunConfig, ValidationError, load_config
+from kinrec.config import ParseError, RunConfig, ValidationError, load_config
 from kinrec.diagnostics import fit_decay_rate
 from kinrec.grid import build_grid, discretize_profile, heavytail_profile
 from kinrec.runner import (
@@ -218,6 +219,19 @@ class TestMarches:
         with pytest.raises(ValidationError, match=r"time\.t_final"):
             execute_run(cfg)
 
+    def test_auto_horizon_is_the_last_snapshot(self):
+        # An unresolved config runs to the horizon load_config would give it.
+        data = execute_run(RunConfig(nx=7, nv=2, v_star=3.0, snapshot_times=(0.0, 60.0)))
+        assert data.setup.cfg.t_final == 60.0
+        assert data.summary.n_steps == 600
+        assert [s.requested_t for s in data.snapshots] == [0.0, 60.0]
+        assert data.snapshots[-1].actual_t == pytest.approx(60.0, abs=1e-9)
+
+    def test_auto_horizon_off_the_step_grid_is_refused(self):
+        cfg = RunConfig(nx=7, nv=2, v_star=3.0, snapshot_times=(0.0, 0.55))
+        with pytest.raises(ValidationError, match=r"time\.t_final"):
+            execute_run(cfg)
+
     def test_mid_run_failure_flushes_partial_outputs(self, tmp_path):
         out = tmp_path / "broken"
         cfg = tiny_config(
@@ -406,6 +420,18 @@ class TestCli:
         assert "time.t_final" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snapshots", ["0,x", "0,,1"])
+    def test_bad_snapshot_list_exits_two(self, tmp_path, capsys, snapshots):
+        # The flag takes exactly what the INI snapshots key takes.
+        with pytest.raises(SystemExit) as info:
+            main(["--snapshots", snapshots, "--out", str(tmp_path / "never")])
+        assert info.value.code == 2
+        assert "--snapshots" in capsys.readouterr().err
+        path = tmp_path / "snapshots.ini"
+        path.write_text(f"[output]\nsnapshots = {snapshots}\n")
+        with pytest.raises(ParseError, match=r"output\.snapshots"):
+            load_config(str(path))
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.ini")]) == 2
         assert "error" in capsys.readouterr().err
@@ -424,3 +450,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "partial outputs" in err
         assert (out / "timeseries.csv").exists()
+
+    def test_mass_drift_aborts_on_the_entropy(self, tmp_path, capsys, monkeypatch):
+        # A density difference that is not mean-free has no potential, so the
+        # entropy cannot be recorded and the run stops with its partial outputs.
+        real = runner.solve_discrete_poisson
+        calls = []
+
+        def drifting(u, grid):
+            calls.append(None)
+            return real(u + (1.0 if len(calls) > 2 else 0.0), grid)
+
+        monkeypatch.setattr(runner, "solve_discrete_poisson", drifting)
+        out = tmp_path / "drift"
+        code = main(["--nx", "7", "--nv", "2", "--vstar", "3.0", "--tfinal", "1.0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "mean-free" in capsys.readouterr().err
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.split(",")[4] for row in rows)

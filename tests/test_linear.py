@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dense_reference_operator,
@@ -37,6 +38,24 @@ from kinrec.state import (
 )
 
 ALL_FLUXES = [Flux.lax_friedrichs(1.3), Flux.centered(), Flux.upwind()]
+
+flux_cases = dict(
+    nx=st.integers(1, 15).map(lambda k: 2 * k + 1),
+    nv=st.integers(1, 4),
+    length=st.floats(0.5, 4.0),
+    v_star=st.floats(0.5, 12.0),
+    lam=st.floats(0.0, 10.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+flux_settings = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+def drawn_flux(kind, lam):
+    return Flux.lax_friedrichs(lam) if kind == LAX_FRIEDRICHS else Flux(kind)
+
+
+def drawn_field(grid, seed):
+    return np.random.default_rng(seed).standard_normal((grid.nx, grid.n_vel))
 
 
 @pytest.fixture
@@ -73,12 +92,20 @@ class TestFluxDivergence:
         field = np.full((grid.nx, grid.n_vel), 3.7)
         assert np.all(flux_divergence(field, flux, grid) == 0.0)
 
-    @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.kind)
-    def test_matches_interface_flux_loop(self, flux):
-        grid = make_grid(torus_length=1.2, nx=7, nv=3)
-        field = np.random.default_rng(1).standard_normal((grid.nx, grid.n_vel))
-        got = flux_divergence(field, flux, grid)
-        np.testing.assert_allclose(got, naive_flux_divergence(field, flux, grid), atol=1e-12)
+    @pytest.mark.parametrize("kind", [LAX_FRIEDRICHS, CENTERED, UPWIND])
+    @flux_settings
+    @given(**flux_cases)
+    def test_matches_interface_flux_loop(self, kind, nx, nv, length, v_star, lam, seed):
+        grid = build_grid(length, nx, nv, v_star)
+        flux = drawn_flux(kind, lam)
+        field = drawn_field(grid, seed)
+        expected = naive_flux_divergence(field, flux, grid)
+        np.testing.assert_allclose(
+            flux_divergence(field, flux, grid),
+            expected,
+            rtol=0.0,
+            atol=1e-12 * np.max(np.abs(expected)),
+        )
 
     @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.kind)
     def test_conservative_per_velocity(self, flux):
@@ -99,15 +126,19 @@ class TestFluxDivergence:
         )
         np.testing.assert_allclose(lf, composed, atol=1e-13)
 
-    @pytest.mark.parametrize("flux", ALL_FLUXES, ids=lambda f: f.kind)
-    def test_transport_matrix_matches_stencil(self, flux):
-        grid = make_grid(nx=7, nv=2)
-        field = np.random.default_rng(4).standard_normal((grid.nx, grid.n_vel))
-        mat = transport_matrix(flux, grid)
+    @pytest.mark.parametrize("kind", [LAX_FRIEDRICHS, CENTERED, UPWIND])
+    @flux_settings
+    @given(**flux_cases)
+    def test_transport_matrix_matches_stencil(self, kind, nx, nv, length, v_star, lam, seed):
+        grid = build_grid(length, nx, nv, v_star)
+        flux = drawn_flux(kind, lam)
+        field = drawn_field(grid, seed)
+        expected = flux_divergence(field, flux, grid)
         np.testing.assert_allclose(
-            (mat @ field.ravel()).reshape(field.shape),
-            flux_divergence(field, flux, grid),
-            atol=1e-13,
+            (transport_matrix(flux, grid) @ field.ravel()).reshape(field.shape),
+            expected,
+            rtol=0.0,
+            atol=1e-12 * np.max(np.abs(expected)),
         )
 
 
