@@ -9,15 +9,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridSpec, VelocityProfile, centered_gradient, second_difference
+from .grid import GridSpec, VelocityProfile
 from .linear import (
     DensityAugmentedSystem,
     Flux,
     flux_divergence,
     stack_pair,
     unstack_pair,
+    verify_moment_schemes,
 )
-from .state import EquilibriumData, SpeciesPair, mass_difference, moments_ujs
+from .state import EquilibriumData, SpeciesPair, macroscopic_densities, mass_difference
 
 
 class NewtonDivergedError(RuntimeError):
@@ -328,31 +329,12 @@ def verify_moment_schemes_nonlinear(
     densities' distance to their steady levels.  Both defects vanish up to
     the Newton residual left in the step.
     """
-    rho = equilibrium.rho
-    d0 = equilibrium.d0
-    dev_prev = state_prev - equilibrium.state
-    dev_next = state_next - equilibrium.state
-    u_p, j_p, _ = moments_ujs(dev_prev.f - dev_prev.g, grid, d0)
-    u_n, j_n, s_n = moments_ujs(dev_next.f - dev_next.g, grid, d0)
-    _, jf_n, _ = moments_ujs(dev_next.f, grid, d0)
-    _, jg_n, _ = moments_ujs(dev_next.g, grid, d0)
-    rho_f = grid.dv * state_next.f.sum(axis=1)
-    rho_g = grid.dv * state_next.g.sum(axis=1)
-
-    res_u = (
-        (u_n - u_p) / dt
-        + centered_gradient(j_n, grid)
-        - lam * grid.dx * second_difference(u_n, grid)
+    rho, eq = equilibrium.rho, equilibrium.state
+    rho_f, rho_g = macroscopic_densities(state_next, grid)
+    shift = (rho_f - rho, rho_g - 1.0 / rho)
+    return verify_moment_schemes(
+        state_prev - eq, state_next - eq, grid, rho, equilibrium.d0, dt, lam, shift
     )
-    res_j = (
-        (j_n - j_p) / dt
-        + centered_gradient(s_n, grid)
-        + d0 * centered_gradient(u_n, grid)
-        - lam * grid.dx * second_difference(j_n, grid)
-        + (jf_n / rho - rho * jg_n)
-        + ((rho_g - 1.0 / rho) * jf_n - (rho_f - rho) * jg_n)
-    )
-    return float(np.max(np.abs(res_u))), float(np.max(np.abs(res_j)))
 
 
 @dataclass(frozen=True)

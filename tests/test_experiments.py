@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from kinrec import runner
 from kinrec.cli import build_parser, main, overrides_from_args
@@ -179,6 +180,26 @@ class TestMarches:
         np.testing.assert_allclose(times, np.arange(6) * 0.1, atol=1e-12)
         assert all(r.dt_used == 0.1 for r in data.records[1:])
         assert all(r.bounds_pass is None for r in data.records)
+
+    def test_linear_march_factorizes_nothing(self, monkeypatch):
+        # The linear step is solved per Fourier mode: a run neither factorizes
+        # nor assembles the sparse matrix, which only tests read.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the linear march called splu")
+
+        assemble = runner.assemble_linear_operator
+        operators = []
+
+        def recording(*args):
+            operators.append(assemble(*args))
+            return operators[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(runner, "assemble_linear_operator", recording)
+        data = execute_run(tiny_config(t_final=0.5))
+        assert data.summary.n_steps == 5
+        assert len(operators) == 1
+        assert "matrix" not in operators[0].__dict__
 
     def test_nonlinear_march_reaches_the_horizon(self):
         cfg = tiny_config(

@@ -15,6 +15,7 @@ from conftest import (
 from kinrec.grid import build_grid, centered_gradient, second_difference
 from kinrec.linear import (
     CENTERED,
+    FLUX_NAMES,
     LAX_FRIEDRICHS,
     UPWIND,
     Flux,
@@ -193,16 +194,29 @@ class TestImplicitOperator:
         np.testing.assert_allclose(applied.f, expect_f, atol=1e-12)
         np.testing.assert_allclose(applied.g, expect_g, atol=1e-12)
 
-    def test_solve_matches_dense_solve(self):
-        grid = build_grid(1.0, 3, 1, 1.0)
+    @flux_settings
+    @given(
+        kind=st.sampled_from(FLUX_NAMES),
+        nx=flux_cases["nx"],
+        nv=flux_cases["nv"],
+        lam=flux_cases["lam"],
+        rho=st.floats(0.2, 5.0),
+        dt=st.floats(1e-3, 2.0),
+        seed=flux_cases["seed"],
+    )
+    def test_solve_matches_dense_solve(self, kind, nx, nv, lam, rho, dt, seed):
+        # The per-mode Fourier solve against a dense solve of the
+        # loop-assembled matrix, over grids, fluxes and linearizations.
+        grid = build_grid(1.0, nx, nv, 3.0)
         chi1, chi2 = make_profiles(grid)
-        flux = Flux.lax_friedrichs(0.5)
-        op = assemble_linear_operator(grid, chi1, chi2, 1.3, 0.2, flux)
-        state = random_pair(grid, np.random.default_rng(7))
-        stepped = op.solve(state)
-        dense = dense_reference_operator(grid, chi1, chi2, 1.3, 0.2, flux)
+        flux = drawn_flux(kind, lam)
+        state = random_pair(grid, np.random.default_rng(seed))
+        stepped = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux).solve(state)
+        dense = dense_reference_operator(grid, chi1, chi2, rho, dt, flux)
         expected = np.linalg.solve(dense, stack_pair(state))
-        np.testing.assert_allclose(stack_pair(stepped), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            stack_pair(stepped), expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
+        )
 
     def test_zero_state_is_fixed(self, setting):
         grid, chi1, chi2 = setting
