@@ -74,11 +74,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, overrides_from_args(args))
+        data = run_experiment(cfg)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        data = run_experiment(cfg)
     except ExperimentAbortedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial outputs written to {cfg.output_dir}", file=sys.stderr)

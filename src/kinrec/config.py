@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from .grid import NAMED_PROFILES
-from .linear import FLUX_NAMES
+from .linear import FLUX_NAMES, LAX_FRIEDRICHS
 
 MODEL_NAMES = ("linear", "nonlinear")
 
@@ -192,6 +192,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise bad("flux", f"must be one of {FLUX_NAMES}, got {cfg.flux!r}")
     if cfg.lam is not None and cfg.lam <= 0:
         raise bad("lam", f"must be positive or auto, got {cfg.lam}")
+    if cfg.lam is not None and cfg.flux != LAX_FRIEDRICHS:
+        raise bad("lam", f"only the {LAX_FRIEDRICHS} flux takes lambda, got {cfg.flux!r}")
     for field, name in (("chi1", cfg.chi1), ("chi2", cfg.chi2)):
         if name not in NAMED_PROFILES and not name.startswith("file:"):
             raise bad(
@@ -205,6 +207,8 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.dt <= 0:
         raise bad("dt", f"must be positive, got {cfg.dt}")
     if cfg.model == "nonlinear":
+        if cfg.dt_min <= 0:
+            raise bad("dt_min", f"must be positive, got {cfg.dt_min}")
         if not cfg.dt_min <= cfg.dt <= cfg.dt_max:
             raise bad("dt", f"need dt_min <= dt <= dt_max, got {cfg.dt_min}, {cfg.dt}, {cfg.dt_max}")
     if any(t < 0 for t in cfg.snapshot_times):

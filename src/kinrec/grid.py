@@ -109,26 +109,6 @@ def second_difference(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / grid.dx**2
 
 
-_GRADIENTS = {
-    "centered": centered_gradient,
-    "forward": forward_gradient,
-    "backward": backward_gradient,
-}
-
-
-def discrete_gradient(u: np.ndarray, variant: str, grid: GridSpec) -> np.ndarray:
-    """Apply one of the periodic difference quotients along axis 0."""
-    if variant not in _GRADIENTS:
-        raise ValueError(
-            f"unknown gradient variant {variant!r}, expected one of "
-            f"{sorted(_GRADIENTS)}"
-        )
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != grid.nx:
-        raise ValueError(f"field has leading dimension {u.shape[0]}, grid has nx={grid.nx}")
-    return _GRADIENTS[variant](u, grid)
-
-
 def poincare_constant(grid: GridSpec) -> float:
     """Sharp constant C with ||u||_2 <= C ||centered_gradient(u)||_2 on mean-free u.
 

@@ -1,13 +1,10 @@
-"""Implicit transport-collision scheme linearized around the uniform steady state."""
+"""Numerical fluxes and the implicit scheme linearized around the uniform steady state."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     GridSpec,
@@ -16,7 +13,7 @@ from .grid import (
     centered_gradient,
     second_difference,
 )
-from .state import SpeciesPair, build_equilibrium, collision_linear, moments_ujs, weighted_inner
+from .state import SpeciesPair, collision_linear, moments_ujs, weighted_inner
 
 LAX_FRIEDRICHS = "lax-friedrichs"
 CENTERED = "centered"
@@ -83,117 +80,6 @@ def flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray
     return (right - np.roll(right, 1, axis=0)) / grid.dx
 
 
-def transport_matrix(flux: Flux, grid: GridSpec) -> sp.csr_matrix:
-    """Sparse transport operator on one species, spatial-major flattening.
-
-    Row/column index is i * (2*nv) + m.  Row (i, m) holds -a/dx, (a - b)/dx
-    and b/dx at cells i-1, i and i+1 of velocity m; bands whose weight
-    vanishes (the centered diagonal, one side of upwind) are left out.
-    """
-    a, b = interface_weights(flux, grid)
-    n = grid.n_unknowns
-    cells = np.arange(n).reshape(grid.nx, grid.n_vel)
-    rows, cols, vals = [], [], []
-    for offset, weight in ((-1, -a), (0, a - b), (1, b)):
-        keep = weight != 0.0
-        rows.append(cells[:, keep].ravel())
-        cols.append(np.roll(cells, -offset, axis=0)[:, keep].ravel())
-        vals.append(np.tile(weight[keep] / grid.dx, grid.nx))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-
-
-def stack_pair(state: SpeciesPair) -> np.ndarray:
-    return np.concatenate([state.f.ravel(), state.g.ravel()])
-
-
-def unstack_pair(x: np.ndarray, grid: GridSpec) -> SpeciesPair:
-    n = grid.n_unknowns
-    shape = (grid.nx, grid.n_vel)
-    return SpeciesPair(x[:n].reshape(shape).copy(), x[n:].reshape(shape).copy())
-
-
-class DensityAugmentedSystem:
-    """Backward-Euler Newton matrix with the site densities as extra unknowns.
-
-    The reaction rho_g*f couples every velocity at a site, but its derivative
-    in g is rank one per site: eff_f[i, m] times dv*mask_g[i, :].  Carrying
-    the 2*nx masked site densities (sigma_f, sigma_g) as unknowns, with rows
-    sigma - dv*sum_m mask*h = 0, gives the bordered sparse matrix
-
-        [[A, E], [-S, I]]
-
-    on (f, g, sigma_f, sigma_g): A holds shift on the diagonal plus scale
-    times the transport and the masked rho diagonals, E holds scale*eff in
-    the partner species' sigma column (one entry per row), S holds dv*mask.
-    Eliminating sigma leaves the Jacobian A + E S, so a factorization of the
-    augmented matrix solves the reduced system with far less fill.  The CSC
-    pattern, every (row, col) listed once, is sorted once per grid and flux;
-    each matrix only fills its data vector.
-    """
-
-    def __init__(self, flux: Flux, grid: GridSpec) -> None:
-        self.grid = grid
-        n = grid.n_unknowns
-        n_sites = 2 * grid.nx
-        self.n_reduced = 2 * n
-        self.shape = (2 * n + n_sites, 2 * n + n_sites)
-        transport = transport_matrix(flux, grid).tocoo()
-        off = transport.row != transport.col
-        t_rows, t_cols = transport.row[off], transport.col[off]
-        cells = np.arange(2 * n)
-        sites = cells // grid.n_vel  # f rows on sites 0..nx-1, g rows on nx..2nx-1
-        self._partner = (sites + grid.nx) % n_sites
-        sigma = 2 * n + np.arange(n_sites)
-        rows = np.concatenate([t_rows, t_rows + n, cells, cells, 2 * n + sites, sigma])
-        cols = np.concatenate([t_cols, t_cols + n, cells, 2 * n + self._partner, cells, sigma])
-        self._transport = np.tile(transport.data[off], 2)
-        self._transport_diagonal = np.tile(transport.diagonal(), 2)
-        self._order = np.lexsort((rows, cols))
-        self._indices = rows[self._order]
-        self._indptr = np.searchsorted(cols[self._order], np.arange(self.shape[1] + 1))
-
-    def matrix(
-        self,
-        eff: SpeciesPair,
-        shift: float,
-        scale: float,
-        mask: SpeciesPair | None = None,
-    ) -> sp.csc_matrix:
-        """Augmented matrix of shift*I + scale*(transport + reaction derivative).
-
-        eff is the state the reaction rho_g*f, rho_f*g is evaluated at; mask
-        (1 where a cell is unclamped, 0 where clamped) zeroes the derivative
-        through clamped cells, and None means no clamp.
-        """
-        dv = self.grid.dv
-        h = stack_pair(eff)
-        rho = dv * h.reshape(-1, self.grid.n_vel).sum(axis=1)
-        weight = np.ones(self.n_reduced) if mask is None else stack_pair(mask)
-        data = np.concatenate(
-            [
-                scale * self._transport,
-                shift + scale * (self._transport_diagonal + rho[self._partner] * weight),
-                scale * h,
-                -dv * weight,
-                np.ones(self.shape[0] - self.n_reduced),
-            ]
-        )
-        return sp.csc_matrix((data[self._order], self._indices, self._indptr), shape=self.shape)
-
-    def reduced(self, augmented: sp.csc_matrix) -> sp.csc_matrix:
-        """Schur complement A + E S of an augmented matrix, on (f, g) alone."""
-        n2 = self.n_reduced
-        return (augmented[:n2, :n2] - augmented[:n2, n2:] @ augmented[n2:, :n2]).tocsc()
-
-    def solve(self, lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
-        """Solve the reduced system through a factorized augmented matrix."""
-        padded = np.zeros(self.shape[0])
-        padded[: self.n_reduced] = rhs
-        return lu.solve(padded)[: self.n_reduced]
-
-
 class ImplicitLinearOperator:
     """Backward-Euler step I + dt*(transport - collision), solved per Fourier mode.
 
@@ -209,8 +95,8 @@ class ImplicitLinearOperator:
     >= 0 for every flux, so |D_f| >= 1 + dt/rho and |D_g| >= 1 + dt*rho, and
     with positive unit-mass profiles |A_f*A_g| <= dt^2*rho/((rho + dt)(1 + dt*rho)) < 1.
 
-    apply uses the sparse matrix, dt times the nonlinear Jacobian at the
-    steady state, assembled only when read: a path independent of the solve.
+    The operator is dt times the Jacobian of the nonlinear step at the steady
+    state; the one sparse assembly of it is NonlinearStepper.jacobian.
     """
 
     def __init__(
@@ -227,7 +113,6 @@ class ImplicitLinearOperator:
         if rho <= 0.0:
             raise ValueError(f"rho must be positive, got {rho}")
         self.grid = grid
-        self._linearization = (chi1, chi2, rho, dt, flux)
         a, b = interface_weights(flux, grid)
         phase = np.exp(2j * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx)[:, None]
         tau = (a + b * phase) * (1.0 - phase.conj()) / grid.dx
@@ -237,16 +122,6 @@ class ImplicitLinearOperator:
         self._coupling = self._inv_d * dt * np.stack([rho * chi1.values, chi2.values / rho])
         self._a = grid.dv * self._coupling.sum(axis=2)
         self._det = 1.0 - self._a[:, :1] * self._a[:, 1:]
-
-    @functools.cached_property
-    def matrix(self) -> sp.csc_matrix:
-        chi1, chi2, rho, dt, flux = self._linearization
-        system = DensityAugmentedSystem(flux, self.grid)
-        equilibrium = build_equilibrium(rho, chi1, chi2, self.grid).state
-        return system.reduced(system.matrix(equilibrium, 1.0, dt))
-
-    def apply(self, state: SpeciesPair) -> SpeciesPair:
-        return unstack_pair(self.matrix @ stack_pair(state), self.grid)
 
     def solve(self, rhs: SpeciesPair) -> SpeciesPair:
         nx, n_vel = rhs.f.shape

@@ -10,15 +10,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import GridSpec, VelocityProfile
-from .linear import (
-    DensityAugmentedSystem,
-    Flux,
-    flux_divergence,
+from .linear import Flux, flux_divergence, interface_weights, verify_moment_schemes
+from .state import (
+    EquilibriumData,
+    SpeciesPair,
+    macroscopic_densities,
+    mass_difference,
     stack_pair,
     unstack_pair,
-    verify_moment_schemes,
 )
-from .state import EquilibriumData, SpeciesPair, macroscopic_densities, mass_difference
 
 
 class NewtonDivergedError(RuntimeError):
@@ -203,6 +203,90 @@ def residual_nonlinear(
     return SpeciesPair(rf, rg)
 
 
+class DensityAugmentedSystem:
+    """Backward-Euler Newton matrix with the site densities as extra unknowns.
+
+    The reaction rho_g*f couples every velocity at a site, but its derivative
+    in g is rank one per site: eff_f[i, m] times dv*mask_g[i, :].  Carrying
+    the 2*nx masked site densities (sigma_f, sigma_g) as unknowns, with rows
+    sigma - dv*sum_m mask*h = 0, gives the bordered sparse matrix
+
+        [[A, E], [-S, I]]
+
+    on (f, g, sigma_f, sigma_g): A holds I/dt plus the transport and the
+    masked rho diagonals, E holds eff in the partner species' sigma column
+    (one entry per row), S holds dv*mask.  Eliminating sigma leaves the
+    Jacobian A + E S, so a factorization of the augmented matrix solves the
+    reduced system with far less fill.  The CSC pattern, every (row, col)
+    listed once, is sorted once per grid and flux; each matrix only fills its
+    data vector.
+    """
+
+    def __init__(self, flux: Flux, grid: GridSpec) -> None:
+        self.grid = grid
+        n2 = 2 * grid.n_unknowns
+        n_sites = 2 * grid.nx
+        self.n_reduced = n2
+        self.shape = (n2 + n_sites, n2 + n_sites)
+        # Transport row (i, m) of either species: -a/dx at cell i-1, (a - b)/dx
+        # at i and b/dx at i+1.  The diagonal joins the 1/dt diagonal; an
+        # off-diagonal band whose weight vanishes (one side of upwind) is left out.
+        a, b = interface_weights(flux, grid)
+        cells = np.arange(n2).reshape(2, grid.nx, grid.n_vel)
+        t_rows, t_cols, t_vals = [], [], []
+        for offset, weight in ((-1, -a), (1, b)):
+            keep = weight != 0.0
+            t_rows.append(cells[..., keep].ravel())
+            t_cols.append(np.roll(cells, -offset, axis=1)[..., keep].ravel())
+            t_vals.append(np.tile(weight[keep] / grid.dx, n_sites))
+        self._transport = np.concatenate(t_vals)
+        self._transport_diagonal = np.tile((a - b) / grid.dx, n_sites)
+        cells = cells.ravel()
+        sites = cells // grid.n_vel  # f rows on sites 0..nx-1, g rows on nx..2nx-1
+        self._partner = (sites + grid.nx) % n_sites
+        sigma = n2 + np.arange(n_sites)
+        rows = np.concatenate(t_rows + [cells, cells, n2 + sites, sigma])
+        cols = np.concatenate(t_cols + [cells, n2 + self._partner, cells, sigma])
+        self._order = np.lexsort((rows, cols))
+        self._indices = rows[self._order]
+        self._indptr = np.searchsorted(cols[self._order], np.arange(self.shape[1] + 1))
+
+    def matrix(
+        self, eff: SpeciesPair, dt: float, mask: SpeciesPair | None = None
+    ) -> sp.csc_matrix:
+        """Augmented matrix of I/dt + transport + reaction derivative.
+
+        eff is the state the reaction rho_g*f, rho_f*g is evaluated at; mask
+        (1 where a cell is unclamped, 0 where clamped) zeroes the derivative
+        through clamped cells, and None means no clamp.
+        """
+        dv = self.grid.dv
+        h = stack_pair(eff)
+        rho = dv * h.reshape(-1, self.grid.n_vel).sum(axis=1)
+        weight = np.ones(self.n_reduced) if mask is None else stack_pair(mask)
+        data = np.concatenate(
+            [
+                self._transport,
+                1.0 / dt + (self._transport_diagonal + rho[self._partner] * weight),
+                h,
+                -dv * weight,
+                np.ones(self.shape[0] - self.n_reduced),
+            ]
+        )
+        return sp.csc_matrix((data[self._order], self._indices, self._indptr), shape=self.shape)
+
+    def reduced(self, augmented: sp.csc_matrix) -> sp.csc_matrix:
+        """Schur complement A + E S of an augmented matrix, on (f, g) alone."""
+        n2 = self.n_reduced
+        return (augmented[:n2, :n2] - augmented[:n2, n2:] @ augmented[n2:, :n2]).tocsc()
+
+    def solve(self, lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
+        """Solve the reduced system through a factorized augmented matrix."""
+        padded = np.zeros(self.shape[0])
+        padded[: self.n_reduced] = rhs
+        return lu.solve(padded)[: self.n_reduced]
+
+
 class NonlinearStepper:
     """Newton driver with a fixed grid, flux, and profile pair.
 
@@ -250,7 +334,7 @@ class NonlinearStepper:
         clamped by the truncation contribute zero derivative through the clamp.
         """
         if self.envelope is None:
-            return self._system.matrix(state, 1.0 / dt, 1.0)
+            return self._system.matrix(state, dt)
         f_lo, f_hi, g_lo, g_hi = self.envelope.levels(self.rho)
         chi1, chi2 = self.chi1.values, self.chi2.values
         mask = SpeciesPair(
@@ -258,12 +342,14 @@ class NonlinearStepper:
             ((state.g > g_lo * chi2) & (state.g < g_hi * chi2)).astype(float),
         )
         eff = truncate_state(state, self.envelope, self.rho, self.chi1, self.chi2)
-        return self._system.matrix(eff, 1.0 / dt, 1.0, mask)
+        return self._system.matrix(eff, dt, mask)
 
     def jacobian(self, state: SpeciesPair, dt: float) -> sp.csc_matrix:
         """Exact derivative of the residual at the candidate new state.
 
-        The Schur complement of the augmented matrix Newton factorizes.
+        The Schur complement of the augmented matrix Newton factorizes.  At
+        the steady state, dt times it is the linear step of
+        ImplicitLinearOperator.
         """
         return self._system.reduced(self._augmented(state, dt))
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, effective_config_text, resolve_config
+from .config import RunConfig, ValidationError, effective_config_text, resolve_config
 from .diagnostics import (
     DecayFit,
     PotentialState,
@@ -133,14 +133,18 @@ class RunSetup:
     equilibrium: EquilibriumData
     ledger: ConstantsLedger
     envelope: BoundsEnvelope
-    t_final: float
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
     """Grid, profiles, initial data and constants of a resolved configuration."""
     grid = build_grid(cfg.torus_length, cfg.nx, cfg.nv, cfg.v_star)
-    chi1 = resolve_profile(cfg.chi1, grid)
-    chi2 = resolve_profile(cfg.chi2, grid)
+    profiles = []
+    for field in ("chi1", "chi2"):
+        try:
+            profiles.append(resolve_profile(getattr(cfg, field), grid))
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"model.{field}: {exc}") from exc
+    chi1, chi2 = profiles
     rng = np.random.default_rng(cfg.seed)
     data0 = initial_data(cfg, grid, rng)
     rho = equilibrium_rho(mass_difference(data0, grid), grid.torus_length)
@@ -164,7 +168,6 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         equilibrium=eq,
         ledger=ledger,
         envelope=envelope,
-        t_final=cfg.t_final,
     )
 
 
@@ -288,7 +291,7 @@ def _march_linear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
     )
     recorder.observe(0.0, deviation, deviation, None, None, False)
-    n_steps = round(setup.t_final / cfg.dt)
+    n_steps = round(cfg.t_final / cfg.dt)
     for n in range(1, n_steps + 1):
         deviation = op.solve(deviation)
         recorder.observe(n * cfg.dt, deviation, deviation, cfg.dt, None, False)
@@ -311,9 +314,9 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
     controller = AdaptiveController(dt_min=cfg.dt_min, dt_max=cfg.dt_max)
     recorder.observe(0.0, state, state - setup.equilibrium.state, None, None, True)
     t, next_dt = 0.0, cfg.dt
-    while t < setup.t_final - 1e-12:
+    while t < cfg.t_final - 1e-12:
         result = adaptive_advance(
-            state, min(next_dt, setup.t_final - t), controller, newton_cfg, stepper
+            state, min(next_dt, cfg.t_final - t), controller, newton_cfg, stepper
         )
         state, next_dt = result.state, result.next_dt
         t += result.dt_used

@@ -39,6 +39,17 @@ def zero_pair(grid: GridSpec) -> SpeciesPair:
     return SpeciesPair(np.zeros(shape), np.zeros(shape))
 
 
+def stack_pair(state: SpeciesPair) -> np.ndarray:
+    """Flatten (f, g) into one vector, species one first, cell (i, m) at i*2*nv + m."""
+    return np.concatenate([state.f.ravel(), state.g.ravel()])
+
+
+def unstack_pair(x: np.ndarray, grid: GridSpec) -> SpeciesPair:
+    n = grid.n_unknowns
+    shape = (grid.nx, grid.n_vel)
+    return SpeciesPair(x[:n].reshape(shape).copy(), x[n:].reshape(shape).copy())
+
+
 def mass_difference(state: SpeciesPair, grid: GridSpec) -> float:
     """Net phase-space mass of species one minus species two.
 

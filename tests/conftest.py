@@ -13,7 +13,8 @@ from kinrec.grid import (
     oscillating_profile,
 )
 from kinrec.linear import CENTERED, LAX_FRIEDRICHS, UPWIND, Flux
-from kinrec.state import SpeciesPair
+from kinrec.nonlinear import NonlinearStepper
+from kinrec.state import SpeciesPair, build_equilibrium
 
 
 def make_grid(torus_length=1.0, nx=7, nv=3, v_star=3.0) -> GridSpec:
@@ -138,3 +139,14 @@ def dense_reference_operator(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
                 a[row_f, at(1, i, mp)] += dt * rho * chi1.values[m] * grid.dv
                 a[row_g, at(0, i, mp)] += dt * chi2.values[m] * grid.dv / rho
     return a
+
+
+def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
+    """Dense matrix of the linear backward-Euler step, as the solver states it.
+
+    dt times the nonlinear Newton Jacobian at the uniform steady state: the
+    one sparse assembly in the package, read back for comparison with the
+    per-mode solve and with dense_reference_operator.
+    """
+    equilibrium = build_equilibrium(rho, chi1, chi2, grid).state
+    return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt).toarray()

@@ -172,6 +172,7 @@ class TestValidation:
             ({"chi2": "cauchy"}, "model.chi2"),
             ({"snapshot_times": (-1.0,)}, "output.snapshots"),
             ({"seed": -1}, "output.seed"),
+            ({"flux": "upwind", "lam": 2.5}, "model.lambda"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from kinrec import runner
+from kinrec import nonlinear, runner
 from kinrec.cli import build_parser, main, overrides_from_args
 from kinrec.config import ParseError, RunConfig, ValidationError, load_config
 from kinrec.diagnostics import fit_decay_rate
@@ -183,7 +183,7 @@ class TestMarches:
 
     def test_linear_march_factorizes_nothing(self, monkeypatch):
         # The linear step is solved per Fourier mode: a run neither factorizes
-        # nor assembles the sparse matrix, which only tests read.
+        # nor assembles the sparse Newton system, which only tests read for it.
         def refuse(*args, **kwargs):
             raise AssertionError("the linear march called splu")
 
@@ -194,12 +194,15 @@ class TestMarches:
             operators.append(assemble(*args))
             return operators[-1]
 
+        def refuse_assembly(*args, **kwargs):
+            raise AssertionError("the linear march assembled a sparse matrix")
+
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(nonlinear.DensityAugmentedSystem, "__init__", refuse_assembly)
         monkeypatch.setattr(runner, "assemble_linear_operator", recording)
         data = execute_run(tiny_config(t_final=0.5))
         assert data.summary.n_steps == 5
         assert len(operators) == 1
-        assert "matrix" not in operators[0].__dict__
 
     def test_nonlinear_march_reaches_the_horizon(self):
         cfg = tiny_config(
@@ -456,6 +459,25 @@ class TestCli:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.ini")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ini,field",
+        [
+            ("[model]\nkind = nonlinear\n\n[time]\ndt_min = 0\n", "time.dt_min"),
+            ("[model]\nchi1 = file:{absent}\n", "model.chi1"),
+            ("[model]\nchi2 = file:{five}\n", "model.chi2"),
+        ],
+        ids=["zero-dt-min", "missing-profile-file", "wrong-sample-count"],
+    )
+    def test_bad_config_exits_two_naming_the_field(self, tmp_path, capsys, ini, field):
+        five = tmp_path / "five.txt"
+        five.write_text("1.0 2.0 2.0 1.0 0.5\n")  # nv = 2 takes four samples
+        path = tmp_path / "bad.ini"
+        path.write_text(ini.format(absent=tmp_path / "absent.txt", five=five))
+        out = tmp_path / "never"
+        assert main([str(path), "--nx", "7", "--nv", "2", "--tfinal", "0.2", "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_aborted_run_exits_one(self, tmp_path, capsys):
         path = tmp_path / "abort.ini"

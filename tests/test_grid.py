@@ -11,7 +11,6 @@ from kinrec.grid import (
     backward_gradient,
     build_grid,
     centered_gradient,
-    discrete_gradient,
     discretize_profile,
     forward_gradient,
     gaussian_profile,
@@ -86,6 +85,13 @@ class TestBuildGrid:
             build_grid(1.0, 100, 4, 1.0)
 
 
+GRADIENTS = {
+    "centered": centered_gradient,
+    "forward": forward_gradient,
+    "backward": backward_gradient,
+}
+
+
 class TestGradients:
     @pytest.mark.parametrize("variant", ["centered", "forward", "backward"])
     @pytest.mark.parametrize("nx", [3, 11, 31])
@@ -93,14 +99,14 @@ class TestGradients:
         rng = np.random.default_rng(11)
         grid = make_grid(torus_length=2.3, nx=nx)
         u = rng.standard_normal(nx)
-        got = discrete_gradient(u, variant, grid)
+        got = GRADIENTS[variant](u, grid)
         np.testing.assert_allclose(got, naive_gradient(u, variant, grid.dx), atol=1e-13)
 
     @pytest.mark.parametrize("variant", ["centered", "forward", "backward"])
     def test_constant_field_has_zero_gradient(self, variant):
         grid = make_grid(nx=9)
         u = np.full(9, 4.2)
-        assert np.all(discrete_gradient(u, variant, grid) == 0.0)
+        assert np.all(GRADIENTS[variant](u, grid) == 0.0)
         assert np.all(second_difference(u, grid) == 0.0)
 
     def test_applies_along_leading_axis(self):
@@ -189,16 +195,6 @@ class TestGradients:
                 assert grid.dx * norm2(centered_gradient(u, grid), grid) <= norm2(
                     u, grid
                 ) * (1 + 1e-12)
-
-    def test_unknown_variant_rejected(self):
-        grid = make_grid()
-        with pytest.raises(ValueError, match="variant"):
-            discrete_gradient(np.zeros(grid.nx), "sideways", grid)
-
-    def test_wrong_length_rejected(self):
-        grid = make_grid(nx=7)
-        with pytest.raises(ValueError):
-            discrete_gradient(np.zeros(8), "centered", grid)
 
 
 class TestPoincare:

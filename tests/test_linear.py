@@ -1,12 +1,15 @@
 """Transport fluxes, the implicit linearized scheme, and its moment closures."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dense_reference_operator,
+    linear_step_matrix,
     make_grid,
     make_profiles,
     naive_flux_divergence,
@@ -23,10 +26,7 @@ from kinrec.linear import (
     flux_divergence,
     lax_friedrichs_dissipation,
     residual_linear,
-    stack_pair,
-    transport_matrix,
     transport_quadratic_form,
-    unstack_pair,
     verify_moment_schemes,
 )
 from kinrec.state import (
@@ -35,6 +35,8 @@ from kinrec.state import (
     collision_linear,
     mass_difference,
     project_pi,
+    stack_pair,
+    unstack_pair,
     weighted_inner,
 )
 
@@ -127,34 +129,21 @@ class TestFluxDivergence:
         )
         np.testing.assert_allclose(lf, composed, atol=1e-13)
 
-    @pytest.mark.parametrize("kind", [LAX_FRIEDRICHS, CENTERED, UPWIND])
-    @flux_settings
-    @given(**flux_cases)
-    def test_transport_matrix_matches_stencil(self, kind, nx, nv, length, v_star, lam, seed):
-        grid = build_grid(length, nx, nv, v_star)
-        flux = drawn_flux(kind, lam)
-        field = drawn_field(grid, seed)
-        expected = flux_divergence(field, flux, grid)
-        np.testing.assert_allclose(
-            (transport_matrix(flux, grid) @ field.ravel()).reshape(field.shape),
-            expected,
-            rtol=0.0,
-            atol=1e-12 * np.max(np.abs(expected)),
-        )
-
 
 class TestCollisionMatrix:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_matches_entrywise_operator(self, setting, rho):
-        # The collision part of the implicit operator, (I + dt*T - matrix)/dt
-        # with T the transport on both species.
+        # The collision part of the step matrix, (state + dt*T state -
+        # matrix @ state)/dt with T the transport stencil on both species.
         grid, chi1, chi2 = setting
         state = random_pair(grid, np.random.default_rng(5))
         dt, flux = 0.25, Flux.lax_friedrichs(1.3)
-        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
-        transport = sp.block_diag([transport_matrix(flux, grid)] * 2)
-        mat = (sp.identity(2 * grid.n_unknowns) + dt * transport - op.matrix) / dt
-        via_matrix = unstack_pair(mat @ stack_pair(state), grid)
+        matrix = linear_step_matrix(grid, chi1, chi2, rho, dt, flux)
+        transport = SpeciesPair(
+            flux_divergence(state.f, flux, grid), flux_divergence(state.g, flux, grid)
+        )
+        stepped = stack_pair(state + dt * transport) - matrix @ stack_pair(state)
+        via_matrix = unstack_pair(stepped / dt, grid)
         direct = collision_linear(state, rho, chi1, chi2, grid)
         np.testing.assert_allclose(via_matrix.f, direct.f, atol=1e-13)
         np.testing.assert_allclose(via_matrix.g, direct.g, atol=1e-13)
@@ -168,26 +157,28 @@ class TestImplicitOperator:
         grid = build_grid(1.0, 3, 1, 1.0)
         chi1, chi2 = make_profiles(grid)
         rho, dt = 1.7, 0.2
-        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
         dense = dense_reference_operator(grid, chi1, chi2, rho, dt, flux)
         assert dense.shape == (12, 12)
-        np.testing.assert_allclose(op.matrix.toarray(), dense, atol=1e-13)
+        np.testing.assert_allclose(
+            linear_step_matrix(grid, chi1, chi2, rho, dt, flux), dense, atol=1e-13
+        )
 
     def test_matrix_matches_dense_reference_larger(self):
         grid = make_grid(torus_length=1.5, nx=5, nv=2, v_star=2.0)
         chi1, chi2 = make_profiles(grid)
         flux = Flux.lax_friedrichs(1.1)
-        op = assemble_linear_operator(grid, chi1, chi2, 0.8, 0.05, flux)
         dense = dense_reference_operator(grid, chi1, chi2, 0.8, 0.05, flux)
-        np.testing.assert_allclose(op.matrix.toarray(), dense, atol=1e-13)
+        np.testing.assert_allclose(
+            linear_step_matrix(grid, chi1, chi2, 0.8, 0.05, flux), dense, atol=1e-13
+        )
 
     def test_apply_equals_stencil_action(self, setting):
         grid, chi1, chi2 = setting
         rho, dt = 1.2, 0.1
         flux = Flux.lax_friedrichs(0.9)
-        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
+        matrix = linear_step_matrix(grid, chi1, chi2, rho, dt, flux)
         state = random_pair(grid, np.random.default_rng(6))
-        applied = op.apply(state)
+        applied = unstack_pair(matrix @ stack_pair(state), grid)
         coll = collision_linear(state, rho, chi1, chi2, grid)
         expect_f = state.f + dt * (flux_divergence(state.f, flux, grid) - coll.f)
         expect_g = state.g + dt * (flux_divergence(state.g, flux, grid) - coll.g)
@@ -206,13 +197,21 @@ class TestImplicitOperator:
     )
     def test_solve_matches_dense_solve(self, kind, nx, nv, lam, rho, dt, seed):
         # The per-mode Fourier solve against a dense solve of the
-        # loop-assembled matrix, over grids, fluxes and linearizations.
+        # loop-assembled matrix, over grids, fluxes and linearizations; that
+        # matrix is also dt times the Newton Jacobian at equilibrium, up to
+        # rounding of its largest entry (dt*lam/dx reaches the hundreds).
         grid = build_grid(1.0, nx, nv, 3.0)
         chi1, chi2 = make_profiles(grid)
         flux = drawn_flux(kind, lam)
         state = random_pair(grid, np.random.default_rng(seed))
         stepped = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux).solve(state)
         dense = dense_reference_operator(grid, chi1, chi2, rho, dt, flux)
+        np.testing.assert_allclose(
+            linear_step_matrix(grid, chi1, chi2, rho, dt, flux),
+            dense,
+            rtol=0.0,
+            atol=1e-13 * np.max(np.abs(dense)),
+        )
         expected = np.linalg.solve(dense, stack_pair(state))
         np.testing.assert_allclose(
             stack_pair(stepped), expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
@@ -372,3 +371,22 @@ class TestMomentSchemes:
         bad.f[2, 1] += 1e-3
         res_u, res_j = verify_moment_schemes(state, bad, grid, rho, eq.d0, dt, lam)
         assert max(res_u, res_j) > 1e-6
+
+
+def test_linear_module_needs_no_sparse_assembly():
+    # The linear model is its fluxes and the per-mode solve; its matrix form
+    # lives only in the nonlinear Newton system.
+    source = Path(__file__).resolve().parents[1] / "src" / "kinrec" / "linear.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the kinrec package
+                base = ".".join(filter(None, ["kinrec", base]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert "kinrec.state" in imported  # the walk sees the relative imports
+    assert not any(name.split(".")[0] == "scipy" for name in imported)
+    assert not any(name.split(".")[:2] == ["kinrec", "nonlinear"] for name in imported)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from conftest import make_grid, make_profiles, random_pair, random_positive_pair
-from kinrec.linear import Flux, residual_linear, stack_pair, unstack_pair
+from kinrec.linear import Flux, residual_linear
 from kinrec.nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -25,6 +25,8 @@ from kinrec.state import (
     build_equilibrium,
     equilibrium_rho,
     mass_difference,
+    stack_pair,
+    unstack_pair,
 )
 
 
