@@ -175,19 +175,6 @@ def discretize_profile(
     )
 
 
-def profile_first_moment(profile: VelocityProfile, grid: GridSpec) -> float:
-    """First velocity moment, accumulated over mirror pairs.
-
-    Pairing makes the cancellation between v and -v cells exact in floating
-    point, so the result is 0.0 for any profile built by profile_from_samples.
-    """
-    v, chi = grid.v_centers, profile.values
-    half = grid.nv
-    mirror = slice(None, half - 1, -1)  # cells 2*nv-1 .. nv, mirrors of 0 .. nv-1
-    paired = v[:half] * chi[:half] + v[mirror] * chi[mirror]
-    return grid.dv * float(np.sum(paired))
-
-
 def gaussian_profile(v: np.ndarray) -> np.ndarray:
     """Standard Gaussian weight exp(-v^2/2)/sqrt(2 pi)."""
     return np.exp(-0.5 * np.asarray(v) ** 2) / np.sqrt(2.0 * np.pi)

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import GridSpec, VelocityProfile
-from .linear import Flux, flux_divergence, interface_weights, verify_moment_schemes
+from .linear import (
+    Flux,
+    ImplicitLinearOperator,
+    flux_divergence,
+    interface_weights,
+    verify_moment_schemes,
+)
 from .state import (
     EquilibriumData,
     SpeciesPair,
+    equilibrium_rho_from_state,
     macroscopic_densities,
     mass_difference,
     stack_pair,
@@ -53,6 +60,12 @@ class NewtonConfig:
 DT_GROWTH = 2.0
 DT_SHRINK = 0.5
 ACCEPT_ITERATION_BUDGET = 8
+
+# Newton's linear solve: GMRES accepts an update once the true residual is
+# this small relative to the Newton residual, and gives up after this many
+# iterations (the basis is kept whole, with no restart).
+KRYLOV_TOL = 1e-12
+KRYLOV_MAX_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -216,10 +229,10 @@ class DensityAugmentedSystem:
     on (f, g, sigma_f, sigma_g): A holds I/dt plus the transport and the
     masked rho diagonals, E holds eff in the partner species' sigma column
     (one entry per row), S holds dv*mask.  Eliminating sigma leaves the
-    Jacobian A + E S, so a factorization of the augmented matrix solves the
-    reduced system with far less fill.  The CSC pattern, every (row, col)
-    listed once, is sorted once per grid and flux; each matrix only fills its
-    data vector.
+    Jacobian A + E S, dense per site; two sparse products with the augmented
+    matrix give its product with a vector (reduced_product).  The CSC
+    pattern, every (row, col) listed once, is sorted once per grid and flux;
+    each matrix only fills its data vector.
     """
 
     def __init__(self, flux: Flux, grid: GridSpec) -> None:
@@ -280,21 +293,82 @@ class DensityAugmentedSystem:
         n2 = self.n_reduced
         return (augmented[:n2, :n2] - augmented[:n2, n2:] @ augmented[n2:, :n2]).tocsc()
 
-    def solve(self, lu: spla.SuperLU, rhs: np.ndarray) -> np.ndarray:
-        """Solve the reduced system through a factorized augmented matrix."""
+    def reduced_product(self, augmented: sp.csc_matrix, v: np.ndarray) -> np.ndarray:
+        """(A + E S) v from two products with an augmented matrix.
+
+        The sigma rows of augmented @ [v; 0] hold -S v, and the (f, g) rows of
+        augmented @ [v; S v] hold A v + E S v.
+        """
+        n2 = self.n_reduced
         padded = np.zeros(self.shape[0])
-        padded[: self.n_reduced] = rhs
-        return lu.solve(padded)[: self.n_reduced]
+        padded[:n2] = v
+        padded[n2:] = -(augmented @ padded)[n2:]
+        return (augmented @ padded)[:n2]
+
+
+def gmres(
+    apply: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+    tol: float,
+    max_iterations: int,
+) -> tuple[np.ndarray, int]:
+    """Solve apply(x) = rhs by right-preconditioned GMRES from zero, without restart.
+
+    Returns x with |rhs - apply(x)| <= tol*|rhs| in the 2-norm and the number
+    of iterations; x is a combination of precondition(v) over the Krylov
+    basis v.  The Givens estimate of the residual only triggers the
+    check; the residual checked is recomputed from x.  Raises
+    NewtonDivergedError when max_iterations pass without meeting tol.
+    """
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs), 0
+    basis = np.empty((max_iterations + 1, rhs.size))
+    search = np.empty((max_iterations, rhs.size))
+    hess = np.zeros((max_iterations + 1, max_iterations))
+    cos, sin = np.zeros(max_iterations), np.zeros(max_iterations)
+    g = np.zeros(max_iterations + 1)
+    g[0] = beta
+    basis[0] = rhs / beta
+    for k in range(max_iterations):
+        search[k] = precondition(basis[k])
+        w = apply(search[k])
+        for _ in range(2):  # classical Gram-Schmidt, repeated to stay orthogonal
+            h = basis[: k + 1] @ w
+            w -= h @ basis[: k + 1]
+            hess[: k + 1, k] += h
+        h_next = float(np.linalg.norm(w))
+        for j in range(k):
+            hess[j, k], hess[j + 1, k] = (
+                cos[j] * hess[j, k] + sin[j] * hess[j + 1, k],
+                cos[j] * hess[j + 1, k] - sin[j] * hess[j, k],
+            )
+        r = math.hypot(hess[k, k], h_next)
+        cos[k], sin[k] = hess[k, k] / r, h_next / r
+        hess[k, k] = r
+        g[k + 1] = -sin[k] * g[k]
+        g[k] *= cos[k]
+        if abs(g[k + 1]) <= tol * beta:
+            y = np.linalg.solve(hess[: k + 1, : k + 1], g[: k + 1])
+            x = y @ search[: k + 1]
+            if np.linalg.norm(rhs - apply(x)) <= tol * beta:
+                return x, k + 1
+        basis[k + 1] = w / h_next
+    raise NewtonDivergedError(
+        f"GMRES missed relative residual {tol:.1e} in {max_iterations} iterations"
+    )
 
 
 class NonlinearStepper:
     """Newton driver with a fixed grid, flux, and profile pair.
 
-    Each Newton iteration factorizes the density-augmented system of
-    DensityAugmentedSystem: the Jacobian on (f, g) bordered by the 2*nx site
-    densities, which keeps the rank-one reaction coupling sparse.  The
-    sparsity pattern is built once here, so per-iteration work is data
-    filling, one factorization, and one solve.
+    Each Newton iteration fills the density-augmented matrix of
+    DensityAugmentedSystem, whose sparsity pattern is built once here, and
+    solves for the update by GMRES: products with the Jacobian come from the
+    augmented matrix, and the preconditioner is the linear step at the
+    uniform steady state, solved per Fourier mode.  krylov_iterations lists
+    the GMRES iterations of every Newton update.
     """
 
     def __init__(
@@ -313,6 +387,8 @@ class NonlinearStepper:
         self.envelope = envelope
         self.rho = rho
         self._system = DensityAugmentedSystem(flux, grid)
+        self._preconditioner: tuple[tuple[float, float], ImplicitLinearOperator] | None = None
+        self.krylov_iterations: list[int] = []
 
     def residual(self, state_next: SpeciesPair, state_prev: SpeciesPair, dt: float) -> SpeciesPair:
         return residual_nonlinear(
@@ -347,19 +423,41 @@ class NonlinearStepper:
     def jacobian(self, state: SpeciesPair, dt: float) -> sp.csc_matrix:
         """Exact derivative of the residual at the candidate new state.
 
-        The Schur complement of the augmented matrix Newton factorizes.  At
-        the steady state, dt times it is the linear step of
+        The Schur complement of the augmented matrix whose products Newton's
+        GMRES uses.  At the steady state, dt times it is the linear step of
         ImplicitLinearOperator.
         """
         return self._system.reduced(self._augmented(state, dt))
 
+    def _steady_step(self, state: SpeciesPair, dt: float) -> ImplicitLinearOperator:
+        """Linear step at the steady state of state's mass difference, kept per (dt, rho).
+
+        It is dt times the Jacobian at that steady state, so dt times its
+        solve approximates J^{-1} while the state stays near equilibrium.
+        """
+        rho = equilibrium_rho_from_state(state, self.grid)
+        if self._preconditioner is None or self._preconditioner[0] != (dt, rho):
+            op = ImplicitLinearOperator(self.grid, self.chi1, self.chi2, rho, dt, self.flux)
+            self._preconditioner = ((dt, rho), op)
+        return self._preconditioner[1]
+
     def newton_update(self, state: SpeciesPair, res: SpeciesPair, dt: float) -> np.ndarray:
-        """Newton increment -J^{-1} res at state, solved on the augmented system."""
-        try:
-            lu = spla.splu(self._augmented(state, dt))
-        except RuntimeError as exc:
-            raise RuntimeError(f"Newton linear solve failed: {exc}") from exc
-        return self._system.solve(lu, -stack_pair(res))
+        """Newton increment -J^{-1} res at state, by preconditioned GMRES.
+
+        Raises NewtonDivergedError when GMRES misses KRYLOV_TOL within
+        KRYLOV_MAX_ITERATIONS.
+        """
+        augmented = self._augmented(state, dt)
+        op = self._steady_step(state, dt)
+        delta, iterations = gmres(
+            lambda v: self._system.reduced_product(augmented, v),
+            lambda v: dt * stack_pair(op.solve(unstack_pair(v, self.grid))),
+            -stack_pair(res),
+            KRYLOV_TOL,
+            KRYLOV_MAX_ITERATIONS,
+        )
+        self.krylov_iterations.append(iterations)
+        return delta
 
     def newton(
         self, state_prev: SpeciesPair, dt: float, cfg: NewtonConfig

@@ -192,6 +192,8 @@ class DiagnosticsRecorder:
         self.records: list[TimeSeriesRecord] = []
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
+        # GMRES iterations of every Newton update, nonlinear runs only.
+        self.krylov_iterations: list[int] | None = None
 
     def _entropy(self, deviation: SpeciesPair, dt: float) -> float:
         setup = self._setup
@@ -265,6 +267,8 @@ class RunSummary:
     g_ratio_min: float | None
     g_ratio_max: float | None
     n_steps: int
+    krylov_iterations: int | None
+    krylov_iterations_max: int | None
     wall_clock_s: float
 
 
@@ -308,6 +312,7 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         envelope=setup.envelope if cfg.truncated else None,
         rho=setup.rho if cfg.truncated else None,
     )
+    recorder.krylov_iterations = stepper.krylov_iterations  # grows as the march runs
     newton_cfg = NewtonConfig(
         tol_residual=cfg.newton_tol, max_iterations=cfg.newton_max_iterations
     )
@@ -346,6 +351,7 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     drift = max(abs(r.mass_difference - mass0) for r in records)
     scale = max(1.0, abs(mass0))
 
+    krylov = recorder.krylov_iterations
     ratios: dict[str, float | None] = {k: None for k in ("f_min", "f_max", "g_min", "g_max")}
     if cfg.model == "nonlinear":
         bounds_states = [setup.data0] + [s.state for s in recorder.snapshots]
@@ -375,6 +381,8 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         g_ratio_min=ratios["g_min"],
         g_ratio_max=ratios["g_max"],
         n_steps=len(records) - 1,
+        krylov_iterations=None if krylov is None else sum(krylov),
+        krylov_iterations_max=None if krylov is None else max(krylov, default=0),
         wall_clock_s=time.perf_counter() - start,
     )
     return RunData(setup=setup, records=records, snapshots=recorder.snapshots, summary=summary)
@@ -405,11 +413,15 @@ def _fmt(value: float | None) -> str:
     return "%.17g" % value
 
 
+def _count(value: int | None) -> str:
+    return "" if value is None else str(value)
+
+
 def timeseries_csv(records: list[TimeSeriesRecord]) -> str:
     lines = [TIMESERIES_HEADER]
     for r in records:
         bounds = "" if r.bounds_pass is None else ("1" if r.bounds_pass else "0")
-        iters = "" if r.newton_iterations is None else str(r.newton_iterations)
+        iters = _count(r.newton_iterations)
         lines.append(
             ",".join(
                 (
@@ -469,6 +481,8 @@ def summary_text(data: RunData) -> str:
         ("g_ratio_min", _fmt(s.g_ratio_min)),
         ("g_ratio_max", _fmt(s.g_ratio_max)),
         ("n_steps", str(s.n_steps)),
+        ("krylov_iterations", _count(s.krylov_iterations)),
+        ("krylov_iterations_max", _count(s.krylov_iterations_max)),
         ("wall_clock_s", _fmt(s.wall_clock_s)),
     ]
     return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"

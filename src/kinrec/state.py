@@ -34,11 +34,6 @@ class SpeciesPair:
         return SpeciesPair(self.f.copy(), self.g.copy())
 
 
-def zero_pair(grid: GridSpec) -> SpeciesPair:
-    shape = (grid.nx, grid.n_vel)
-    return SpeciesPair(np.zeros(shape), np.zeros(shape))
-
-
 def stack_pair(state: SpeciesPair) -> np.ndarray:
     """Flatten (f, g) into one vector, species one first, cell (i, m) at i*2*nv + m."""
     return np.concatenate([state.f.ravel(), state.g.ravel()])

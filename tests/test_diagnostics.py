@@ -12,7 +12,7 @@ from kinrec.diagnostics import (
     solve_discrete_poisson,
 )
 from kinrec.grid import centered_gradient
-from kinrec.state import constants_ledger, moments_ujs, weighted_norm, zero_pair
+from kinrec.state import SpeciesPair, constants_ledger, moments_ujs, weighted_norm
 
 
 def wide_second_difference(phi, grid):
@@ -112,8 +112,9 @@ class TestModifiedEntropy:
     def test_zero_state_zero_potential(self, setting):
         grid, chi1, chi2, ledger = setting
         pot = PotentialState(np.zeros(grid.nx))
+        zero = np.zeros((grid.nx, grid.n_vel))
         value = modified_entropy(
-            zero_pair(grid), pot, 0.1, ledger, chi1, chi2, grid, d0=1.0
+            SpeciesPair(zero, zero), pot, 0.1, ledger, chi1, chi2, grid, d0=1.0
         )
         assert value == 0.0
 

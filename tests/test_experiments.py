@@ -204,6 +204,30 @@ class TestMarches:
         assert data.summary.n_steps == 5
         assert len(operators) == 1
 
+    def test_nonlinear_march_factorizes_nothing(self, monkeypatch):
+        # Newton solves each step by GMRES, preconditioned with the per-mode
+        # linear solve, so a nonlinear run never factorizes.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the nonlinear march called splu")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
+        assert data.summary.n_steps >= 1
+        assert data.summary.krylov_iterations >= sum(r.newton_iterations for r in data.records[1:])
+
+    @pytest.mark.parametrize(
+        "overrides, steps, iterations, stalled",
+        [({"test": 3, "nx": 21}, 341, 304, 81)]
+        + [({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, 107, 0) for seed in range(10)],
+        ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)],
+    )
+    def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled):
+        # The adaptive march of the benchmark's two nonlinear runs: the Newton
+        # linear solve's tolerance must not move a single step or iteration.
+        data = execute_run(load_config(None, dict(nv=8, **overrides)))
+        counts = [r.newton_iterations for r in data.records[1:]]
+        assert (len(counts), sum(counts), counts.count(0)) == (steps, iterations, stalled)
+
     def test_nonlinear_march_reaches_the_horizon(self):
         cfg = tiny_config(
             model="nonlinear", test=4, seed=1, t_final=0.3, dt=0.05, dt_max=0.1,
@@ -353,6 +377,14 @@ class TestOutputs:
         assert keys[:4] == ["model", "flux", "lambda", "rho_inf"]
         assert "kappa_fit" in keys and "max_mass_drift_rel" in keys
         assert "n_steps" in keys
+        values = dict(line.split(" = ") for line in text.splitlines())
+        assert values["krylov_iterations"] == values["krylov_iterations_max"] == ""
+
+    def test_nonlinear_summary_reports_krylov_totals(self):
+        data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
+        values = dict(line.split(" = ") for line in summary_text(data).splitlines())
+        assert int(values["krylov_iterations"]) == data.summary.krylov_iterations > 0
+        assert 1 <= int(values["krylov_iterations_max"]) <= data.summary.krylov_iterations
 
     def test_write_outputs_file_set(self, linear_run, tmp_path):
         out = write_outputs(linear_run, tmp_path / "files")

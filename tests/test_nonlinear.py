@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from conftest import make_grid, make_profiles, random_pair, random_positive_pair
+from kinrec import nonlinear
 from kinrec.linear import Flux, residual_linear
 from kinrec.nonlinear import (
     AdaptiveController,
@@ -179,12 +180,12 @@ class TestJacobian:
 
 
 class TestAugmentedNewtonUpdate:
-    """Fast (density-augmented sparse) against reference (dense reduced) solve."""
+    """Fast (GMRES on the density-augmented matrix) against reference (dense reduced) solve."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        nx=st.sampled_from([3, 5, 7]),
-        nv=st.integers(min_value=1, max_value=3),
+        nx=st.integers(min_value=1, max_value=15).map(lambda half: 2 * half + 1),
+        nv=st.integers(min_value=1, max_value=4),
         flux=st.sampled_from([Flux.lax_friedrichs(1.5), Flux.centered(), Flux.upwind()]),
         truncated=st.booleans(),
         rho=st.floats(min_value=0.5, max_value=2.0),
@@ -278,6 +279,21 @@ class TestNewton:
         cfg = NewtonConfig(tol_residual=1e-30, max_iterations=2)
         with pytest.raises(NewtonDivergedError, match="iterations"):
             NonlinearStepper(grid, chi1, chi2, Flux.centered()).newton(prev, 0.1, cfg)
+
+    def test_krylov_iteration_cap_is_a_newton_failure(self, setting, monkeypatch):
+        # A GMRES solve that misses its tolerance hands Newton no inexact
+        # update: it raises the error on which adaptive_advance shrinks dt.
+        grid, chi1, chi2 = setting
+        prev = random_positive_pair(grid, np.random.default_rng(10))
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
+        res = stepper.residual(prev, prev, 0.2)
+        stepper.newton_update(prev, res, 0.2)
+        assert stepper.krylov_iterations[-1] > 1
+        monkeypatch.setattr(nonlinear, "KRYLOV_MAX_ITERATIONS", 1)
+        with pytest.raises(NewtonDivergedError, match="GMRES"):
+            stepper.newton_update(prev, res, 0.2)
+        with pytest.raises(NewtonDivergedError, match="GMRES"):
+            stepper.newton(prev, 0.2, NewtonConfig())
 
     def test_mass_drift_guard_trips_on_tiny_tolerance(self, setting):
         # The conserved quantity moves at rounding level per step; an absurdly

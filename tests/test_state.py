@@ -18,7 +18,6 @@ from kinrec.state import (
     project_pi,
     weighted_inner,
     weighted_norm,
-    zero_pair,
 )
 
 
@@ -152,7 +151,8 @@ class TestWeightedGeometry:
 
     def test_norm_of_zero(self, setting):
         grid, chi1, chi2 = setting
-        assert weighted_norm(zero_pair(grid), chi1, chi2, 1.0, grid) == 0.0
+        zero = np.zeros((grid.nx, grid.n_vel))
+        assert weighted_norm(SpeciesPair(zero, zero), chi1, chi2, 1.0, grid) == 0.0
 
     def test_norm_positive_definite(self, setting):
         grid, chi1, chi2 = setting
