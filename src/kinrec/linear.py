@@ -96,7 +96,7 @@ class ImplicitLinearOperator:
     with positive unit-mass profiles |A_f*A_g| <= dt^2*rho/((rho + dt)(1 + dt*rho)) < 1.
 
     The operator is dt times the Jacobian of the nonlinear step at the steady
-    state; the one sparse assembly of it is NonlinearStepper.jacobian.
+    state; NonlinearStepper.jacobian reads that Jacobian back as a dense matrix.
     """
 
     def __init__(

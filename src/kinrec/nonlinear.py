@@ -216,94 +216,22 @@ def residual_nonlinear(
     return SpeciesPair(rf, rg)
 
 
-class DensityAugmentedSystem:
-    """Backward-Euler Newton matrix with the site densities as extra unknowns.
+def transport_matrix(flux: Flux, grid: GridSpec) -> sp.csr_matrix:
+    """Sparse flux divergence of both species, in stack_pair layout.
 
-    The reaction rho_g*f couples every velocity at a site, but its derivative
-    in g is rank one per site: eff_f[i, m] times dv*mask_g[i, :].  Carrying
-    the 2*nx masked site densities (sigma_f, sigma_g) as unknowns, with rows
-    sigma - dv*sum_m mask*h = 0, gives the bordered sparse matrix
-
-        [[A, E], [-S, I]]
-
-    on (f, g, sigma_f, sigma_g): A holds I/dt plus the transport and the
-    masked rho diagonals, E holds eff in the partner species' sigma column
-    (one entry per row), S holds dv*mask.  Eliminating sigma leaves the
-    Jacobian A + E S, dense per site; two sparse products with the augmented
-    matrix give its product with a vector (reduced_product).  The CSC
-    pattern, every (row, col) listed once, is sorted once per grid and flux;
-    each matrix only fills its data vector.
+    Row (i, m) of either species holds -a_m/dx at cell i-1, (a_m - b_m)/dx at
+    i and b_m/dx at i+1, from the interface weights (a, b) of flux_divergence.
     """
-
-    def __init__(self, flux: Flux, grid: GridSpec) -> None:
-        self.grid = grid
-        n2 = 2 * grid.n_unknowns
-        n_sites = 2 * grid.nx
-        self.n_reduced = n2
-        self.shape = (n2 + n_sites, n2 + n_sites)
-        # Transport row (i, m) of either species: -a/dx at cell i-1, (a - b)/dx
-        # at i and b/dx at i+1.  The diagonal joins the 1/dt diagonal; an
-        # off-diagonal band whose weight vanishes (one side of upwind) is left out.
-        a, b = interface_weights(flux, grid)
-        cells = np.arange(n2).reshape(2, grid.nx, grid.n_vel)
-        t_rows, t_cols, t_vals = [], [], []
-        for offset, weight in ((-1, -a), (1, b)):
-            keep = weight != 0.0
-            t_rows.append(cells[..., keep].ravel())
-            t_cols.append(np.roll(cells, -offset, axis=1)[..., keep].ravel())
-            t_vals.append(np.tile(weight[keep] / grid.dx, n_sites))
-        self._transport = np.concatenate(t_vals)
-        self._transport_diagonal = np.tile((a - b) / grid.dx, n_sites)
-        cells = cells.ravel()
-        sites = cells // grid.n_vel  # f rows on sites 0..nx-1, g rows on nx..2nx-1
-        self._partner = (sites + grid.nx) % n_sites
-        sigma = n2 + np.arange(n_sites)
-        rows = np.concatenate(t_rows + [cells, cells, n2 + sites, sigma])
-        cols = np.concatenate(t_cols + [cells, n2 + self._partner, cells, sigma])
-        self._order = np.lexsort((rows, cols))
-        self._indices = rows[self._order]
-        self._indptr = np.searchsorted(cols[self._order], np.arange(self.shape[1] + 1))
-
-    def matrix(
-        self, eff: SpeciesPair, dt: float, mask: SpeciesPair | None = None
-    ) -> sp.csc_matrix:
-        """Augmented matrix of I/dt + transport + reaction derivative.
-
-        eff is the state the reaction rho_g*f, rho_f*g is evaluated at; mask
-        (1 where a cell is unclamped, 0 where clamped) zeroes the derivative
-        through clamped cells, and None means no clamp.
-        """
-        dv = self.grid.dv
-        h = stack_pair(eff)
-        rho = dv * h.reshape(-1, self.grid.n_vel).sum(axis=1)
-        weight = np.ones(self.n_reduced) if mask is None else stack_pair(mask)
-        data = np.concatenate(
-            [
-                self._transport,
-                1.0 / dt + (self._transport_diagonal + rho[self._partner] * weight),
-                h,
-                -dv * weight,
-                np.ones(self.shape[0] - self.n_reduced),
-            ]
-        )
-        return sp.csc_matrix((data[self._order], self._indices, self._indptr), shape=self.shape)
-
-    def reduced(self, augmented: sp.csc_matrix) -> sp.csc_matrix:
-        """Schur complement A + E S of an augmented matrix, on (f, g) alone."""
-        n2 = self.n_reduced
-        return (augmented[:n2, :n2] - augmented[:n2, n2:] @ augmented[n2:, :n2]).tocsc()
-
-    def reduced_product(self, augmented: sp.csc_matrix, v: np.ndarray) -> np.ndarray:
-        """(A + E S) v from two products with an augmented matrix.
-
-        The sigma rows of augmented @ [v; 0] hold -S v, and the (f, g) rows of
-        augmented @ [v; S v] hold A v + E S v.
-        """
-        n2 = self.n_reduced
-        padded = np.zeros(self.shape[0])
-        padded[:n2] = v
-        padded[n2:] = -(augmented @ padded)[n2:]
-        return (augmented @ padded)[:n2]
+    a, b = interface_weights(flux, grid)
+    up = sp.eye(grid.nx, k=1) + sp.eye(grid.nx, k=1 - grid.nx)  # periodic: picks cell i+1
+    one = (
+        sp.kron(up, sp.diags(b))
+        - sp.kron(up.T, sp.diags(a))
+        + sp.kron(sp.eye(grid.nx), sp.diags(a - b))
+    )
+    matrix = sp.kron(sp.eye(2), one / grid.dx, format="csr")
+    matrix.eliminate_zeros()  # upwind has a = 0 or b = 0 at every velocity
+    return matrix
 
 
 def gmres(
@@ -363,12 +291,12 @@ def gmres(
 class NonlinearStepper:
     """Newton driver with a fixed grid, flux, and profile pair.
 
-    Each Newton iteration fills the density-augmented matrix of
-    DensityAugmentedSystem, whose sparsity pattern is built once here, and
-    solves for the update by GMRES: products with the Jacobian come from the
-    augmented matrix, and the preconditioner is the linear step at the
-    uniform steady state, solved per Fourier mode.  krylov_iterations lists
-    the GMRES iterations of every Newton update.
+    Each Newton update is solved by GMRES.  Its products with the Jacobian
+    are the constant transport matrix, built once here, plus the reaction's
+    derivative: a diagonal and, per site, a rank-one sum over velocities.
+    The preconditioner is the linear step at the uniform steady state,
+    solved per Fourier mode.  krylov_iterations lists the GMRES iterations
+    of every Newton update.
     """
 
     def __init__(
@@ -386,7 +314,7 @@ class NonlinearStepper:
         self.flux = flux
         self.envelope = envelope
         self.rho = rho
-        self._system = DensityAugmentedSystem(flux, grid)
+        self._transport = transport_matrix(flux, grid)
         self._preconditioner: tuple[tuple[float, float], ImplicitLinearOperator] | None = None
         self.krylov_iterations: list[int] = []
 
@@ -403,33 +331,44 @@ class NonlinearStepper:
             self.rho,
         )
 
-    def _augmented(self, state: SpeciesPair, dt: float) -> sp.csc_matrix:
-        """Density-augmented Newton matrix at the candidate new state.
+    def _jacobian_product(
+        self, state: SpeciesPair, dt: float
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> J v, the exact derivative of the residual at the candidate new state.
 
-        With an envelope, the reaction uses the clamped state and cells
-        clamped by the truncation contribute zero derivative through the clamp.
+        J v = T v + (1/dt + rho_partner*mask) v + eff * (dv sum_m mask*v)_partner,
+        with T the transport matrix, eff the state the reaction is evaluated
+        at and rho its site densities.  With an envelope, eff is the clamped
+        state and mask is 1 where the clamp leaves a cell as it is and 0 where
+        it moves it (no derivative through the clamp); with none, eff is the
+        state and mask is 1.
         """
-        if self.envelope is None:
-            return self._system.matrix(state, dt)
-        f_lo, f_hi, g_lo, g_hi = self.envelope.levels(self.rho)
-        chi1, chi2 = self.chi1.values, self.chi2.values
-        mask = SpeciesPair(
-            ((state.f > f_lo * chi1) & (state.f < f_hi * chi1)).astype(float),
-            ((state.g > g_lo * chi2) & (state.g < g_hi * chi2)).astype(float),
-        )
-        eff = truncate_state(state, self.envelope, self.rho, self.chi1, self.chi2)
-        return self._system.matrix(eff, dt, mask)
+        dv = self.grid.dv
+        raw = np.stack([state.f, state.g])
+        eff, mask = raw, 1.0
+        if self.envelope is not None:
+            clamped = truncate_state(state, self.envelope, self.rho, self.chi1, self.chi2)
+            eff = np.stack([clamped.f, clamped.g])
+            mask = (eff == raw).astype(float)
+        diagonal = 1.0 / dt + dv * eff.sum(axis=2)[::-1, :, None] * mask
 
-    def jacobian(self, state: SpeciesPair, dt: float) -> sp.csc_matrix:
-        """Exact derivative of the residual at the candidate new state.
+        def apply(v: np.ndarray) -> np.ndarray:
+            cells = v.reshape(raw.shape)
+            site = dv * (mask * cells).sum(axis=2)
+            return self._transport @ v + (diagonal * cells + eff * site[::-1, :, None]).ravel()
 
-        The Schur complement of the augmented matrix whose products Newton's
-        GMRES uses.  At the steady state, dt times it is the linear step of
-        ImplicitLinearOperator.
+        return apply
+
+    def jacobian(self, state: SpeciesPair, dt: float) -> np.ndarray:
+        """Dense Jacobian, read column by column from the product GMRES uses.
+
+        For small grids.  At the steady state, dt times it is the linear step
+        of ImplicitLinearOperator.
         """
-        return self._system.reduced(self._augmented(state, dt))
+        apply = self._jacobian_product(state, dt)
+        return np.column_stack([apply(e) for e in np.eye(2 * self.grid.n_unknowns)])
 
-    def _steady_step(self, state: SpeciesPair, dt: float) -> ImplicitLinearOperator:
+    def steady_step(self, state: SpeciesPair, dt: float) -> ImplicitLinearOperator:
         """Linear step at the steady state of state's mass difference, kept per (dt, rho).
 
         It is dt times the Jacobian at that steady state, so dt times its
@@ -441,17 +380,21 @@ class NonlinearStepper:
             self._preconditioner = ((dt, rho), op)
         return self._preconditioner[1]
 
-    def newton_update(self, state: SpeciesPair, res: SpeciesPair, dt: float) -> np.ndarray:
-        """Newton increment -J^{-1} res at state, by preconditioned GMRES.
+    def newton_update(
+        self,
+        state: SpeciesPair,
+        res: SpeciesPair,
+        dt: float,
+        preconditioner: ImplicitLinearOperator,
+    ) -> np.ndarray:
+        """Newton increment -J^{-1} res at state, by GMRES preconditioned with dt*solve.
 
         Raises NewtonDivergedError when GMRES misses KRYLOV_TOL within
         KRYLOV_MAX_ITERATIONS.
         """
-        augmented = self._augmented(state, dt)
-        op = self._steady_step(state, dt)
         delta, iterations = gmres(
-            lambda v: self._system.reduced_product(augmented, v),
-            lambda v: dt * stack_pair(op.solve(unstack_pair(v, self.grid))),
+            self._jacobian_product(state, dt),
+            lambda v: dt * stack_pair(preconditioner.solve(unstack_pair(v, self.grid))),
             -stack_pair(res),
             KRYLOV_TOL,
             KRYLOV_MAX_ITERATIONS,
@@ -472,13 +415,16 @@ class NonlinearStepper:
         res = self.residual(state, state_prev, dt)
         res_norm = max(np.max(np.abs(res.f)), np.max(np.abs(res.g)))
         iterations = 0
+        # Every iterate keeps state_prev's mass difference, so one steady
+        # step serves the whole solve.
+        preconditioner = self.steady_step(state_prev, dt)
         while res_norm > cfg.tol_residual:
             if iterations >= cfg.max_iterations:
                 raise NewtonDivergedError(
                     f"residual {res_norm:.3e} after {iterations} iterations "
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
-            delta = self.newton_update(state, res, dt)
+            delta = self.newton_update(state, res, dt, preconditioner)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
             state = state + unstack_pair(delta, self.grid)

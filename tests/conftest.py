@@ -144,9 +144,9 @@ def dense_reference_operator(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
 def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     """Dense matrix of the linear backward-Euler step, as the solver states it.
 
-    dt times the nonlinear Newton Jacobian at the uniform steady state: the
-    one sparse assembly in the package, read back for comparison with the
-    per-mode solve and with dense_reference_operator.
+    dt times the nonlinear Newton Jacobian at the uniform steady state, read
+    column by column from the product Newton's GMRES uses, for comparison
+    with the per-mode solve and with dense_reference_operator.
     """
     equilibrium = build_equilibrium(rho, chi1, chi2, grid).state
-    return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt).toarray()
+    return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt)

@@ -389,7 +389,7 @@ def test_criterion_08_newton_jacobian_exactness():
     for _ in range(3):
         state = random_positive_pair(grid, rng)
         prev = random_positive_pair(grid, rng)
-        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt).toarray()
+        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt)
         fd = np.empty((2 * n, 2 * n))
         base = stack_pair(state)
         for col in range(2 * n):

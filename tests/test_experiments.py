@@ -183,7 +183,7 @@ class TestMarches:
 
     def test_linear_march_factorizes_nothing(self, monkeypatch):
         # The linear step is solved per Fourier mode: a run neither factorizes
-        # nor assembles the sparse Newton system, which only tests read for it.
+        # nor builds the sparse transport matrix of Newton's Jacobian product.
         def refuse(*args, **kwargs):
             raise AssertionError("the linear march called splu")
 
@@ -198,7 +198,7 @@ class TestMarches:
             raise AssertionError("the linear march assembled a sparse matrix")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
-        monkeypatch.setattr(nonlinear.DensityAugmentedSystem, "__init__", refuse_assembly)
+        monkeypatch.setattr(nonlinear, "transport_matrix", refuse_assembly)
         monkeypatch.setattr(runner, "assemble_linear_operator", recording)
         data = execute_run(tiny_config(t_final=0.5))
         assert data.summary.n_steps == 5
@@ -214,6 +214,21 @@ class TestMarches:
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
         assert data.summary.n_steps >= 1
         assert data.summary.krylov_iterations >= sum(r.newton_iterations for r in data.records[1:])
+
+    def test_nonlinear_march_assembles_one_sparse_matrix(self, monkeypatch):
+        # The transport matrix is the run's only sparse matrix, built once;
+        # each Newton iteration only forms its reaction terms.
+        assemble = nonlinear.transport_matrix
+        built = []
+
+        def recording(*args):
+            built.append(assemble(*args))
+            return built[-1]
+
+        monkeypatch.setattr(nonlinear, "transport_matrix", recording)
+        data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
+        assert sum(r.newton_iterations for r in data.records[1:]) >= 2
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "overrides, steps, iterations, stalled",

@@ -7,7 +7,7 @@ from scipy.optimize import fsolve
 
 from conftest import make_grid, make_profiles, random_pair, random_positive_pair
 from kinrec import nonlinear
-from kinrec.linear import Flux, residual_linear
+from kinrec.linear import Flux, ImplicitLinearOperator, residual_linear
 from kinrec.nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -143,25 +143,36 @@ class TestJacobian:
             jac[:, k] = (stack_pair(plus) - stack_pair(minus)) / (2.0 * h)
         return jac
 
-    @pytest.mark.parametrize(
+    # jacobian() reads the product GMRES uses, so central differences of the
+    # residual are the independent check; over every flux and a few grids.
+    GRIDS = pytest.mark.parametrize(
+        "nx, nv",
+        [pytest.param(nx, nv, id=f"{nx}x{nv}") for nx in (3, 5, 7) for nv in (1, 3)],
+    )
+    FLUXES = pytest.mark.parametrize(
         "flux",
         [Flux.lax_friedrichs(1.5), Flux.centered(), Flux.upwind()],
         ids=lambda f: f.kind,
     )
-    def test_matches_central_differences(self, flux):
-        grid = make_grid(torus_length=2.0, nx=3, nv=2, v_star=3.0)
+
+    @GRIDS
+    @FLUXES
+    def test_matches_central_differences(self, flux, nx, nv):
+        grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
         chi1, chi2 = make_profiles(grid)
         state = random_positive_pair(grid, np.random.default_rng(4))
         dt = 0.15
-        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt).toarray()
+        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt)
         approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
-    def test_truncated_variant_matches_central_differences(self):
+    @GRIDS
+    @FLUXES
+    def test_truncated_variant_matches_central_differences(self, flux, nx, nv):
         # Pick a state far from every clamp threshold so the finite
         # differences never straddle a kink: some cells sit deep outside the
         # envelope (zero derivative through the clamp), the rest deep inside.
-        grid = make_grid(torus_length=2.0, nx=3, nv=2, v_star=3.0)
+        grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
         chi1, chi2 = make_profiles(grid)
         rho = 1.0
         envelope = BoundsEnvelope(gamma1=0.3, gamma2=0.3)
@@ -171,16 +182,13 @@ class TestJacobian:
         g[1] = 0.2 * chi2.values       # clamped from below
         state = SpeciesPair(f, g)
         dt = 0.15
-        flux = Flux.lax_friedrichs(1.5)
-        exact = NonlinearStepper(
-            grid, chi1, chi2, flux, envelope, rho
-        ).jacobian(state, dt).toarray()
+        exact = NonlinearStepper(grid, chi1, chi2, flux, envelope, rho).jacobian(state, dt)
         approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid, envelope, rho)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
 
 class TestAugmentedNewtonUpdate:
-    """Fast (GMRES on the density-augmented matrix) against reference (dense reduced) solve."""
+    """Fast (GMRES on the matrix-free Jacobian product) against reference (dense) solve."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -214,8 +222,8 @@ class TestAugmentedNewtonUpdate:
             grid, chi1, chi2, flux, envelope, rho if truncated else None
         )
         res = stepper.residual(state, prev, dt)
-        delta = stepper.newton_update(state, res, dt)
-        reference = np.linalg.solve(stepper.jacobian(state, dt).toarray(), -stack_pair(res))
+        delta = stepper.newton_update(state, res, dt, stepper.steady_step(prev, dt))
+        reference = np.linalg.solve(stepper.jacobian(state, dt), -stack_pair(res))
         assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
         # The mass difference of the residual is the step's mass change over
@@ -280,6 +288,24 @@ class TestNewton:
         with pytest.raises(NewtonDivergedError, match="iterations"):
             NonlinearStepper(grid, chi1, chi2, Flux.centered()).newton(prev, 0.1, cfg)
 
+    def test_newton_builds_one_preconditioner(self, setting, monkeypatch):
+        # Every iterate keeps the previous state's mass difference, so one
+        # solve builds one steady step, however the iterates' last bits move.
+        grid, chi1, chi2 = setting
+        built = []
+
+        class Counting(ImplicitLinearOperator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(nonlinear, "ImplicitLinearOperator", Counting)
+        prev = random_positive_pair(grid, np.random.default_rng(11))
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
+        _, iterations = stepper.newton(prev, 0.5, NewtonConfig(tol_residual=1e-12))
+        assert iterations >= 2
+        assert len(built) == 1
+
     def test_krylov_iteration_cap_is_a_newton_failure(self, setting, monkeypatch):
         # A GMRES solve that misses its tolerance hands Newton no inexact
         # update: it raises the error on which adaptive_advance shrinks dt.
@@ -287,11 +313,12 @@ class TestNewton:
         prev = random_positive_pair(grid, np.random.default_rng(10))
         stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         res = stepper.residual(prev, prev, 0.2)
-        stepper.newton_update(prev, res, 0.2)
+        preconditioner = stepper.steady_step(prev, 0.2)
+        stepper.newton_update(prev, res, 0.2, preconditioner)
         assert stepper.krylov_iterations[-1] > 1
         monkeypatch.setattr(nonlinear, "KRYLOV_MAX_ITERATIONS", 1)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
-            stepper.newton_update(prev, res, 0.2)
+            stepper.newton_update(prev, res, 0.2, preconditioner)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
             stepper.newton(prev, 0.2, NewtonConfig())
 
