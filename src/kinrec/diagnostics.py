@@ -11,27 +11,47 @@ from .grid import GridSpec, VelocityProfile, centered_gradient
 from .state import ConstantsLedger, SpeciesPair, moments_ujs, weighted_norm
 
 
-def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Mean-free potential phi with (Dc Dc phi)_i = -u_h[i] on the periodic grid.
+def wide_stencil_symbol(grid: GridSpec) -> np.ndarray:
+    """Symbol of the wide five-point stencil Dc Dc per rfft mode k = 0..nx//2.
 
-    Dc Dc is the wide five-point stencil (phi_{i+2} - 2 phi_i + phi_{i-2}) /
-    (4 dx^2), diagonal in Fourier space with symbol -sin^2(2 pi k / nx) / dx^2.
-    The symbol vanishes only where 2k/nx is an integer, which for odd nx is
-    k = 0 alone, so the stencil is invertible on mean-free fields and phi is
-    the inverse Fourier transform of -u_hat / symbol with the k = 0 mode set
-    to zero.
+    Dc Dc phi = (phi_{i+2} - 2 phi_i + phi_{i-2}) / (4 dx^2) has symbol
+    -sin^2(2 pi k / nx) / dx^2.  It vanishes only where 2k/nx is an integer,
+    which for odd nx is k = 0 alone; that entry is set to infinity, so
+    dividing by the symbol zeroes the mean.
+    """
+    symbol = -np.sin(2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx) ** 2 / grid.dx**2
+    symbol[0] = np.inf
+    return symbol
+
+
+def poisson_modes(u_hat: np.ndarray, symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """rfft modes of the mean-free potential phi with (Dc Dc phi)_i = -u_i.
+
+    u_hat is the rfft of u on the periodic grid and symbol is
+    wide_stencil_symbol(grid); phi_hat = -u_hat / symbol.  The stencil is
+    invertible on mean-free fields only, so the cell-sum dx*u_hat[0] must
+    stay within 1e-10*max(1, rms u), with rms u from Parseval (odd nx: weight
+    1 at k = 0 and 2 elsewhere).
+    """
+    power = u_hat.real**2 + u_hat.imag**2
+    rms = math.sqrt(2.0 * float(np.sum(power)) - float(power[0])) / grid.nx
+    mean = grid.dx * float(u_hat[0].real)
+    if abs(mean) > 1e-10 * max(1.0, rms):
+        raise ValueError(
+            f"source must be mean-free for solvability, got cell-sum {mean:.3e}"
+        )
+    return -u_hat / symbol
+
+
+def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Mean-free potential phi with (Dc Dc phi)_i = -u_h[i], in physical space.
+
+    The inverse rfft of poisson_modes, for a field of shape (nx,).
     """
     u = np.asarray(u_h, dtype=float)
     if u.shape != (grid.nx,):
         raise ValueError(f"expected shape ({grid.nx},), got {u.shape}")
-    mean = grid.dx * float(np.sum(u))
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(u)))):
-        raise ValueError(
-            f"source must be mean-free for solvability, got cell-sum {mean:.3e}"
-        )
-    symbol = -np.sin(2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx) ** 2 / grid.dx**2
-    symbol[0] = np.inf  # zeroes the k = 0 mode, so phi is mean-free
-    return np.fft.irfft(-np.fft.rfft(u) / symbol, grid.nx)
+    return np.fft.irfft(poisson_modes(np.fft.rfft(u), wide_stencil_symbol(grid), grid), grid.nx)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,14 @@ from .grid import (
     centered_gradient,
     second_difference,
 )
-from .state import SpeciesPair, collision_linear, moments_ujs, weighted_inner
+from .state import (
+    SpeciesPair,
+    collision_linear,
+    irfft_pair,
+    moments_ujs,
+    rfft_pair,
+    weighted_inner,
+)
 
 LAX_FRIEDRICHS = "lax-friedrichs"
 CENTERED = "centered"
@@ -124,14 +131,16 @@ class ImplicitLinearOperator:
         self._det = 1.0 - self._a[:, :1] * self._a[:, 1:]
 
     def solve(self, rhs: SpeciesPair) -> SpeciesPair:
-        nx, n_vel = rhs.f.shape
-        modes = np.fft.rfft(np.hstack([rhs.f, rhs.g]), axis=0).reshape(-1, 2, n_vel)
+        modes = rfft_pair(rhs)
+        self.solve_modes(modes)
+        return irfft_pair(modes, rhs.f.shape[0])
+
+    def solve_modes(self, modes: np.ndarray) -> None:
+        """Overwrite the rfft_pair modes of a right-hand side with those of the solution."""
         modes *= self._inv_d
         p = self.grid.dv * modes.sum(axis=2)
         sigma = (p - self._a * p[:, ::-1]) / self._det  # (sigma_f, sigma_g)
         modes -= self._coupling * sigma[:, ::-1, None]
-        out = np.fft.irfft(modes.reshape(-1, 2 * n_vel), n=nx, axis=0)
-        return SpeciesPair(out[:, :n_vel], out[:, n_vel:])
 
 
 def assemble_linear_operator(

@@ -297,6 +297,11 @@ class NonlinearStepper:
     The preconditioner is the linear step at the uniform steady state,
     solved per Fourier mode.  krylov_iterations lists the GMRES iterations
     of every Newton update.
+
+    rho is the run's equilibrium level, fixed by its conserved mass
+    difference.  The truncated collision needs it, and the preconditioner
+    is built at it.  Without it, each preconditioner is built at the level
+    of the state it is looked up for.
     """
 
     def __init__(
@@ -369,12 +374,13 @@ class NonlinearStepper:
         return np.column_stack([apply(e) for e in np.eye(2 * self.grid.n_unknowns)])
 
     def steady_step(self, state: SpeciesPair, dt: float) -> ImplicitLinearOperator:
-        """Linear step at the steady state of state's mass difference, kept per (dt, rho).
+        """Linear step at the run's steady state, kept per (dt, rho).
 
         It is dt times the Jacobian at that steady state, so dt times its
         solve approximates J^{-1} while the state stays near equilibrium.
+        The steady state is the one of rho, else of state's mass difference.
         """
-        rho = equilibrium_rho_from_state(state, self.grid)
+        rho = self.rho if self.rho is not None else equilibrium_rho_from_state(state, self.grid)
         if self._preconditioner is None or self._preconditioner[0] != (dt, rho):
             op = ImplicitLinearOperator(self.grid, self.chi1, self.chi2, rho, dt, self.flux)
             self._preconditioner = ((dt, rho), op)

@@ -1,9 +1,13 @@
 """Experiment driver: initial data, time marching, diagnostics, output files.
 
 The evolved variable differs by model.  Linear runs march the deviation from
-equilibrium (the well-prepared part of the data), so norms and decay fits act
-directly on the evolved state.  Nonlinear runs march the full distribution
-pair and diagnostics are computed on state minus equilibrium.
+equilibrium (the well-prepared part of the data) as its spatial Fourier
+modes: one forward transform of the data, the step solved per mode, and an
+inverse transform only for a snapshot.  Nonlinear runs march the full
+distribution pair in physical space and transform state minus equilibrium
+once per recorded step.  Every per-step diagnostic is computed from the
+deviation's modes (DiagnosticsRecorder); only the bounds check of a
+nonlinear run reads the physical state.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import numpy as np
 from .config import RunConfig, ValidationError, effective_config_text, resolve_config
 from .diagnostics import (
     DecayFit,
-    PotentialState,
     TimeSeriesRecord,
     fit_decay_rate,
-    modified_entropy,
-    solve_discrete_poisson,
+    poisson_modes,
+    wide_stencil_symbol,
 )
 from .grid import (
     GridSpec,
@@ -49,11 +52,16 @@ from .state import (
     build_equilibrium,
     constants_ledger,
     equilibrium_rho,
-    macroscopic_densities,
+    irfft_pair,
     mass_difference,
-    moments_ujs,
-    weighted_norm,
+    rfft_pair,
 )
+
+# Physical-space diagnostics the runner no longer calls.  The benchmark's
+# tracer (perfbench/spans.py) patches them by name in this module, and
+# tests/test_tracer_names.py checks that those names exist.
+from .diagnostics import modified_entropy, solve_discrete_poisson  # noqa: F401
+from .state import macroscopic_densities, weighted_norm  # noqa: F401
 
 TIMESERIES_HEADER = "t,weighted_norm,rho_f_l2,rho_g_l2,entropy,mass_difference,bounds_pass,dt_used,newton_iters"
 
@@ -179,74 +187,107 @@ class Snapshot:
 
 
 class DiagnosticsRecorder:
-    """Per-step diagnostics shared by both marches.
+    """Per-step diagnostics shared by both marches, from the deviation's modes.
 
-    The entropy needs a mean-free deviation density; a run whose mass
-    difference drifts, which none of the three fluxes does, aborts on the
-    Poisson solve's error.
+    observe takes the rfft_pair modes of the deviation from equilibrium.  On
+    the periodic grid every quantity is diagonal per mode: cell sums follow
+    from Parseval (nx is odd, so the weight is 1 at k = 0 and 2 elsewhere,
+    over nx), the site densities and the moments u and j are velocity sums
+    per mode, the potential is -u_hat over the wide-stencil symbol and its
+    centered gradient has symbol i*sin(theta)/dx.  The entropy needs a
+    mean-free deviation density; a run whose mass difference drifts, which
+    none of the three fluxes does, aborts on the Poisson solve's error.
     """
 
     def __init__(self, setup: RunSetup) -> None:
+        grid = setup.grid
         self._setup = setup
-        self._pot: PotentialState | None = None
+        theta = 2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx
+        # dx * sum_i a_i b_i = sum_k parseval_k Re(a_hat_k conj(b_hat_k)) for real a, b.
+        self._parseval = np.where(theta == 0.0, 1.0, 2.0) * grid.dx / grid.nx
+        # Weights 1/(rho chi1) and rho/chi2 of the norm, times dv, per species
+        # and velocity, each twice: for the real and the imaginary part.
+        self._weights = np.repeat(
+            grid.dv
+            * np.concatenate([1.0 / (setup.rho * setup.chi1.values), setup.rho / setup.chi2.values]),
+            2,
+        )
+        # Velocity sums giving the site density and the current; complex, so
+        # that each product with the modes is one matrix-vector BLAS call.
+        self._density_sum = np.full(grid.n_vel, grid.dv, dtype=complex)
+        self._current_sum = (grid.dv * grid.v_centers).astype(complex)
+        self._poisson = wide_stencil_symbol(grid)
+        self._gradient = 1j * np.sin(theta) / grid.dx
+        self._equilibrium_mass = mass_difference(setup.equilibrium.state, grid)
+        self._dphi_prev: np.ndarray | None = None
         self.records: list[TimeSeriesRecord] = []
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
         # GMRES iterations of every Newton update, nonlinear runs only.
         self.krylov_iterations: list[int] | None = None
 
-    def _entropy(self, deviation: SpeciesPair, dt: float) -> float:
-        setup = self._setup
-        u = moments_ujs(deviation.f - deviation.g, setup.grid, setup.equilibrium.d0)[0]
-        phi = solve_discrete_poisson(u, setup.grid)
-        if self._pot is None:
-            self._pot = PotentialState(phi=phi)
-        else:
-            self._pot = self._pot.advanced(phi)
-        return modified_entropy(
-            deviation,
-            self._pot,
-            dt,
-            setup.ledger,
-            setup.chi1,
-            setup.chi2,
-            setup.grid,
-            setup.equilibrium.d0,
-        )
+    def _sum(self, a: np.ndarray, b: np.ndarray) -> float:
+        """dx * sum_i a_i b_i of two real fields, from their modes."""
+        return float(np.vdot(a, self._parseval * b).real)
 
     def observe(
         self,
         t: float,
-        evolved: SpeciesPair,
-        deviation: SpeciesPair,
+        modes: np.ndarray,
         dt_used: float | None,
         newton_iterations: int | None,
-        check_bounds: bool,
+        state: SpeciesPair | None = None,
     ) -> TimeSeriesRecord:
+        """Record one step from the deviation's modes, which are left unchanged.
+
+        state is the full distribution of a nonlinear run: it is checked
+        against the reporting envelope, kept for snapshots, and its mass
+        difference is the deviation's plus the equilibrium's.  Linear runs
+        evolve the deviation itself and pass none; a snapshot transforms the
+        modes back.
+        """
         setup = self._setup
         grid = setup.grid
-        rho_f, rho_g = macroscopic_densities(deviation, grid)
+        n_modes, _, n_vel = modes.shape
+        # Per mode and species.
+        density = (modes.reshape(-1, n_vel) @ self._density_sum).reshape(n_modes, 2)
+        current = (modes.reshape(-1, n_vel) @ self._current_sum).reshape(n_modes, 2)
+        u_hat = density[:, 0] - density[:, 1]
+        j_hat = current[:, 0] - current[:, 1]
+        # |mode|^2 as the squares of the interleaved real and imaginary parts.
+        power = np.square(modes.view(float)).reshape(n_modes, -1)
+        norm_sq = float(self._parseval @ (power @ self._weights))
+        dphi = self._gradient * poisson_modes(u_hat, self._poisson, grid)
+        delta = setup.ledger.delta
+        entropy = 0.5 * norm_sq + delta * self._sum(j_hat, dphi)
+        if self._dphi_prev is not None:  # every step after the first has a dt
+            incr = dphi - self._dphi_prev
+            entropy += delta / (2.0 * dt_used) * self._sum(incr, incr)
+        self._dphi_prev = dphi
+        mass = grid.dx * float(u_hat[0].real)
         report: BoundsReport | None = None
-        if check_bounds:
+        if state is not None:
+            mass += self._equilibrium_mass
             report = check_maximum_principle(
-                evolved, setup.envelope, setup.rho, setup.chi1, setup.chi2
+                state, setup.envelope, setup.rho, setup.chi1, setup.chi2
             )
-        entropy_dt = dt_used if dt_used is not None else setup.cfg.dt
         record = TimeSeriesRecord(
             t=t,
-            weighted_norm=weighted_norm(deviation, setup.chi1, setup.chi2, setup.rho, grid),
-            rho_f_l2=math.sqrt(grid.dx * float(np.sum(np.square(rho_f)))),
-            rho_g_l2=math.sqrt(grid.dx * float(np.sum(np.square(rho_g)))),
-            entropy=self._entropy(deviation, entropy_dt),
-            mass_difference=mass_difference(evolved, grid),
+            weighted_norm=math.sqrt(max(norm_sq, 0.0)),
+            rho_f_l2=math.sqrt(self._sum(density[:, 0], density[:, 0])),
+            rho_g_l2=math.sqrt(self._sum(density[:, 1], density[:, 1])),
+            entropy=entropy,
+            mass_difference=mass,
             bounds_pass=None if report is None else report.passed,
             dt_used=dt_used,
             newton_iterations=newton_iterations,
         )
         self.records.append(record)
         while self._pending and t >= self._pending[0] - 1e-9:
+            if state is None:
+                state = irfft_pair(modes, grid.nx)
             self.snapshots.append(
-                Snapshot(requested_t=self._pending.pop(0), actual_t=t, state=evolved.copy())
+                Snapshot(requested_t=self._pending.pop(0), actual_t=t, state=state.copy())
             )
         return record
 
@@ -289,35 +330,39 @@ class ExperimentAbortedError(RuntimeError):
 
 
 def _march_linear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
+    """March the deviation's modes; the step and every diagnostic are per mode."""
     cfg = setup.cfg
-    deviation = setup.data0 - setup.equilibrium.state
     op = assemble_linear_operator(
         setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
     )
-    recorder.observe(0.0, deviation, deviation, None, None, False)
+    modes = rfft_pair(setup.data0 - setup.equilibrium.state)
+    recorder.observe(0.0, modes, None, None)
     n_steps = round(cfg.t_final / cfg.dt)
     for n in range(1, n_steps + 1):
-        deviation = op.solve(deviation)
-        recorder.observe(n * cfg.dt, deviation, deviation, cfg.dt, None, False)
+        op.solve_modes(modes)
+        recorder.observe(n * cfg.dt, modes, cfg.dt, None)
 
 
 def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
     cfg = setup.cfg
     state = setup.data0.copy()
+    # Subtracted in physical space: near the solver floor the deviation is
+    # about 1e-10 of the state, and the modes of the difference keep its digits.
+    equilibrium = setup.equilibrium.state
     stepper = NonlinearStepper(
         setup.grid,
         setup.chi1,
         setup.chi2,
         setup.flux,
         envelope=setup.envelope if cfg.truncated else None,
-        rho=setup.rho if cfg.truncated else None,
+        rho=setup.rho,
     )
     recorder.krylov_iterations = stepper.krylov_iterations  # grows as the march runs
     newton_cfg = NewtonConfig(
         tol_residual=cfg.newton_tol, max_iterations=cfg.newton_max_iterations
     )
     controller = AdaptiveController(dt_min=cfg.dt_min, dt_max=cfg.dt_max)
-    recorder.observe(0.0, state, state - setup.equilibrium.state, None, None, True)
+    recorder.observe(0.0, rfft_pair(state - equilibrium), None, None, state)
     t, next_dt = 0.0, cfg.dt
     while t < cfg.t_final - 1e-12:
         result = adaptive_advance(
@@ -327,11 +372,10 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         t += result.dt_used
         recorder.observe(
             t,
-            state,
-            state - setup.equilibrium.state,
+            rfft_pair(state - equilibrium),
             result.dt_used,
             result.newton_iterations,
-            True,
+            state,
         )
 
 
@@ -421,20 +465,18 @@ def timeseries_csv(records: list[TimeSeriesRecord]) -> str:
     lines = [TIMESERIES_HEADER]
     for r in records:
         bounds = "" if r.bounds_pass is None else ("1" if r.bounds_pass else "0")
-        iters = _count(r.newton_iterations)
         lines.append(
-            ",".join(
-                (
-                    _fmt(r.t),
-                    _fmt(r.weighted_norm),
-                    _fmt(r.rho_f_l2),
-                    _fmt(r.rho_g_l2),
-                    _fmt(r.entropy),
-                    _fmt(r.mass_difference),
-                    bounds,
-                    _fmt(r.dt_used),
-                    iters,
-                )
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s"
+            % (
+                r.t,
+                r.weighted_norm,
+                r.rho_f_l2,
+                r.rho_g_l2,
+                r.entropy,
+                r.mass_difference,
+                bounds,
+                _fmt(r.dt_used),
+                _count(r.newton_iterations),
             )
         )
     return "\n".join(lines) + "\n"
@@ -447,13 +489,12 @@ def snapshot_csv(snapshot: Snapshot, grid: GridSpec) -> str:
         "i,j,x,v,f,g",
     ]
     f, g = snapshot.state.f, snapshot.state.g
-    for i in range(grid.nx):
-        x = grid.x_centers[i]
-        for j in range(grid.n_vel):
-            lines.append(
-                "%d,%d,%s,%s,%s,%s"
-                % (i, j, _fmt(x), _fmt(grid.v_centers[j]), _fmt(f[i, j]), _fmt(g[i, j]))
-            )
+    v = grid.v_centers.tolist()
+    for i, x in enumerate(grid.x_centers.tolist()):
+        lines.extend(
+            "%d,%d,%.17g,%.17g,%.17g,%.17g" % (i, j, x, v[j], f_ij, g_ij)
+            for j, (f_ij, g_ij) in enumerate(zip(f[i].tolist(), g[i].tolist()))
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -45,6 +45,19 @@ def unstack_pair(x: np.ndarray, grid: GridSpec) -> SpeciesPair:
     return SpeciesPair(x[:n].reshape(shape).copy(), x[n:].reshape(shape).copy())
 
 
+def rfft_pair(state: SpeciesPair) -> np.ndarray:
+    """Spatial rfft of both species, shape (nx//2+1, 2, 2*nv): mode, species, velocity."""
+    n_vel = state.f.shape[1]
+    return np.fft.rfft(np.hstack([state.f, state.g]), axis=0).reshape(-1, 2, n_vel)
+
+
+def irfft_pair(modes: np.ndarray, nx: int) -> SpeciesPair:
+    """Inverse of rfft_pair on a grid of nx cells."""
+    n_vel = modes.shape[2]
+    out = np.fft.irfft(modes.reshape(-1, 2 * n_vel), n=nx, axis=0)
+    return SpeciesPair(out[:, :n_vel], out[:, n_vel:])
+
+
 def mass_difference(state: SpeciesPair, grid: GridSpec) -> float:
     """Net phase-space mass of species one minus species two.
 

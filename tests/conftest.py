@@ -12,9 +12,23 @@ from kinrec.grid import (
     heavytail_profile,
     oscillating_profile,
 )
-from kinrec.linear import CENTERED, LAX_FRIEDRICHS, UPWIND, Flux
+from kinrec.diagnostics import (
+    PotentialState,
+    TimeSeriesRecord,
+    modified_entropy,
+    solve_discrete_poisson,
+)
+from kinrec.linear import CENTERED, LAX_FRIEDRICHS, UPWIND, Flux, assemble_linear_operator
 from kinrec.nonlinear import NonlinearStepper
-from kinrec.state import SpeciesPair, build_equilibrium
+from kinrec.runner import TIMESERIES_HEADER, Snapshot, _count, _fmt
+from kinrec.state import (
+    SpeciesPair,
+    build_equilibrium,
+    macroscopic_densities,
+    mass_difference,
+    moments_ujs,
+    weighted_norm,
+)
 
 
 def make_grid(torus_length=1.0, nx=7, nv=3, v_star=3.0) -> GridSpec:
@@ -150,3 +164,86 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     """
     equilibrium = build_equilibrium(rho, chi1, chi2, grid).state
     return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt)
+
+
+def physical_diagnostics(deviation, pot, dt, setup):
+    """The time-series quantities of a deviation from their physical-space definitions.
+
+    pot is the previous PotentialState or None; returns (norm, rho_f_l2,
+    rho_g_l2, entropy, new PotentialState), with phi from the Poisson solve
+    of the deviation's density difference.
+    """
+    grid, d0 = setup.grid, setup.equilibrium.d0
+    u = moments_ujs(deviation.f - deviation.g, grid, d0)[0]
+    phi = solve_discrete_poisson(u, grid)
+    pot = PotentialState(phi) if pot is None else pot.advanced(phi)
+    rho_f, rho_g = macroscopic_densities(deviation, grid)
+    entropy = modified_entropy(
+        deviation, pot, dt, setup.ledger, setup.chi1, setup.chi2, grid, d0
+    )
+    norm = weighted_norm(deviation, setup.chi1, setup.chi2, setup.rho, grid)
+    return norm, norm2(rho_f, grid), norm2(rho_g, grid), entropy, pot
+
+
+def physical_linear_march(setup):
+    """Reference linear march in physical space, for the runner's modal march.
+
+    Steps the deviation with ImplicitLinearOperator.solve and records every
+    diagnostic from its physical-space definition; returns the records and
+    the snapshots, in the runner's types.
+    """
+    cfg = setup.cfg
+    op = assemble_linear_operator(
+        setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
+    )
+    deviation = setup.data0 - setup.equilibrium.state
+    pending = list(cfg.snapshot_times)
+    records, snapshots, pot = [], [], None
+    for n in range(round(cfg.t_final / cfg.dt) + 1):
+        if n > 0:
+            deviation = op.solve(deviation)
+        t = n * cfg.dt
+        norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
+            deviation, pot, cfg.dt, setup
+        )
+        records.append(
+            TimeSeriesRecord(
+                t=t,
+                weighted_norm=norm,
+                rho_f_l2=rho_f_l2,
+                rho_g_l2=rho_g_l2,
+                entropy=entropy,
+                mass_difference=mass_difference(deviation, setup.grid),
+                bounds_pass=None,
+                dt_used=cfg.dt if n > 0 else None,
+                newton_iterations=None,
+            )
+        )
+        while pending and t >= pending[0] - 1e-9:
+            snapshots.append(Snapshot(pending.pop(0), t, deviation.copy()))
+    return records, snapshots
+
+
+def cellwise_timeseries_csv(records) -> str:
+    """Time-series text formatted one cell at a time, the writer's reference."""
+    lines = [TIMESERIES_HEADER]
+    for r in records:
+        bounds = "" if r.bounds_pass is None else ("1" if r.bounds_pass else "0")
+        cells = (r.t, r.weighted_norm, r.rho_f_l2, r.rho_g_l2, r.entropy, r.mass_difference)
+        lines.append(
+            ",".join([_fmt(c) for c in cells] + [bounds, _fmt(r.dt_used), _count(r.newton_iterations)])
+        )
+    return "\n".join(lines) + "\n"
+
+
+def cellwise_snapshot_csv(snapshot, grid) -> str:
+    """Snapshot text formatted one cell at a time, the writer's reference."""
+    lines = ["# t=%s" % _fmt(snapshot.actual_t), "# N=%d L=%d" % (grid.nx, grid.nv), "i,j,x,v,f,g"]
+    f, g = snapshot.state.f, snapshot.state.g
+    for i in range(grid.nx):
+        for j in range(grid.n_vel):
+            lines.append(
+                "%d,%d,%s,%s,%s,%s"
+                % (i, j, _fmt(grid.x_centers[i]), _fmt(grid.v_centers[j]), _fmt(f[i, j]), _fmt(g[i, j]))
+            )
+    return "\n".join(lines) + "\n"

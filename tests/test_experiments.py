@@ -8,15 +8,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
+from conftest import (
+    cellwise_snapshot_csv,
+    cellwise_timeseries_csv,
+    norm2,
+    physical_diagnostics,
+    physical_linear_march,
+)
 from kinrec import nonlinear, runner
 from kinrec.cli import build_parser, main, overrides_from_args
 from kinrec.config import ParseError, RunConfig, ValidationError, load_config
 from kinrec.diagnostics import fit_decay_rate
-from kinrec.grid import build_grid, discretize_profile, heavytail_profile
+from kinrec.grid import build_grid, centered_gradient, discretize_profile, heavytail_profile
+from kinrec.linear import FLUX_NAMES, ImplicitLinearOperator
 from kinrec.runner import (
     REPORT_ENVELOPE_FRACTION,
     TIMESERIES_HEADER,
+    DiagnosticsRecorder,
     ExperimentAbortedError,
     Snapshot,
     build_setup,
@@ -30,7 +40,13 @@ from kinrec.runner import (
     timeseries_csv,
     write_outputs,
 )
-from kinrec.state import build_equilibrium, mass_difference
+from kinrec.state import (
+    SpeciesPair,
+    build_equilibrium,
+    mass_difference,
+    moments_ujs,
+    rfft_pair,
+)
 
 TINY = dict(nx=7, nv=2, v_star=3.0, torus_length=2.0)
 
@@ -204,6 +220,63 @@ class TestMarches:
         assert data.summary.n_steps == 5
         assert len(operators) == 1
 
+    def test_linear_march_transforms_once_plus_once_per_snapshot(self, monkeypatch):
+        # The march stays in Fourier modes: one forward transform of the data,
+        # one inverse per snapshot, and no per-step round trip through solve.
+        counts = {"rfft": 0, "irfft": 0, "solve": 0}
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", counting("rfft", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counting("irfft", np.fft.irfft))
+        monkeypatch.setattr(
+            ImplicitLinearOperator, "solve", counting("solve", ImplicitLinearOperator.solve)
+        )
+        data = execute_run(tiny_config(t_final=2.0, snapshot_times=(0.0, 0.5, 2.0)))
+        assert data.summary.n_steps == 20
+        assert len(data.snapshots) == 3
+        assert counts == {"rfft": 1, "irfft": 3, "solve": 0}
+
+    @pytest.mark.parametrize("flux", FLUX_NAMES)
+    def test_modal_march_matches_the_physical_reference(self, flux):
+        # Same steps, snapshot times and values as stepping with solve and
+        # computing every diagnostic in physical space, up to rounding.
+        cfg = tiny_config(
+            nx=11, nv=4, flux=flux, t_final=3.0, snapshot_times=(0.0, 0.25, 1.0, 3.0)
+        )
+        data = execute_run(cfg)
+        records, snapshots = physical_linear_march(data.setup)
+        assert len(data.records) == len(records) == 31
+        for got, want in zip(data.records, records):
+            assert (got.t, got.dt_used, got.bounds_pass, got.newton_iterations) == (
+                want.t, want.dt_used, want.bounds_pass, want.newton_iterations
+            )
+        for column in ("weighted_norm", "rho_f_l2", "rho_g_l2", "entropy"):
+            want = np.array([getattr(r, column) for r in records])
+            got = np.array([getattr(r, column) for r in data.records])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        # The linear mass difference is rounding noise around 0; its scale is
+        # the run's, as in max_mass_drift_rel.
+        mass_scale = max(1.0, abs(mass_difference(data.setup.data0, data.setup.grid)))
+        np.testing.assert_allclose(
+            [r.mass_difference for r in data.records],
+            [r.mass_difference for r in records],
+            rtol=0.0,
+            atol=1e-12 * mass_scale,
+        )
+        assert [(s.requested_t, s.actual_t) for s in data.snapshots] == [
+            (s.requested_t, s.actual_t) for s in snapshots
+        ]
+        scale = np.max(np.abs(snapshots[0].state.f)) + np.max(np.abs(snapshots[0].state.g))
+        for got, want in zip(data.snapshots, snapshots):
+            np.testing.assert_allclose(got.state.f, want.state.f, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got.state.g, want.state.g, rtol=0.0, atol=1e-12 * scale)
+
     def test_nonlinear_march_factorizes_nothing(self, monkeypatch):
         # Newton solves each step by GMRES, preconditioned with the per-mode
         # linear solve, so a nonlinear run never factorizes.
@@ -229,6 +302,22 @@ class TestMarches:
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
         assert sum(r.newton_iterations for r in data.records[1:]) >= 2
         assert len(built) == 1
+
+    def test_nonlinear_march_builds_one_preconditioner_per_step_size(self, monkeypatch):
+        # The preconditioner is the linear step at the run's own steady state,
+        # whose level the march conserves, so only a new dt rebuilds it.
+        built = []
+
+        class Counting(ImplicitLinearOperator):
+            def __init__(self, grid, chi1, chi2, rho, dt, flux):
+                built.append((dt, rho))
+                super().__init__(grid, chi1, chi2, rho, dt, flux)
+
+        monkeypatch.setattr(nonlinear, "ImplicitLinearOperator", Counting)
+        data = execute_run(tiny_config(model="nonlinear", test=3, nx=11, nv=4, t_final=10.0))
+        assert data.summary.n_steps > len(built) > 1
+        assert {rho for _, rho in built} == {data.setup.rho}
+        assert len({dt for dt, _ in built}) == len(built)
 
     @pytest.mark.parametrize(
         "overrides, steps, iterations, stalled",
@@ -375,6 +464,23 @@ class TestOutputs:
         assert cell[0] == "0" and cell[1] == "0"
         assert float(cell[3]) == grid.v_centers[0]
 
+    def test_rows_match_the_cellwise_text_byte_for_byte(self):
+        # One format string per row writes the same bytes as formatting each
+        # cell with _fmt, on a random 201x16 state spanning many magnitudes.
+        grid = build_grid(2.0, 201, 8, 4.0)
+        rng = np.random.default_rng(11)
+        shape = (grid.nx, grid.n_vel)
+        f, g = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape) for _ in "fg")
+        f[0, :3] = (0.0, -0.0, 1.0)
+        snap = Snapshot(0.83, 0.8300000000000001, SpeciesPair(f, g))
+        # Compared as line lists: a failure then names the first differing line.
+        assert (
+            snapshot_csv(snap, grid).split("\n") == cellwise_snapshot_csv(snap, grid).split("\n")
+        )
+        nonlinear_run = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
+        for records in (nonlinear_run.records, execute_run(tiny_config(t_final=0.5)).records):
+            assert timeseries_csv(records) == cellwise_timeseries_csv(records)
+
     def test_equilibrium_snapshot_rows_are_uniform(self):
         grid = build_grid(2.0, 5, 2, 3.0)
         chi1 = discretize_profile(heavytail_profile, grid)
@@ -425,6 +531,60 @@ class TestOutputs:
         assert cfg == linear_run.setup.cfg
         again = execute_run(cfg)
         assert timeseries_csv(again.records) == timeseries_csv(linear_run.records)
+
+
+class TestModalDiagnostics:
+    """DiagnosticsRecorder's per-mode quantities against their physical definitions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        nx=st.one_of(
+            st.integers(1, 50).map(lambda k: 2 * k + 1),
+            st.sampled_from([37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101]),
+        ),
+        nv=st.integers(1, 4),
+        model=st.sampled_from(["linear", "nonlinear"]),
+        amplitude=st.floats(1e-12, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_physical_oracles(self, nx, nv, model, amplitude, seed):
+        setup = build_setup(tiny_config(nx=nx, nv=nv, model=model))
+        grid = setup.grid
+        rng = np.random.default_rng(seed)
+        recorder = DiagnosticsRecorder(setup)
+        pot = None
+        for step, dt_used in enumerate((None, 0.07)):
+            shape = (grid.nx, grid.n_vel)
+            f = amplitude * rng.standard_normal(shape)
+            g = amplitude * rng.standard_normal(shape)
+            # The potential exists for mean-free density differences only.
+            u = moments_ujs(f - g, grid, setup.equilibrium.d0)[0]
+            f -= np.mean(u) / (grid.dv * grid.n_vel)
+            deviation = SpeciesPair(f, g)
+            state = None if model == "linear" else setup.equilibrium.state + deviation
+            record = recorder.observe(0.1 * step, rfft_pair(deviation), dt_used, None, state)
+
+            entropy_dt = setup.cfg.dt if dt_used is None else dt_used
+            norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
+                deviation, pot, entropy_dt, setup
+            )
+            assert abs(record.weighted_norm - norm) <= 1e-12 * norm
+            rho_f_scale = norm2(grid.dv * np.abs(f).sum(axis=1), grid)
+            rho_g_scale = norm2(grid.dv * np.abs(g).sum(axis=1), grid)
+            assert abs(record.rho_f_l2 - rho_f_l2) <= 1e-12 * rho_f_scale
+            assert abs(record.rho_g_l2 - rho_g_l2) <= 1e-12 * rho_g_scale
+            # Scale of the entropy: its three terms in absolute value.
+            delta = setup.ledger.delta
+            _, j, _ = moments_ujs(f - g, grid, setup.equilibrium.d0)
+            dphi = centered_gradient(pot.phi, grid)
+            entropy_scale = 0.5 * norm**2 + delta * grid.dx * np.sum(np.abs(j * dphi))
+            if pot.phi_prev is not None:
+                incr = dphi - centered_gradient(pot.phi_prev, grid)
+                entropy_scale += delta / (2.0 * entropy_dt) * grid.dx * np.sum(incr**2)
+            assert abs(record.entropy - entropy) <= 1e-12 * entropy_scale
+            evolved = deviation if state is None else state
+            mass_scale = grid.dx * grid.dv * float(np.sum(np.abs(evolved.f) + np.abs(evolved.g)))
+            assert abs(record.mass_difference - mass_difference(evolved, grid)) <= 1e-12 * mass_scale
 
 
 class TestDeterminism:
@@ -544,14 +704,15 @@ class TestCli:
     def test_mass_drift_aborts_on_the_entropy(self, tmp_path, capsys, monkeypatch):
         # A density difference that is not mean-free has no potential, so the
         # entropy cannot be recorded and the run stops with its partial outputs.
-        real = runner.solve_discrete_poisson
+        real = runner.poisson_modes
         calls = []
 
-        def drifting(u, grid):
+        def drifting(u_hat, symbol, grid):
             calls.append(None)
-            return real(u + (1.0 if len(calls) > 2 else 0.0), grid)
+            shift = np.fft.rfft(np.full(grid.nx, 1.0 if len(calls) > 2 else 0.0))
+            return real(u_hat + shift, symbol, grid)
 
-        monkeypatch.setattr(runner, "solve_discrete_poisson", drifting)
+        monkeypatch.setattr(runner, "poisson_modes", drifting)
         out = tmp_path / "drift"
         code = main(["--nx", "7", "--nv", "2", "--vstar", "3.0", "--tfinal", "1.0",
                      "--out", str(out)])

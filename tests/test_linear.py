@@ -33,8 +33,10 @@ from kinrec.state import (
     SpeciesPair,
     build_equilibrium,
     collision_linear,
+    irfft_pair,
     mass_difference,
     project_pi,
+    rfft_pair,
     stack_pair,
     unstack_pair,
     weighted_inner,
@@ -216,6 +218,31 @@ class TestImplicitOperator:
         np.testing.assert_allclose(
             stack_pair(stepped), expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
         )
+
+    @flux_settings
+    @given(
+        kind=st.sampled_from(FLUX_NAMES),
+        nx=st.one_of(flux_cases["nx"], st.sampled_from([37, 53, 71, 89, 101])),
+        nv=flux_cases["nv"],
+        lam=flux_cases["lam"],
+        rho=st.floats(0.2, 5.0),
+        dt=st.floats(1e-3, 2.0),
+        seed=flux_cases["seed"],
+    )
+    def test_solve_modes_is_the_solve_in_fourier_space(self, kind, nx, nv, lam, rho, dt, seed):
+        grid = build_grid(1.0, nx, nv, 3.0)
+        chi1, chi2 = make_profiles(grid)
+        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, drawn_flux(kind, lam))
+        state = random_pair(grid, np.random.default_rng(seed))
+        modes = rfft_pair(state)
+        op.solve_modes(modes)
+        expected = rfft_pair(op.solve(state))
+        np.testing.assert_allclose(
+            modes, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
+        )
+        back = irfft_pair(modes, grid.nx)
+        np.testing.assert_array_equal(back.f, op.solve(state).f)
+        np.testing.assert_array_equal(back.g, op.solve(state).g)
 
     def test_zero_state_is_fixed(self, setting):
         grid, chi1, chi2 = setting
