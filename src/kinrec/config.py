@@ -178,6 +178,12 @@ def validate_config(cfg: RunConfig) -> None:
     def bad(field: str, why: str) -> ValidationError:
         return ValidationError(f"{_field_path(field)}: {why}")
 
+    if not all(map(math.isfinite, cfg.snapshot_times)):
+        raise bad("snapshot_times", f"times must be finite, got {cfg.snapshot_times}")
+    for field in ("torus_length", "v_star", "lam", "dt", "dt_min", "dt_max", "t_final", "newton_tol"):
+        value = getattr(cfg, field)
+        if value is not None and not math.isfinite(value):
+            raise bad(field, f"must be finite, got {value}")
     if cfg.torus_length <= 0:
         raise bad("torus_length", f"must be positive, got {cfg.torus_length}")
     if cfg.nx < 3 or cfg.nx % 2 == 0:

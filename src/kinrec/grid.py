@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,9 +139,10 @@ def profile_from_samples(
 ) -> VelocityProfile:
     """Normalize point samples at the velocity midpoints into a profile.
 
-    Rejects non-positive samples and asymmetry beyond 1e-12 relative unless
-    symmetrize is set; mirror pairs are averaged either way, which is a no-op
-    on already-symmetric data and makes the symmetry bitwise exact.
+    Rejects non-positive samples, samples without a finite sum, and asymmetry
+    beyond 1e-12 relative unless symmetrize is set; mirror pairs are averaged
+    either way, which is a no-op on already-symmetric data and makes the
+    symmetry bitwise exact.
     """
     s = np.asarray(samples, dtype=float)
     if s.shape != (grid.n_vel,):
@@ -156,6 +158,8 @@ def profile_from_samples(
         )
     s = 0.5 * (s + mirrored)
     mass = grid.dv * float(np.sum(s))
+    if not 0.0 < mass < math.inf:  # else the normalised profile is not finite
+        raise ValueError(f"velocity profile samples must have a finite sum, got mass {mass}")
     values = s / mass
     v = grid.v_centers
     second = grid.dv * float(np.sum(v**2 * values))

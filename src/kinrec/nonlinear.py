@@ -10,17 +10,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import GridSpec, VelocityProfile
-from .linear import (
-    Flux,
-    ImplicitLinearOperator,
-    flux_divergence,
-    interface_weights,
-    verify_moment_schemes,
-)
+from .linear import Flux, ImplicitLinearOperator, interface_weights, verify_moment_schemes
 from .state import (
     EquilibriumData,
     SpeciesPair,
-    equilibrium_rho_from_state,
     macroscopic_densities,
     mass_difference,
     stack_pair,
@@ -111,18 +104,17 @@ class BoundsEnvelope:
 
 
 def truncate_state(
-    state: SpeciesPair,
+    cells: np.ndarray,
     envelope: BoundsEnvelope,
     rho: float,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
-) -> SpeciesPair:
-    """Clamp both species into the envelope, cell by cell."""
+) -> np.ndarray:
+    """Clamp the (2, nx, 2*nv) cells of both species into the envelope, cell by cell."""
     f_lo, f_hi, g_lo, g_hi = envelope.levels(rho)
-    return SpeciesPair(
-        np.clip(state.f, f_lo * chi1.values, f_hi * chi1.values),
-        np.clip(state.g, g_lo * chi2.values, g_hi * chi2.values),
-    )
+    low = np.stack([f_lo * chi1.values, g_lo * chi2.values])[:, None]
+    high = np.stack([f_hi * chi1.values, g_hi * chi2.values])[:, None]
+    return np.clip(cells, low, high)
 
 
 @dataclass(frozen=True)
@@ -160,78 +152,21 @@ def check_maximum_principle(
     return BoundsReport(f_min, f_max, g_min, g_max, passed)
 
 
-def _collision_terms(
-    state: SpeciesPair,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    grid: GridSpec,
-    envelope: BoundsEnvelope | None,
-    rho: float | None,
-) -> tuple[np.ndarray, np.ndarray, SpeciesPair]:
-    """Densities entering the collision term and the (possibly clamped) state."""
-    if envelope is None:
-        eff = state
-    else:
-        if rho is None:
-            raise ValueError("truncated collision needs the equilibrium rho")
-        eff = truncate_state(state, envelope, rho, chi1, chi2)
-    rho_f = grid.dv * eff.f.sum(axis=1)
-    rho_g = grid.dv * eff.g.sum(axis=1)
-    return rho_f, rho_g, eff
+def transport_pair(flux: Flux, grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The conservative transport of both species, in stack_pair layout, as (F, D).
 
-
-def residual_nonlinear(
-    state_next: SpeciesPair,
-    state_prev: SpeciesPair,
-    dt: float,
-    flux: Flux,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    grid: GridSpec,
-    envelope: BoundsEnvelope | None = None,
-    rho: float | None = None,
-) -> SpeciesPair:
-    """Pointwise defect of the backward-Euler step of
-
-        d/dt f + v d/dx f = chi1 - rho_g f,
-        d/dt g + v d/dx g = chi2 - rho_f g,
-
-    all reaction terms evaluated at the new state.  With an envelope, the
-    reaction uses the clamped state (truncated scheme); transport and the
-    time increment always use the raw one.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rho_f, rho_g, eff = _collision_terms(state_next, chi1, chi2, grid, envelope, rho)
-    rf = (
-        (state_next.f - state_prev.f) / dt
-        + flux_divergence(state_next.f, flux, grid)
-        - (chi1.values - rho_g[:, None] * eff.f)
-    )
-    rg = (
-        (state_next.g - state_prev.g) / dt
-        + flux_divergence(state_next.g, flux, grid)
-        - (chi2.values - rho_f[:, None] * eff.g)
-    )
-    return SpeciesPair(rf, rg)
-
-
-def transport_matrix(flux: Flux, grid: GridSpec) -> sp.csr_matrix:
-    """Sparse flux divergence of both species, in stack_pair layout.
-
-    Row (i, m) of either species holds -a_m/dx at cell i-1, (a_m - b_m)/dx at
-    i and b_m/dx at i+1, from the interface weights (a, b) of flux_divergence.
+    F maps h to the interface values a_m*h_i + b_m*h_{i+1}, with the weights
+    (a, b) of interface_weights; D maps interface values to the periodic
+    difference F_i - F_{i-1}.  D @ (F @ u) / dx is flux_divergence of both
+    species, bit for bit.
     """
     a, b = interface_weights(flux, grid)
     up = sp.eye(grid.nx, k=1) + sp.eye(grid.nx, k=1 - grid.nx)  # periodic: picks cell i+1
-    one = (
-        sp.kron(up, sp.diags(b))
-        - sp.kron(up.T, sp.diags(a))
-        + sp.kron(sp.eye(grid.nx), sp.diags(a - b))
-    )
-    matrix = sp.kron(sp.eye(2), one / grid.dx, format="csr")
-    matrix.eliminate_zeros()  # upwind has a = 0 or b = 0 at every velocity
-    return matrix
+    both_up = sp.kron(sp.eye(2), up)
+    interfaces = (sp.kron(sp.eye(2 * grid.nx), sp.diags(a)) + sp.kron(both_up, sp.diags(b))).tocsr()
+    interfaces.eliminate_zeros()  # upwind has a = 0 or b = 0 at every velocity
+    difference = sp.eye(2 * grid.n_unknowns) - sp.kron(both_up.T, sp.eye(grid.n_vel))
+    return interfaces, difference.tocsr()
 
 
 def gmres(
@@ -289,19 +224,19 @@ def gmres(
 
 
 class NonlinearStepper:
-    """Newton driver with a fixed grid, flux, and profile pair.
+    """Newton driver with a fixed grid, flux, profile pair and equilibrium level.
 
-    Each Newton update is solved by GMRES.  Its products with the Jacobian
-    are the constant transport matrix, built once here, plus the reaction's
-    derivative: a diagonal and, per site, a rank-one sum over velocities.
-    The preconditioner is the linear step at the uniform steady state,
-    solved per Fourier mode.  krylov_iterations lists the GMRES iterations
-    of every Newton update.
+    States are stack_pair vectors.  The transport is the pair (F, D) of
+    transport_pair, built once here: the residual applies D @ (F @ u) / dx,
+    and Jacobian products apply their product (D @ F) / dx, formed once.
+    Each Newton update is solved by GMRES; its products with the Jacobian
+    are that transport plus the reaction's derivative: a diagonal and, per
+    site, a rank-one sum over velocities.  The preconditioner is the linear
+    step at the uniform steady state of rho, solved per Fourier mode.
+    krylov_iterations lists the GMRES iterations of every Newton update.
 
     rho is the run's equilibrium level, fixed by its conserved mass
-    difference.  The truncated collision needs it, and the preconditioner
-    is built at it.  Without it, each preconditioner is built at the level
-    of the state it is looked up for.
+    difference; the truncated collision clamps into the envelope around it.
     """
 
     def __init__(
@@ -310,98 +245,107 @@ class NonlinearStepper:
         chi1: VelocityProfile,
         chi2: VelocityProfile,
         flux: Flux,
+        rho: float,
         envelope: BoundsEnvelope | None = None,
-        rho: float | None = None,
     ) -> None:
         self.grid = grid
         self.chi1 = chi1
         self.chi2 = chi2
         self.flux = flux
-        self.envelope = envelope
         self.rho = rho
-        self._transport = transport_matrix(flux, grid)
-        self._preconditioner: tuple[tuple[float, float], ImplicitLinearOperator] | None = None
+        self.envelope = envelope
+        self._cells = (2, grid.nx, grid.n_vel)
+        self._sources = np.stack([chi1.values, chi2.values])[:, None]
+        self._interfaces, self._difference = transport_pair(flux, grid)
+        transport = self._difference @ self._interfaces / grid.dx
+        transport.eliminate_zeros()  # the centered flux has a = b
+        transport.sort_indices()  # fixes the order in which each row sums
+        self._transport = transport
+        self._preconditioner: tuple[float, ImplicitLinearOperator] | None = None
         self.krylov_iterations: list[int] = []
 
-    def residual(self, state_next: SpeciesPair, state_prev: SpeciesPair, dt: float) -> SpeciesPair:
-        return residual_nonlinear(
-            state_next,
-            state_prev,
-            dt,
-            self.flux,
-            self.chi1,
-            self.chi2,
-            self.grid,
-            self.envelope,
-            self.rho,
-        )
+    def _reaction_state(self, cells: np.ndarray) -> np.ndarray:
+        """The (2, nx, 2*nv) cells the reaction is evaluated at: clamped if truncated."""
+        if self.envelope is None:
+            return cells
+        return truncate_state(cells, self.envelope, self.rho, self.chi1, self.chi2)
 
-    def _jacobian_product(
-        self, state: SpeciesPair, dt: float
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> J v, the exact derivative of the residual at the candidate new state.
+    def residual(self, u: np.ndarray, u_prev: np.ndarray, dt: float) -> np.ndarray:
+        """Pointwise defect of the backward-Euler step of
+
+            d/dt f + v d/dx f = chi1 - rho_g f,
+            d/dt g + v d/dx g = chi2 - rho_f g,
+
+        all reaction terms evaluated at the new state u.  With an envelope,
+        the reaction uses the clamped state (truncated scheme); transport and
+        the time increment always use the raw one.
+        """
+        if dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        eff = self._reaction_state(u.reshape(self._cells))
+        reaction = self._sources - self.grid.dv * eff.sum(axis=2)[::-1, :, None] * eff
+        transport = self._difference @ (self._interfaces @ u) / self.grid.dx
+        return (u - u_prev) / dt + transport - reaction.ravel()
+
+    def _jacobian_product(self, u: np.ndarray, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> J v, the exact derivative of the residual at the candidate new state u.
 
         J v = T v + (1/dt + rho_partner*mask) v + eff * (dv sum_m mask*v)_partner,
-        with T the transport matrix, eff the state the reaction is evaluated
-        at and rho its site densities.  With an envelope, eff is the clamped
-        state and mask is 1 where the clamp leaves a cell as it is and 0 where
-        it moves it (no derivative through the clamp); with none, eff is the
+        with T = (D @ F) / dx, eff the state the reaction is evaluated at and
+        rho its site densities.  With an envelope, eff is the clamped state
+        and mask is 1 where the clamp leaves a cell as it is and 0 where it
+        moves it (no derivative through the clamp); with none, eff is the
         state and mask is 1.
         """
         dv = self.grid.dv
-        raw = np.stack([state.f, state.g])
-        eff, mask = raw, 1.0
-        if self.envelope is not None:
-            clamped = truncate_state(state, self.envelope, self.rho, self.chi1, self.chi2)
-            eff = np.stack([clamped.f, clamped.g])
-            mask = (eff == raw).astype(float)
+        raw = u.reshape(self._cells)
+        eff = self._reaction_state(raw)
+        mask = 1.0 if eff is raw else (eff == raw).astype(float)
         diagonal = 1.0 / dt + dv * eff.sum(axis=2)[::-1, :, None] * mask
 
         def apply(v: np.ndarray) -> np.ndarray:
-            cells = v.reshape(raw.shape)
+            cells = v.reshape(self._cells)
             site = dv * (mask * cells).sum(axis=2)
             return self._transport @ v + (diagonal * cells + eff * site[::-1, :, None]).ravel()
 
         return apply
 
-    def jacobian(self, state: SpeciesPair, dt: float) -> np.ndarray:
+    def jacobian(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Dense Jacobian, read column by column from the product GMRES uses.
 
         For small grids.  At the steady state, dt times it is the linear step
         of ImplicitLinearOperator.
         """
-        apply = self._jacobian_product(state, dt)
-        return np.column_stack([apply(e) for e in np.eye(2 * self.grid.n_unknowns)])
+        apply = self._jacobian_product(u, dt)
+        return np.column_stack([apply(e) for e in np.eye(u.size)])
 
-    def steady_step(self, state: SpeciesPair, dt: float) -> ImplicitLinearOperator:
-        """Linear step at the run's steady state, kept per (dt, rho).
+    def steady_step(self, dt: float) -> ImplicitLinearOperator:
+        """Linear step at the steady state of rho, kept per dt.
 
         It is dt times the Jacobian at that steady state, so dt times its
         solve approximates J^{-1} while the state stays near equilibrium.
-        The steady state is the one of rho, else of state's mass difference.
         """
-        rho = self.rho if self.rho is not None else equilibrium_rho_from_state(state, self.grid)
-        if self._preconditioner is None or self._preconditioner[0] != (dt, rho):
-            op = ImplicitLinearOperator(self.grid, self.chi1, self.chi2, rho, dt, self.flux)
-            self._preconditioner = ((dt, rho), op)
+        if self._preconditioner is None or self._preconditioner[0] != dt:
+            op = ImplicitLinearOperator(self.grid, self.chi1, self.chi2, self.rho, dt, self.flux)
+            self._preconditioner = (dt, op)
         return self._preconditioner[1]
 
     def newton_update(
         self,
-        state: SpeciesPair,
-        res: SpeciesPair,
+        u: np.ndarray,
+        res: np.ndarray,
         dt: float,
         preconditioner: ImplicitLinearOperator,
     ) -> np.ndarray:
-        """Newton increment -J^{-1} res at state, by GMRES preconditioned with dt*solve.
+        """Newton increment -J^{-1} res at u, by GMRES preconditioned with dt*solve.
 
         Raises NewtonDivergedError when GMRES misses KRYLOV_TOL within
         KRYLOV_MAX_ITERATIONS.
         """
         delta, iterations = gmres(
-            self._jacobian_product(state, dt),
+            self._jacobian_product(u, dt),
             lambda v: dt * stack_pair(preconditioner.solve(unstack_pair(v, self.grid))),
-            -stack_pair(res),
+            -res,
             KRYLOV_TOL,
             KRYLOV_MAX_ITERATIONS,
         )
@@ -417,28 +361,28 @@ class NonlinearStepper:
         iteration budget is exhausted or when the converged state moved the
         conserved mass difference too far.
         """
-        state = state_prev.copy()
-        res = self.residual(state, state_prev, dt)
-        res_norm = max(np.max(np.abs(res.f)), np.max(np.abs(res.g)))
+        u_prev = stack_pair(state_prev)
+        u = u_prev
+        res = self.residual(u, u_prev, dt)
+        res_norm = np.max(np.abs(res))
         iterations = 0
-        # Every iterate keeps state_prev's mass difference, so one steady
-        # step serves the whole solve.
-        preconditioner = self.steady_step(state_prev, dt)
+        preconditioner = self.steady_step(dt)
         while res_norm > cfg.tol_residual:
             if iterations >= cfg.max_iterations:
                 raise NewtonDivergedError(
                     f"residual {res_norm:.3e} after {iterations} iterations "
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
-            delta = self.newton_update(state, res, dt, preconditioner)
+            delta = self.newton_update(u, res, dt, preconditioner)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
-            state = state + unstack_pair(delta, self.grid)
-            res = self.residual(state, state_prev, dt)
-            res_norm = max(np.max(np.abs(res.f)), np.max(np.abs(res.g)))
+            u = u + delta
+            res = self.residual(u, u_prev, dt)
+            res_norm = np.max(np.abs(res))
             if not math.isfinite(res_norm):
                 raise NewtonDivergedError(f"non-finite residual at dt {dt:.3e}")
             iterations += 1
+        state = unstack_pair(u, self.grid)
         m_prev = mass_difference(state_prev, self.grid)
         drift = abs(mass_difference(state, self.grid) - m_prev)
         if drift > cfg.mass_diff_drift_tol * (1.0 + abs(m_prev)):

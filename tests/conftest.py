@@ -24,9 +24,11 @@ from kinrec.runner import TIMESERIES_HEADER, Snapshot, _count, _fmt
 from kinrec.state import (
     SpeciesPair,
     build_equilibrium,
+    equilibrium_rho_from_state,
     macroscopic_densities,
     mass_difference,
     moments_ujs,
+    stack_pair,
     weighted_norm,
 )
 
@@ -162,8 +164,13 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     column by column from the product Newton's GMRES uses, for comparison
     with the per-mode solve and with dense_reference_operator.
     """
-    equilibrium = build_equilibrium(rho, chi1, chi2, grid).state
-    return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt)
+    equilibrium = stack_pair(build_equilibrium(rho, chi1, chi2, grid).state)
+    return dt * NonlinearStepper(grid, chi1, chi2, flux, rho).jacobian(equilibrium, dt)
+
+
+def make_stepper(grid, chi1, chi2, flux, state) -> NonlinearStepper:
+    """Newton stepper at the equilibrium level of state's mass difference."""
+    return NonlinearStepper(grid, chi1, chi2, flux, equilibrium_rho_from_state(state, grid))
 
 
 def physical_diagnostics(deviation, pot, dt, setup):

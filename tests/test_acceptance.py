@@ -48,7 +48,6 @@ from kinrec.nonlinear import (
     NonlinearStepper,
     adaptive_advance,
     check_maximum_principle,
-    residual_nonlinear,
     verify_moment_schemes_nonlinear,
 )
 from kinrec.runner import build_setup, execute_run, run_experiment
@@ -60,7 +59,6 @@ from kinrec.state import (
     moments_ujs,
     project_pi,
     stack_pair,
-    unstack_pair,
     weighted_inner,
     weighted_norm,
 )
@@ -103,7 +101,7 @@ def envelope_march(setup, flux, state, envelope, rho_hat, t_final):
     None, smallest and largest f/chi1 ratio seen).
     """
     cfg = setup.cfg
-    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, flux)
+    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, flux, rho_hat)
     newton_cfg = NewtonConfig(tol_residual=cfg.newton_tol,
                               max_iterations=cfg.newton_max_iterations,
                               mass_diff_drift_tol=1e-10)
@@ -387,19 +385,18 @@ def test_criterion_08_newton_jacobian_exactness():
     n = grid.n_unknowns
     worst = 0.0
     for _ in range(3):
-        state = random_positive_pair(grid, rng)
+        base = stack_pair(random_positive_pair(grid, rng))
         prev = random_positive_pair(grid, rng)
-        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux,
+                                   equilibrium_rho_from_state(prev, grid))
+        exact = stepper.jacobian(base, dt)
         fd = np.empty((2 * n, 2 * n))
-        base = stack_pair(state)
         for col in range(2 * n):
             plus, minus = base.copy(), base.copy()
             plus[col] += h
             minus[col] -= h
-            r_plus = stack_pair(residual_nonlinear(
-                unstack_pair(plus, grid), prev, dt, flux, chi1, chi2, grid))
-            r_minus = stack_pair(residual_nonlinear(
-                unstack_pair(minus, grid), prev, dt, flux, chi1, chi2, grid))
+            r_plus = stepper.residual(plus, stack_pair(prev), dt)
+            r_minus = stepper.residual(minus, stack_pair(prev), dt)
             fd[:, col] = (r_plus - r_minus) / (2.0 * h)
         gap = float(np.max(np.abs(exact - fd)))
         worst = max(worst, gap)
@@ -409,7 +406,7 @@ def test_criterion_08_newton_jacobian_exactness():
     eq = setup.equilibrium.state
     newton_cfg = NewtonConfig(tol_residual=1e-11, max_iterations=25,
                               mass_diff_drift_tol=1e-10)
-    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux)
+    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux, setup.rho)
     result, iterations = stepper.newton(eq, 0.1, newton_cfg)
     assert iterations <= 1
     drift = np.max(np.abs(stack_pair(result) - stack_pair(eq)))
@@ -437,7 +434,7 @@ def test_criterion_09_moment_scheme_consistency():
 
     cfg3 = load_config(None, {"test": 3})
     s3 = build_setup(cfg3)
-    stepper = NonlinearStepper(s3.grid, s3.chi1, s3.chi2, s3.flux)
+    stepper = NonlinearStepper(s3.grid, s3.chi1, s3.chi2, s3.flux, s3.rho)
     newton_cfg = NewtonConfig(tol_residual=cfg3.newton_tol,
                               max_iterations=cfg3.newton_max_iterations)
     controller = AdaptiveController(dt_min=cfg3.dt_min, dt_max=cfg3.dt_max)

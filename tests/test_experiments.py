@@ -199,7 +199,7 @@ class TestMarches:
 
     def test_linear_march_factorizes_nothing(self, monkeypatch):
         # The linear step is solved per Fourier mode: a run neither factorizes
-        # nor builds the sparse transport matrix of Newton's Jacobian product.
+        # nor builds the sparse transport pair of Newton's residual and J v.
         def refuse(*args, **kwargs):
             raise AssertionError("the linear march called splu")
 
@@ -214,7 +214,7 @@ class TestMarches:
             raise AssertionError("the linear march assembled a sparse matrix")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
-        monkeypatch.setattr(nonlinear, "transport_matrix", refuse_assembly)
+        monkeypatch.setattr(nonlinear, "transport_pair", refuse_assembly)
         monkeypatch.setattr(runner, "assemble_linear_operator", recording)
         data = execute_run(tiny_config(t_final=0.5))
         assert data.summary.n_steps == 5
@@ -288,17 +288,18 @@ class TestMarches:
         assert data.summary.n_steps >= 1
         assert data.summary.krylov_iterations >= sum(r.newton_iterations for r in data.records[1:])
 
-    def test_nonlinear_march_assembles_one_sparse_matrix(self, monkeypatch):
-        # The transport matrix is the run's only sparse matrix, built once;
-        # each Newton iteration only forms its reaction terms.
-        assemble = nonlinear.transport_matrix
+    def test_nonlinear_march_builds_the_transport_pair_once(self, monkeypatch):
+        # The transport pair and its product are the run's only sparse
+        # matrices, built once; each Newton iteration only forms its reaction
+        # terms.
+        assemble = nonlinear.transport_pair
         built = []
 
         def recording(*args):
             built.append(assemble(*args))
             return built[-1]
 
-        monkeypatch.setattr(nonlinear, "transport_matrix", recording)
+        monkeypatch.setattr(nonlinear, "transport_pair", recording)
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
         assert sum(r.newton_iterations for r in data.records[1:]) >= 2
         assert len(built) == 1
@@ -641,6 +642,25 @@ class TestCli:
         assert "grid.nx" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--tfinal", "nan"], "time.t_final"),
+            (["--tfinal", "inf"], "time.t_final"),
+            (["--dt", "nan"], "time.dt"),
+            (["--snapshots", "nan"], "output.snapshots"),
+            (["--snapshots", "0,inf"], "output.snapshots"),
+            (["--vstar", "nan"], "grid.vstar"),
+            (["--model", "nonlinear", "--tfinal", "nan"], "time.t_final"),
+            (["--model", "nonlinear", "--dt-max", "inf"], "time.dt_max"),
+        ],
+    )
+    def test_non_finite_number_exits_two_naming_the_field(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "never"
+        assert main([*flags, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [["--tfinal", "0.55", "--snapshots", "0,0.3,0.55"], ["--dt", "0.3", "--tfinal", "1.0"]],
     )
@@ -673,14 +693,20 @@ class TestCli:
             ("[model]\nkind = nonlinear\n\n[time]\ndt_min = 0\n", "time.dt_min"),
             ("[model]\nchi1 = file:{absent}\n", "model.chi1"),
             ("[model]\nchi2 = file:{five}\n", "model.chi2"),
+            ("[model]\nchi1 = file:{huge}\n", "model.chi1"),
+            ("[model]\nlambda = nan\n", "model.lambda"),
+            ("[model]\nkind = nonlinear\n\n[time]\ndt_min = nan\n", "time.dt_min"),
         ],
-        ids=["zero-dt-min", "missing-profile-file", "wrong-sample-count"],
+        ids=["zero-dt-min", "missing-profile-file", "wrong-sample-count", "infinite-sample",
+             "nan-lambda", "nan-dt-min"],
     )
     def test_bad_config_exits_two_naming_the_field(self, tmp_path, capsys, ini, field):
         five = tmp_path / "five.txt"
         five.write_text("1.0 2.0 2.0 1.0 0.5\n")  # nv = 2 takes four samples
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1.0 1e400 1e400 1.0\n")  # 1e400 reads as inf
         path = tmp_path / "bad.ini"
-        path.write_text(ini.format(absent=tmp_path / "absent.txt", five=five))
+        path.write_text(ini.format(absent=tmp_path / "absent.txt", five=five, huge=huge))
         out = tmp_path / "never"
         assert main([str(path), "--nx", "7", "--nv", "2", "--tfinal", "0.2", "--out", str(out)]) == 2
         assert field in capsys.readouterr().err

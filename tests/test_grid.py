@@ -268,6 +268,16 @@ class TestProfiles:
         with pytest.raises(ValueError, match="positive"):
             profile_from_samples(samples, grid)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, 1e308], ids=["inf", "overflowing-sum"])
+    def test_samples_without_a_finite_sum_rejected(self, bad):
+        # Either would normalise to a profile of NaN or zeros.
+        grid = make_grid(nv=4)
+        samples = np.ones(grid.n_vel)
+        samples[[2, -3]] = bad
+        with pytest.raises(ValueError, match="finite sum"):
+            profile_from_samples(samples, grid)
+
     def test_asymmetric_samples_rejected_without_symmetrize(self):
         grid = make_grid(nv=4)
         samples = 1.0 + 0.1 * np.arange(grid.n_vel)

@@ -1,13 +1,15 @@
 """Newton solver for the full system, envelope truncation, adaptive stepping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
-from conftest import make_grid, make_profiles, random_pair, random_positive_pair
+from conftest import make_grid, make_profiles, make_stepper, random_pair, random_positive_pair
 from kinrec import nonlinear
-from kinrec.linear import Flux, ImplicitLinearOperator, residual_linear
+from kinrec.linear import Flux, ImplicitLinearOperator, flux_divergence, residual_linear
 from kinrec.nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -17,7 +19,7 @@ from kinrec.nonlinear import (
     StepFailedError,
     adaptive_advance,
     check_maximum_principle,
-    residual_nonlinear,
+    transport_pair,
     truncate_state,
     verify_moment_schemes_nonlinear,
 )
@@ -25,6 +27,7 @@ from kinrec.state import (
     SpeciesPair,
     build_equilibrium,
     equilibrium_rho,
+    equilibrium_rho_from_state,
     mass_difference,
     stack_pair,
     unstack_pair,
@@ -71,12 +74,9 @@ class TestResidual:
     def test_equilibrium_is_a_fixed_point(self, setting):
         grid, chi1, chi2 = setting
         for rho in (0.5, 1.0, 2.0):
-            eq = build_equilibrium(rho, chi1, chi2, grid)
-            res = residual_nonlinear(
-                eq.state, eq.state, 0.2, Flux.lax_friedrichs(1.5), chi1, chi2, grid
-            )
-            assert float(np.max(np.abs(res.f))) <= 1e-12
-            assert float(np.max(np.abs(res.g))) <= 1e-12
+            u = stack_pair(build_equilibrium(rho, chi1, chi2, grid).state)
+            stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), rho)
+            assert float(np.max(np.abs(stepper.residual(u, u, 0.2)))) <= 1e-12
 
     @pytest.mark.parametrize(
         "flux",
@@ -87,7 +87,8 @@ class TestResidual:
         grid, chi1, chi2 = setting
         rng = np.random.default_rng(1)
         nxt, prev = random_positive_pair(grid, rng), random_positive_pair(grid, rng)
-        got = residual_nonlinear(nxt, prev, 0.1, flux, chi1, chi2, grid)
+        stepper = make_stepper(grid, chi1, chi2, flux, prev)
+        got = unstack_pair(stepper.residual(stack_pair(nxt), stack_pair(prev), 0.1), grid)
         want = naive_residual(nxt, prev, 0.1, flux, chi1, chi2, grid)
         np.testing.assert_allclose(got.f, want.f, atol=1e-12)
         np.testing.assert_allclose(got.g, want.g, atol=1e-12)
@@ -103,11 +104,13 @@ class TestResidual:
         rng = np.random.default_rng(2)
         a, b = random_pair(grid, rng), random_pair(grid, rng)
         dt = 0.2
+        stepper = NonlinearStepper(grid, chi1, chi2, flux, rho)
         errs = []
         eps_values = (1e-2, 1e-3, 1e-4)
         for eps in eps_values:
-            full = residual_nonlinear(
-                eq.state + eps * a, eq.state + eps * b, dt, flux, chi1, chi2, grid
+            full = unstack_pair(
+                stepper.residual(stack_pair(eq.state + eps * a), stack_pair(eq.state + eps * b), dt),
+                grid,
             )
             lin = residual_linear(a, b, dt, flux, chi1, chi2, rho, grid)
             gap = full - eps * lin
@@ -118,29 +121,59 @@ class TestResidual:
     def test_nonpositive_dt_rejected(self, setting):
         grid, chi1, chi2 = setting
         state = random_positive_pair(grid, np.random.default_rng(3))
+        u = stack_pair(state)
         with pytest.raises(ValueError, match="dt"):
-            residual_nonlinear(state, state, 0.0, Flux.centered(), chi1, chi2, grid)
+            make_stepper(grid, chi1, chi2, Flux.centered(), state).residual(u, u, 0.0)
+
+
+class TestTransportPair:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        nx=st.integers(min_value=1, max_value=50).map(lambda half: 2 * half + 1),
+        nv=st.integers(min_value=1, max_value=8),
+        kind=st.sampled_from(["lax-friedrichs", "centered", "upwind"]),
+        lam=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_residual_and_product_apply_the_same_transport(self, nx, nv, kind, lam, seed):
+        # D (F u) / dx is flux_divergence bit for bit, and the residual at
+        # u_prev = u is that transport minus the reaction.  J v applies
+        # (D F) / dx, its rows summed in column order: at the zero state with
+        # dt = inf, J v has no reaction or time term left.
+        flux = Flux.lax_friedrichs(lam) if kind == "lax-friedrichs" else Flux(kind)
+        grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
+        chi1, chi2 = make_profiles(grid)
+        state = random_pair(grid, np.random.default_rng(seed))
+        u = stack_pair(state)
+        interfaces, difference = transport_pair(flux, grid)
+        divergence = unstack_pair(difference @ (interfaces @ u) / grid.dx, grid)
+        assert np.array_equal(divergence.f, flux_divergence(state.f, flux, grid))
+        assert np.array_equal(divergence.g, flux_divergence(state.g, flux, grid))
+
+        stepper = NonlinearStepper(grid, chi1, chi2, flux, 1.0)
+        cells = u.reshape(2, grid.nx, grid.n_vel)
+        sources = np.stack([chi1.values, chi2.values])[:, None]
+        reaction = sources - grid.dv * cells.sum(axis=2)[::-1, :, None] * cells
+        assert np.array_equal(stepper.residual(u, u, 0.1), stack_pair(divergence) - reaction.ravel())
+
+        product = difference @ interfaces / grid.dx
+        product.sort_indices()
+        transport = stepper._jacobian_product(np.zeros_like(u), math.inf)
+        assert np.array_equal(transport(u), product @ u)
 
 
 class TestJacobian:
     @staticmethod
-    def fd_jacobian(state, dt, flux, chi1, chi2, grid, envelope=None, rho=None):
-        base = stack_pair(state)
+    def fd_jacobian(stepper, base, dt):
         n = base.size
         jac = np.zeros((n, n))
         h = 1e-6
         for k in range(n):
             bump = np.zeros(n)
             bump[k] = h
-            plus = residual_nonlinear(
-                unstack_pair(base + bump, grid), state, dt, flux, chi1, chi2, grid,
-                envelope, rho,
-            )
-            minus = residual_nonlinear(
-                unstack_pair(base - bump, grid), state, dt, flux, chi1, chi2, grid,
-                envelope, rho,
-            )
-            jac[:, k] = (stack_pair(plus) - stack_pair(minus)) / (2.0 * h)
+            plus = stepper.residual(base + bump, base, dt)
+            minus = stepper.residual(base - bump, base, dt)
+            jac[:, k] = (plus - minus) / (2.0 * h)
         return jac
 
     # jacobian() reads the product GMRES uses, so central differences of the
@@ -162,8 +195,9 @@ class TestJacobian:
         chi1, chi2 = make_profiles(grid)
         state = random_positive_pair(grid, np.random.default_rng(4))
         dt = 0.15
-        exact = NonlinearStepper(grid, chi1, chi2, flux).jacobian(state, dt)
-        approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid)
+        stepper = make_stepper(grid, chi1, chi2, flux, state)
+        exact = stepper.jacobian(stack_pair(state), dt)
+        approx = self.fd_jacobian(stepper, stack_pair(state), dt)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
     @GRIDS
@@ -180,10 +214,11 @@ class TestJacobian:
         g = np.tile(chi2.values / rho, (grid.nx, 1))
         f[0] = 2.0 * chi1.values       # clamped from above
         g[1] = 0.2 * chi2.values       # clamped from below
-        state = SpeciesPair(f, g)
+        u = stack_pair(SpeciesPair(f, g))
         dt = 0.15
-        exact = NonlinearStepper(grid, chi1, chi2, flux, envelope, rho).jacobian(state, dt)
-        approx = self.fd_jacobian(state, dt, flux, chi1, chi2, grid, envelope, rho)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux, rho, envelope)
+        exact = stepper.jacobian(u, dt)
+        approx = self.fd_jacobian(stepper, u, dt)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
 
@@ -218,12 +253,12 @@ class TestAugmentedNewtonUpdate:
 
         state, prev = positive_state(), positive_state()
         envelope = BoundsEnvelope(0.3 * rho, 0.3 * rho) if truncated else None
-        stepper = NonlinearStepper(
-            grid, chi1, chi2, flux, envelope, rho if truncated else None
-        )
-        res = stepper.residual(state, prev, dt)
-        delta = stepper.newton_update(state, res, dt, stepper.steady_step(prev, dt))
-        reference = np.linalg.solve(stepper.jacobian(state, dt), -stack_pair(res))
+        level = rho if truncated else equilibrium_rho_from_state(prev, grid)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux, level, envelope)
+        u = stack_pair(state)
+        res = stepper.residual(u, stack_pair(prev), dt)
+        delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt))
+        reference = np.linalg.solve(stepper.jacobian(u, dt), -res)
         assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
         # The mass difference of the residual is the step's mass change over
@@ -241,7 +276,7 @@ class TestNewton:
         eq = build_equilibrium(1.4, chi1, chi2, grid)
         cfg = NewtonConfig()
         state, iterations = NonlinearStepper(
-            grid, chi1, chi2, Flux.lax_friedrichs(1.5)
+            grid, chi1, chi2, Flux.lax_friedrichs(1.5), 1.4
         ).newton(eq.state, 0.2, cfg)
         assert iterations <= 1
         np.testing.assert_allclose(state.f, eq.state.f, atol=1e-10)
@@ -257,7 +292,7 @@ class TestNewton:
         prev = SpeciesPair(np.tile(row_f, (grid.nx, 1)), np.tile(row_g, (grid.nx, 1)))
         dt = 0.25
         cfg = NewtonConfig(tol_residual=1e-13)
-        state, _ = NonlinearStepper(grid, chi1, chi2, Flux.upwind()).newton(prev, dt, cfg)
+        state, _ = make_stepper(grid, chi1, chi2, Flux.upwind(), prev).newton(prev, dt, cfg)
 
         def cell_residual(z):
             zf, zg = z[:nvel], z[nvel:]
@@ -275,10 +310,10 @@ class TestNewton:
         grid, chi1, chi2 = setting
         prev = random_positive_pair(grid, np.random.default_rng(6))
         cfg = NewtonConfig(tol_residual=1e-12)
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
         state, iterations = stepper.newton(prev, 0.1, cfg)
-        res = stepper.residual(state, prev, 0.1)
-        assert max(np.max(np.abs(res.f)), np.max(np.abs(res.g))) <= 1e-12
+        res = stepper.residual(stack_pair(state), stack_pair(prev), 0.1)
+        assert np.max(np.abs(res)) <= 1e-12
         assert 1 <= iterations <= 10
 
     def test_iteration_budget_enforced(self, setting):
@@ -286,7 +321,7 @@ class TestNewton:
         prev = random_positive_pair(grid, np.random.default_rng(7))
         cfg = NewtonConfig(tol_residual=1e-30, max_iterations=2)
         with pytest.raises(NewtonDivergedError, match="iterations"):
-            NonlinearStepper(grid, chi1, chi2, Flux.centered()).newton(prev, 0.1, cfg)
+            make_stepper(grid, chi1, chi2, Flux.centered(), prev).newton(prev, 0.1, cfg)
 
     def test_newton_builds_one_preconditioner(self, setting, monkeypatch):
         # Every iterate keeps the previous state's mass difference, so one
@@ -301,7 +336,7 @@ class TestNewton:
 
         monkeypatch.setattr(nonlinear, "ImplicitLinearOperator", Counting)
         prev = random_positive_pair(grid, np.random.default_rng(11))
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
         _, iterations = stepper.newton(prev, 0.5, NewtonConfig(tol_residual=1e-12))
         assert iterations >= 2
         assert len(built) == 1
@@ -311,14 +346,15 @@ class TestNewton:
         # update: it raises the error on which adaptive_advance shrinks dt.
         grid, chi1, chi2 = setting
         prev = random_positive_pair(grid, np.random.default_rng(10))
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
-        res = stepper.residual(prev, prev, 0.2)
-        preconditioner = stepper.steady_step(prev, 0.2)
-        stepper.newton_update(prev, res, 0.2, preconditioner)
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
+        u = stack_pair(prev)
+        res = stepper.residual(u, u, 0.2)
+        preconditioner = stepper.steady_step(0.2)
+        stepper.newton_update(u, res, 0.2, preconditioner)
         assert stepper.krylov_iterations[-1] > 1
         monkeypatch.setattr(nonlinear, "KRYLOV_MAX_ITERATIONS", 1)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
-            stepper.newton_update(prev, res, 0.2, preconditioner)
+            stepper.newton_update(u, res, 0.2, preconditioner)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
             stepper.newton(prev, 0.2, NewtonConfig())
 
@@ -330,13 +366,13 @@ class TestNewton:
         prev = random_positive_pair(grid, rng)
         cfg = NewtonConfig(tol_residual=1e-9, mass_diff_drift_tol=1e-18)
         with pytest.raises(NewtonDivergedError, match="drift"):
-            NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5)).newton(prev, 0.2, cfg)
+            make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev).newton(prev, 0.2, cfg)
 
     def test_mass_conserved_over_steps(self, setting):
         grid, chi1, chi2 = setting
         state = random_positive_pair(grid, np.random.default_rng(9))
         before = mass_difference(state, grid)
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), state)
         cfg = NewtonConfig(tol_residual=1e-13)
         for _ in range(10):
             state, _ = stepper.newton(state, 0.1, cfg)
@@ -377,11 +413,10 @@ class TestEnvelope:
         rho = 1.0
         env = BoundsEnvelope(gamma1=0.2, gamma2=0.2)
         state = random_positive_pair(grid, np.random.default_rng(11))
-        once = truncate_state(state, env, rho, chi1, chi2)
+        once = truncate_state(np.stack([state.f, state.g]), env, rho, chi1, chi2)
         twice = truncate_state(once, env, rho, chi1, chi2)
-        np.testing.assert_array_equal(once.f, twice.f)
-        np.testing.assert_array_equal(once.g, twice.g)
-        report = check_maximum_principle(once, env, rho, chi1, chi2)
+        np.testing.assert_array_equal(once, twice)
+        report = check_maximum_principle(SpeciesPair(*once), env, rho, chi1, chi2)
         assert report.passed
 
     def test_truncation_is_identity_inside_the_band(self, setting):
@@ -392,9 +427,8 @@ class TestEnvelope:
             np.tile((rho + 0.1) * chi1.values, (grid.nx, 1)),
             np.tile(chi2.values / (rho + 0.1), (grid.nx, 1)),
         )
-        out = truncate_state(inside, env, rho, chi1, chi2)
-        np.testing.assert_array_equal(out.f, inside.f)
-        np.testing.assert_array_equal(out.g, inside.g)
+        cells = np.stack([inside.f, inside.g])
+        np.testing.assert_array_equal(truncate_state(cells, env, rho, chi1, chi2), cells)
 
     def test_report_flags_violations(self, setting):
         grid, chi1, chi2 = setting
@@ -481,7 +515,7 @@ class TestAdaptiveControl:
         bump = np.outer(0.05 * np.cos(2 * np.pi * grid.x_centers / grid.torus_length),
                         chi1.values)
         state = SpeciesPair(eq.state.f + bump, eq.state.g.copy())
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), state)
         controller = AdaptiveController(dt_min=1e-8, dt_max=0.3)
         cfg = NewtonConfig()
         dt = 1e-3
@@ -518,7 +552,7 @@ class TestMaximumPrinciplePropagation:
             np.outer((1.0 - 0.7 * wave) / rho, chi2.values),
         )
         lam = grid.v_star / 2.0
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam))
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), state)
         cfg = NewtonConfig()
         dt = 0.05
         for _ in range(40):
@@ -534,7 +568,7 @@ class TestNonlinearMomentSchemes:
         eq = build_equilibrium(rho, chi1, chi2, grid)
         lam = 1.5
         dt = 0.1
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam))
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), rho)
         cfg = NewtonConfig(tol_residual=1e-13)
         for _ in range(5):
             nxt, _ = stepper.newton(state, dt, cfg)
@@ -548,7 +582,7 @@ class TestNonlinearMomentSchemes:
         state = random_positive_pair(grid, np.random.default_rng(15))
         eq = build_equilibrium(1.0, chi1, chi2, grid)
         lam, dt = 1.5, 0.1
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam))
+        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), state)
         nxt, _ = stepper.newton(state, dt, NewtonConfig(tol_residual=1e-13))
         bad = nxt.copy()
         bad.f[1, 0] += 1e-3
