@@ -130,10 +130,12 @@ class ImplicitLinearOperator:
         self._a = grid.dv * self._coupling.sum(axis=2)
         self._det = 1.0 - self._a[:, :1] * self._a[:, 1:]
 
-    def solve(self, rhs: SpeciesPair) -> SpeciesPair:
-        modes = rfft_pair(rhs)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for a stack_pair vector; the solution is a new stack_pair vector."""
+        grid = self.grid
+        modes = rfft_pair(rhs.reshape(2, grid.nx, grid.n_vel))
         self.solve_modes(modes)
-        return irfft_pair(modes, rhs.f.shape[0])
+        return irfft_pair(modes, grid.nx).ravel()
 
     def solve_modes(self, modes: np.ndarray) -> None:
         """Overwrite the rfft_pair modes of a right-hand side with those of the solution."""

@@ -344,7 +344,7 @@ class NonlinearStepper:
         """
         delta, iterations = gmres(
             self._jacobian_product(u, dt),
-            lambda v: dt * stack_pair(preconditioner.solve(unstack_pair(v, self.grid))),
+            lambda v: dt * preconditioner.solve(v),
             -res,
             KRYLOV_TOL,
             KRYLOV_MAX_ITERATIONS,

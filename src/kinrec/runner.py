@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -285,7 +286,7 @@ class DiagnosticsRecorder:
         self.records.append(record)
         while self._pending and t >= self._pending[0] - 1e-9:
             if state is None:
-                state = irfft_pair(modes, grid.nx)
+                state = SpeciesPair(*irfft_pair(modes, grid.nx))
             self.snapshots.append(
                 Snapshot(requested_t=self._pending.pop(0), actual_t=t, state=state.copy())
             )
@@ -482,20 +483,30 @@ def timeseries_csv(records: list[TimeSeriesRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def snapshot_csv(snapshot: Snapshot, grid: GridSpec) -> str:
-    lines = [
-        "# t=%s" % _fmt(snapshot.actual_t),
-        "# N=%d L=%d" % (grid.nx, grid.nv),
-        "i,j,x,v,f,g",
-    ]
-    f, g = snapshot.state.f, snapshot.state.g
+def snapshot_templates(grid: GridSpec) -> list[str]:
+    """Per cell i, the format string of its 2*nv snapshot rows, open for f and g.
+
+    The i,j,x,v start of a row is the same in every snapshot of a run, so a
+    run formats it once.
+    """
     v = grid.v_centers.tolist()
-    for i, x in enumerate(grid.x_centers.tolist()):
-        lines.extend(
-            "%d,%d,%.17g,%.17g,%.17g,%.17g" % (i, j, x, v[j], f_ij, g_ij)
-            for j, (f_ij, g_ij) in enumerate(zip(f[i].tolist(), g[i].tolist()))
-        )
-    return "\n".join(lines) + "\n"
+    return [
+        "".join("%d,%d,%.17g,%.17g,%%.17g,%%.17g\n" % (i, j, x, v_j) for j, v_j in enumerate(v))
+        for i, x in enumerate(grid.x_centers.tolist())
+    ]
+
+
+def snapshot_chunks(snapshot: Snapshot, grid: GridSpec, templates: list[str]) -> Iterator[str]:
+    """The text of a snapshot CSV: the header, then the rows of one cell at a time."""
+    yield "# t=%s\n# N=%d L=%d\ni,j,x,v,f,g\n" % (_fmt(snapshot.actual_t), grid.nx, grid.nv)
+    # Per cell, f and g alternate over the velocities, in the order of the rows.
+    values = np.stack([snapshot.state.f, snapshot.state.g], axis=-1).reshape(grid.nx, -1)
+    for template, cell in zip(templates, values):
+        yield template % tuple(cell.tolist())
+
+
+def snapshot_csv(snapshot: Snapshot, grid: GridSpec) -> str:
+    return "".join(snapshot_chunks(snapshot, grid, snapshot_templates(grid)))
 
 
 def _snapshot_tag(requested_t: float) -> str:
@@ -575,9 +586,11 @@ def write_outputs(data: RunData, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "timeseries.csv").write_text(timeseries_csv(data.records), encoding="utf-8")
+    templates = snapshot_templates(data.setup.grid)
     for snapshot in data.snapshots:
         name = f"snapshot_t{_snapshot_tag(snapshot.requested_t)}.csv"
-        (out / name).write_text(snapshot_csv(snapshot, data.setup.grid), encoding="utf-8")
+        with open(out / name, "w", encoding="utf-8") as fh:
+            fh.writelines(snapshot_chunks(snapshot, data.setup.grid, templates))
     (out / "summary.txt").write_text(summary_text(data), encoding="utf-8")
     (out / "config.ini").write_text(effective_config_text(data.setup.cfg), encoding="utf-8")
     if data.setup.cfg.emit_plot_script:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,17 +46,60 @@ def unstack_pair(x: np.ndarray, grid: GridSpec) -> SpeciesPair:
     return SpeciesPair(x[:n].reshape(shape).copy(), x[n:].reshape(shape).copy())
 
 
-def rfft_pair(state: SpeciesPair) -> np.ndarray:
-    """Spatial rfft of both species, shape (nx//2+1, 2, 2*nv): mode, species, velocity."""
-    n_vel = state.f.shape[1]
-    return np.fft.rfft(np.hstack([state.f, state.g]), axis=0).reshape(-1, 2, n_vel)
+# Largest nx whose periodic transforms are products with the dense real DFT
+# matrices of dft_matrices.  Up to it the products beat np.fft on all but a
+# few composite nx; above it np.fft wins on most nx, and the matrices grow as
+# nx^2.  Set from forward and inverse pairs timed on both paths, one BLAS
+# thread (CHANGES.md).
+DENSE_DFT_MAX_NX = 151
 
 
-def irfft_pair(modes: np.ndarray, nx: int) -> SpeciesPair:
-    """Inverse of rfft_pair on a grid of nx cells."""
-    n_vel = modes.shape[2]
-    out = np.fft.irfft(modes.reshape(-1, 2 * n_vel), n=nx, axis=0)
-    return SpeciesPair(out[:, :n_vel], out[:, n_vel:])
+@functools.lru_cache(maxsize=8)
+def dft_matrices(nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real DFT matrices of the rfft on an odd nx, built on first use.
+
+    forward, of shape (2*(nx//2+1), nx), stacks cos and -sin: its products
+    with x are the real parts of rfft(x) over modes k, then the imaginary
+    parts.  inverse, of shape (nx, 2*(nx//2+1)), maps those parts back to
+    irfft's x: weight 1/nx at k = 0 and 2/nx above, with no Nyquist term
+    since nx is odd.  Both are cached and shared, so they are read-only.
+    """
+    k = np.arange(nx // 2 + 1)
+    theta = 2.0 * np.pi / nx * (np.outer(k, np.arange(nx)) % nx)
+    forward = np.concatenate([np.cos(theta), -np.sin(theta)])
+    weights = np.tile(np.where(k == 0, 1.0, 2.0) / nx, 2)
+    inverse = np.ascontiguousarray((weights[:, None] * forward).T)
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
+def rfft_pair(cells: SpeciesPair | np.ndarray) -> np.ndarray:
+    """Spatial rfft of both species, shape (nx//2+1, 2, 2*nv): mode, species, velocity.
+
+    cells is a SpeciesPair or the (2, nx, 2*nv) view of a stack_pair
+    vector.  The modes are a new C-contiguous complex array.
+    """
+    if isinstance(cells, SpeciesPair):
+        cells = np.stack([cells.f, cells.g])
+    _, nx, n_vel = cells.shape
+    if nx > DENSE_DFT_MAX_NX:
+        return np.ascontiguousarray(np.fft.rfft(cells, axis=1).transpose(1, 0, 2))
+    n_modes = nx // 2 + 1
+    parts = dft_matrices(nx)[0] @ cells  # species, (real | imaginary, mode), velocity
+    modes = np.empty((n_modes, 2, n_vel), dtype=complex)
+    interleaved = modes.view(float).reshape(n_modes, 2, n_vel, 2)
+    interleaved.transpose(1, 3, 0, 2)[...] = parts.reshape(2, 2, n_modes, n_vel)
+    return modes
+
+
+def irfft_pair(modes: np.ndarray, nx: int) -> np.ndarray:
+    """Inverse of rfft_pair on nx cells, as the (2, nx, 2*nv) view of a new stack_pair vector."""
+    n_modes, _, n_vel = modes.shape
+    if nx > DENSE_DFT_MAX_NX:
+        return np.ascontiguousarray(np.fft.irfft(modes, n=nx, axis=0).transpose(1, 0, 2))
+    interleaved = modes.view(float).reshape(n_modes, 2, n_vel, 2)
+    parts = interleaved.transpose(1, 3, 0, 2).reshape(2, 2 * n_modes, n_vel)
+    return dft_matrices(nx)[1] @ parts
 
 
 def mass_difference(state: SpeciesPair, grid: GridSpec) -> float:

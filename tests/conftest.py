@@ -29,6 +29,7 @@ from kinrec.state import (
     mass_difference,
     moments_ujs,
     stack_pair,
+    unstack_pair,
     weighted_norm,
 )
 
@@ -168,6 +169,11 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     return dt * NonlinearStepper(grid, chi1, chi2, flux, rho).jacobian(equilibrium, dt)
 
 
+def solve_pair(op, state: SpeciesPair) -> SpeciesPair:
+    """op.solve of a SpeciesPair, through the stack_pair vectors it takes and returns."""
+    return unstack_pair(op.solve(stack_pair(state)), op.grid)
+
+
 def make_stepper(grid, chi1, chi2, flux, state) -> NonlinearStepper:
     """Newton stepper at the equilibrium level of state's mass difference."""
     return NonlinearStepper(grid, chi1, chi2, flux, equilibrium_rho_from_state(state, grid))
@@ -208,7 +214,7 @@ def physical_linear_march(setup):
     records, snapshots, pot = [], [], None
     for n in range(round(cfg.t_final / cfg.dt) + 1):
         if n > 0:
-            deviation = op.solve(deviation)
+            deviation = solve_pair(op, deviation)
         t = n * cfg.dt
         norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
             deviation, pot, cfg.dt, setup

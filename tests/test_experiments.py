@@ -17,7 +17,7 @@ from conftest import (
     physical_diagnostics,
     physical_linear_march,
 )
-from kinrec import nonlinear, runner
+from kinrec import linear, nonlinear, runner
 from kinrec.cli import build_parser, main, overrides_from_args
 from kinrec.config import ParseError, RunConfig, ValidationError, load_config
 from kinrec.diagnostics import fit_decay_rate
@@ -43,6 +43,7 @@ from kinrec.runner import (
 from kinrec.state import (
     SpeciesPair,
     build_equilibrium,
+    irfft_pair,
     mass_difference,
     moments_ujs,
     rfft_pair,
@@ -232,8 +233,9 @@ class TestMarches:
 
             return call
 
-        monkeypatch.setattr(np.fft, "rfft", counting("rfft", np.fft.rfft))
-        monkeypatch.setattr(np.fft, "irfft", counting("irfft", np.fft.irfft))
+        for module in (linear, runner):  # every module that imports the helpers
+            monkeypatch.setattr(module, "rfft_pair", counting("rfft", rfft_pair))
+            monkeypatch.setattr(module, "irfft_pair", counting("irfft", irfft_pair))
         monkeypatch.setattr(
             ImplicitLinearOperator, "solve", counting("solve", ImplicitLinearOperator.solve)
         )
@@ -321,17 +323,23 @@ class TestMarches:
         assert len({dt for dt, _ in built}) == len(built)
 
     @pytest.mark.parametrize(
-        "overrides, steps, iterations, stalled",
-        [({"test": 3, "nx": 21}, 341, 304, 81)]
-        + [({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, 107, 0) for seed in range(10)],
+        "overrides, steps, iterations, stalled, krylov",
+        [({"test": 3, "nx": 21}, 341, 304, 81, (476, 6))]
+        + [
+            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, 107, 0, (krylov, 14))
+            for seed, krylov in enumerate([582, 584, 587, 584, 582, 579, 581, 585, 584, 586])
+        ],
         ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)],
     )
-    def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled):
-        # The adaptive march of the benchmark's two nonlinear runs: the Newton
-        # linear solve's tolerance must not move a single step or iteration.
+    def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled, krylov):
+        # The adaptive march of the benchmark's two nonlinear runs: neither the
+        # Newton linear solve's tolerance nor its preconditioner's transforms
+        # may move a single step, Newton iteration or GMRES iteration.
         data = execute_run(load_config(None, dict(nv=8, **overrides)))
         counts = [r.newton_iterations for r in data.records[1:]]
         assert (len(counts), sum(counts), counts.count(0)) == (steps, iterations, stalled)
+        summary = data.summary
+        assert (summary.krylov_iterations, summary.krylov_iterations_max) == krylov
 
     def test_nonlinear_march_reaches_the_horizon(self):
         cfg = tiny_config(
@@ -518,6 +526,12 @@ class TestOutputs:
             "summary.txt",
             "timeseries.csv",
         ]
+        # The files hold the writers' text byte for byte; snapshots are
+        # written a cell at a time, so the file is checked as a whole.
+        grid = linear_run.setup.grid
+        assert (out / "timeseries.csv").read_bytes() == timeseries_csv(linear_run.records).encode()
+        for snap, name in zip(linear_run.snapshots, ["snapshot_t0.csv", "snapshot_t0p35.csv"]):
+            assert (out / name).read_bytes() == snapshot_csv(snap, grid).encode()
 
     def test_plot_script_only_on_request(self, tmp_path):
         cfg = tiny_config(t_final=0.0, emit_plot_script=True)

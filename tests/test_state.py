@@ -2,20 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_grid, make_profiles, norm2, random_pair
+from kinrec.config import load_config
 from kinrec.grid import VelocityProfile, build_grid, discretize_profile, gaussian_profile
+from kinrec.runner import build_setup
 from kinrec.state import (
+    DENSE_DFT_MAX_NX,
     SpeciesPair,
     build_equilibrium,
     collision_linear,
     constants_ledger,
+    dft_matrices,
     equilibrium_rho,
     equilibrium_rho_from_state,
+    irfft_pair,
     macroscopic_densities,
     mass_difference,
     moments_ujs,
     project_pi,
+    rfft_pair,
     weighted_inner,
     weighted_norm,
 )
@@ -382,3 +389,43 @@ class TestConstantsLedger:
         with pytest.raises(ValueError):
             constants_ledger(chi1, chi2, base["rho"], grid, base["lam"], base["dt_max"],
                              base["delta_fraction"])
+
+
+class TestPeriodicTransforms:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        # Odd nx up to 301, with the primes of the presets' range and the
+        # last dense and first FFT size.
+        nx=st.one_of(
+            st.integers(1, 150).map(lambda k: 2 * k + 1),
+            st.sampled_from([37, 53, 71, 89, 101, DENSE_DFT_MAX_NX, DENSE_DFT_MAX_NX + 2]),
+        ),
+        n_vel=st.integers(1, 16).map(lambda k: 2 * k),
+        as_pair=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_helpers_match_numpy_fft_and_round_trip(self, nx, n_vel, as_pair, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.standard_normal((2, nx, n_vel))
+        modes = rfft_pair(SpeciesPair(*cells) if as_pair else cells)
+        expected = np.fft.rfft(cells, axis=1).transpose(1, 0, 2)
+        assert modes.dtype == complex and modes.flags.c_contiguous
+        np.testing.assert_allclose(
+            modes, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected))
+        )
+        back = irfft_pair(modes, nx)
+        assert back.shape == cells.shape and back.flags.c_contiguous
+        np.testing.assert_allclose(back, cells, rtol=0.0, atol=1e-13 * np.max(np.abs(cells)))
+        # Modes of no real field: irfft drops the imaginary part at k = 0.
+        drawn = rng.standard_normal(modes.shape) + 1j * rng.standard_normal(modes.shape)
+        reference = np.fft.irfft(drawn, n=nx, axis=0).transpose(1, 0, 2)
+        np.testing.assert_allclose(
+            irfft_pair(drawn, nx), reference, rtol=0.0, atol=1e-13 * np.max(np.abs(reference))
+        )
+
+    def test_matrices_are_built_on_the_first_transform(self):
+        dft_matrices.cache_clear()
+        setup = build_setup(load_config(None, {"nx": 21, "nv": 2}))
+        assert dft_matrices.cache_info().currsize == 0
+        rfft_pair(setup.data0)
+        assert dft_matrices.cache_info().currsize == 1
