@@ -55,10 +55,38 @@ DT_SHRINK = 0.5
 ACCEPT_ITERATION_BUDGET = 8
 
 # Newton's linear solve: GMRES accepts an update once the true residual is
-# this small relative to the Newton residual, and gives up after this many
-# iterations (the basis is kept whole, with no restart).
+# within forcing_term's tolerance relative to the Newton residual, which lies
+# between KRYLOV_TOL and ETA_MAX unless the Newton stop's floor is higher, and
+# gives up after KRYLOV_MAX_ITERATIONS (the basis is kept whole, no restart).
 KRYLOV_TOL = 1e-12
+ETA_MAX = 1e-2
 KRYLOV_MAX_ITERATIONS = 40
+
+
+def forcing_term(
+    res_norm: float, tol_residual: float, previous: tuple[float, float] | None
+) -> float:
+    """Relative GMRES tolerance of the Newton update at residual 2-norm res_norm.
+
+    Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996) with
+    gamma = 0.9: ETA_MAX on the first update, then gamma times the squared
+    ratio of res_norm to the previous residual 2-norm, raised to gamma times
+    the previous tolerance squared when that exceeds 0.1, and capped at
+    ETA_MAX.  previous is (residual 2-norm, tolerance) of the last update,
+    None on the first.  Kelley's floor (Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, ch. 6) then stops GMRES from pushing the
+    linear residual's 2-norm below 0.5*tol_residual, which already bounds its
+    max norm by half the Newton stop; KRYLOV_TOL bounds the result from below.
+    """
+    eta = ETA_MAX
+    if previous is not None:
+        norm_prev, eta_prev = previous
+        eta = 0.9 * (res_norm / norm_prev) ** 2
+        safeguard = 0.9 * eta_prev**2
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+        eta = min(eta, ETA_MAX)
+    return max(eta, 0.5 * tol_residual / res_norm, KRYLOV_TOL)
 
 
 @dataclass(frozen=True)
@@ -184,38 +212,43 @@ def gmres(
     check; the residual checked is recomputed from x.  Raises
     NewtonDivergedError when max_iterations pass without meeting tol.
     """
-    beta = float(np.linalg.norm(rhs))
+    beta = math.sqrt(rhs @ rhs)
     if beta == 0.0:
         return np.zeros_like(rhs), 0
     basis = np.empty((max_iterations + 1, rhs.size))
     search = np.empty((max_iterations, rhs.size))
-    hess = np.zeros((max_iterations + 1, max_iterations))
-    cos, sin = np.zeros(max_iterations), np.zeros(max_iterations)
-    g = np.zeros(max_iterations + 1)
-    g[0] = beta
+    triangle = np.zeros((max_iterations, max_iterations))
+    cos: list[float] = []
+    sin: list[float] = []
+    g = [beta]
     basis[0] = rhs / beta
     for k in range(max_iterations):
         search[k] = precondition(basis[k])
         w = apply(search[k])
-        for _ in range(2):  # classical Gram-Schmidt, repeated to stay orthogonal
-            h = basis[: k + 1] @ w
-            w -= h @ basis[: k + 1]
-            hess[: k + 1, k] += h
-        h_next = float(np.linalg.norm(w))
+        # Classical Gram-Schmidt, repeated to stay orthogonal.
+        h = basis[: k + 1] @ w
+        w -= h @ basis[: k + 1]
+        h2 = basis[: k + 1] @ w
+        w -= h2 @ basis[: k + 1]
+        column = (h + h2).tolist()
+        h_next = math.sqrt(w @ w)
         for j in range(k):
-            hess[j, k], hess[j + 1, k] = (
-                cos[j] * hess[j, k] + sin[j] * hess[j + 1, k],
-                cos[j] * hess[j + 1, k] - sin[j] * hess[j, k],
+            column[j], column[j + 1] = (
+                cos[j] * column[j] + sin[j] * column[j + 1],
+                cos[j] * column[j + 1] - sin[j] * column[j],
             )
-        r = math.hypot(hess[k, k], h_next)
-        cos[k], sin[k] = hess[k, k] / r, h_next / r
-        hess[k, k] = r
-        g[k + 1] = -sin[k] * g[k]
+        r = math.hypot(column[k], h_next)
+        cos.append(column[k] / r)
+        sin.append(h_next / r)
+        column[k] = r
+        triangle[: k + 1, k] = column
+        g.append(-sin[k] * g[k])
         g[k] *= cos[k]
         if abs(g[k + 1]) <= tol * beta:
-            y = np.linalg.solve(hess[: k + 1, : k + 1], g[: k + 1])
+            y = np.linalg.solve(triangle[: k + 1, : k + 1], g[: k + 1])
             x = y @ search[: k + 1]
-            if np.linalg.norm(rhs - apply(x)) <= tol * beta:
+            residual = rhs - apply(x)
+            if math.sqrt(residual @ residual) <= tol * beta:
                 return x, k + 1
         basis[k + 1] = w / h_next
     raise NewtonDivergedError(
@@ -295,17 +328,18 @@ class NonlinearStepper:
         rho its site densities.  With an envelope, eff is the clamped state
         and mask is 1 where the clamp leaves a cell as it is and 0 where it
         moves it (no derivative through the clamp); with none, eff is the
-        state and mask is 1.
+        state and mask is 1, which the product skips.
         """
         dv = self.grid.dv
         raw = u.reshape(self._cells)
         eff = self._reaction_state(raw)
-        mask = 1.0 if eff is raw else (eff == raw).astype(float)
-        diagonal = 1.0 / dt + dv * eff.sum(axis=2)[::-1, :, None] * mask
+        mask = None if eff is raw else (eff == raw).astype(float)
+        partner = dv * eff.sum(axis=2)[::-1, :, None]
+        diagonal = 1.0 / dt + (partner if mask is None else partner * mask)
 
         def apply(v: np.ndarray) -> np.ndarray:
             cells = v.reshape(self._cells)
-            site = dv * (mask * cells).sum(axis=2)
+            site = dv * (cells if mask is None else mask * cells).sum(axis=2)
             return self._transport @ v + (diagonal * cells + eff * site[::-1, :, None]).ravel()
 
         return apply
@@ -336,17 +370,18 @@ class NonlinearStepper:
         res: np.ndarray,
         dt: float,
         preconditioner: ImplicitLinearOperator,
+        tol: float,
     ) -> np.ndarray:
-        """Newton increment -J^{-1} res at u, by GMRES preconditioned with dt*solve.
+        """Newton increment delta ~ -J^{-1} res at u, by GMRES preconditioned with dt*solve.
 
-        Raises NewtonDivergedError when GMRES misses KRYLOV_TOL within
-        KRYLOV_MAX_ITERATIONS.
+        |res + J delta| <= tol*|res| in the 2-norm.  Raises
+        NewtonDivergedError when GMRES misses tol within KRYLOV_MAX_ITERATIONS.
         """
         delta, iterations = gmres(
             self._jacobian_product(u, dt),
             lambda v: dt * preconditioner.solve(v),
             -res,
-            KRYLOV_TOL,
+            tol,
             KRYLOV_MAX_ITERATIONS,
         )
         self.krylov_iterations.append(iterations)
@@ -357,9 +392,14 @@ class NonlinearStepper:
     ) -> tuple[SpeciesPair, int]:
         """Solve the implicit step; returns the new state and iteration count.
 
-        Starts from the previous state.  Raises NewtonDivergedError when the
-        iteration budget is exhausted or when the converged state moved the
-        conserved mass difference too far.
+        Starts from the previous state and stops once the residual's max norm
+        is within cfg.tol_residual.  Each update is solved only to the
+        relative tolerance forcing_term picks (inexact Newton).  Any
+        tolerance keeps the mass difference: the first residual has none,
+        and J and dt*solve map vectors without one to vectors without one,
+        so no Krylov vector or update has one.  Raises NewtonDivergedError when
+        the iteration budget is exhausted or when the converged state moved
+        the conserved mass difference too far.
         """
         u_prev = stack_pair(state_prev)
         u = u_prev
@@ -367,13 +407,17 @@ class NonlinearStepper:
         res_norm = np.max(np.abs(res))
         iterations = 0
         preconditioner = self.steady_step(dt)
+        previous: tuple[float, float] | None = None
         while res_norm > cfg.tol_residual:
             if iterations >= cfg.max_iterations:
                 raise NewtonDivergedError(
                     f"residual {res_norm:.3e} after {iterations} iterations "
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
-            delta = self.newton_update(u, res, dt, preconditioner)
+            res_norm2 = math.sqrt(res @ res)
+            eta = forcing_term(res_norm2, cfg.tol_residual, previous)
+            previous = (res_norm2, eta)
+            delta = self.newton_update(u, res, dt, preconditioner, eta)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
             u = u + delta

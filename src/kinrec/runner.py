@@ -309,6 +309,7 @@ class RunSummary:
     g_ratio_min: float | None
     g_ratio_max: float | None
     n_steps: int
+    newton_iterations: int | None
     krylov_iterations: int | None
     krylov_iterations_max: int | None
     wall_clock_s: float
@@ -426,6 +427,9 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         g_ratio_min=ratios["g_min"],
         g_ratio_max=ratios["g_max"],
         n_steps=len(records) - 1,
+        newton_iterations=(
+            sum(r.newton_iterations for r in records[1:]) if cfg.model == "nonlinear" else None
+        ),
         krylov_iterations=None if krylov is None else sum(krylov),
         krylov_iterations_max=None if krylov is None else max(krylov, default=0),
         wall_clock_s=time.perf_counter() - start,
@@ -533,6 +537,7 @@ def summary_text(data: RunData) -> str:
         ("g_ratio_min", _fmt(s.g_ratio_min)),
         ("g_ratio_max", _fmt(s.g_ratio_max)),
         ("n_steps", str(s.n_steps)),
+        ("newton_iterations", _count(s.newton_iterations)),
         ("krylov_iterations", _count(s.krylov_iterations)),
         ("krylov_iterations_max", _count(s.krylov_iterations_max)),
         ("wall_clock_s", _fmt(s.wall_clock_s)),

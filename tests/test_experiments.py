@@ -324,17 +324,32 @@ class TestMarches:
 
     @pytest.mark.parametrize(
         "overrides, steps, iterations, stalled, krylov",
-        [({"test": 3, "nx": 21}, 341, 304, 81, (476, 6))]
+        [({"test": 3, "nx": 21}, 341, 305, 81, (348, 3))]
         + [
-            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, 107, 0, (krylov, 14))
-            for seed, krylov in enumerate([582, 584, 587, 584, 582, 579, 581, 585, 584, 586])
+            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, iterations, 0, krylov)
+            for seed, (iterations, krylov) in enumerate(
+                [
+                    (109, (241, 6)),
+                    (108, (234, 6)),
+                    (108, (239, 6)),
+                    (109, (242, 6)),
+                    (109, (243, 7)),
+                    (109, (241, 6)),
+                    (109, (243, 7)),
+                    (108, (237, 6)),
+                    (108, (234, 6)),
+                    (108, (237, 6)),
+                ]
+            )
         ],
         ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)],
     )
     def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled, krylov):
-        # The adaptive march of the benchmark's two nonlinear runs: neither the
-        # Newton linear solve's tolerance nor its preconditioner's transforms
-        # may move a single step, Newton iteration or GMRES iteration.
+        # The adaptive march of the benchmark's two nonlinear runs.  The
+        # inexact Newton solve may trade GMRES iterations for Newton ones, but
+        # not move a step or a stall; any change to the forcing term, the
+        # GMRES arithmetic or the preconditioner's transforms that moves a
+        # Newton or GMRES count shows here and must re-pin them.
         data = execute_run(load_config(None, dict(nv=8, **overrides)))
         counts = [r.newton_iterations for r in data.records[1:]]
         assert (len(counts), sum(counts), counts.count(0)) == (steps, iterations, stalled)
@@ -509,12 +524,15 @@ class TestOutputs:
         assert "n_steps" in keys
         values = dict(line.split(" = ") for line in text.splitlines())
         assert values["krylov_iterations"] == values["krylov_iterations_max"] == ""
+        assert values["newton_iterations"] == ""
 
     def test_nonlinear_summary_reports_krylov_totals(self):
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
         values = dict(line.split(" = ") for line in summary_text(data).splitlines())
         assert int(values["krylov_iterations"]) == data.summary.krylov_iterations > 0
         assert 1 <= int(values["krylov_iterations_max"]) <= data.summary.krylov_iterations
+        newton = sum(r.newton_iterations for r in data.records[1:])
+        assert int(values["newton_iterations"]) == data.summary.newton_iterations == newton > 0
 
     def test_write_outputs_file_set(self, linear_run, tmp_path):
         out = write_outputs(linear_run, tmp_path / "files")

@@ -11,6 +11,8 @@ from conftest import make_grid, make_profiles, make_stepper, random_pair, random
 from kinrec import nonlinear
 from kinrec.linear import Flux, ImplicitLinearOperator, flux_divergence, residual_linear
 from kinrec.nonlinear import (
+    ETA_MAX,
+    KRYLOV_TOL,
     AdaptiveController,
     BoundsEnvelope,
     NewtonConfig,
@@ -19,6 +21,8 @@ from kinrec.nonlinear import (
     StepFailedError,
     adaptive_advance,
     check_maximum_principle,
+    forcing_term,
+    gmres,
     transport_pair,
     truncate_state,
     verify_moment_schemes_nonlinear,
@@ -222,52 +226,139 @@ class TestJacobian:
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
 
+# Random small Newton settings: odd grids, every flux, with or without the
+# envelope, the equilibrium level and dt, and the seed of the two states.
+NEWTON_SETTINGS = dict(
+    nx=st.integers(min_value=1, max_value=15).map(lambda half: 2 * half + 1),
+    nv=st.integers(min_value=1, max_value=4),
+    flux=st.sampled_from([Flux.lax_friedrichs(1.5), Flux.centered(), Flux.upwind()]),
+    truncated=st.booleans(),
+    rho=st.floats(min_value=0.5, max_value=2.0),
+    dt=st.floats(min_value=1e-3, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def newton_setting(nx, nv, flux, truncated, rho, seed):
+    """(grid, stepper, state, prev): two random states within +-50% of the steady state.
+
+    The envelope, when there is one, is +-30%, so it clamps some cells and
+    leaves others free.
+    """
+    grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
+    chi1, chi2 = make_profiles(grid)
+    rng = np.random.default_rng(seed)
+    shape = (grid.nx, grid.n_vel)
+
+    def positive_state():
+        return SpeciesPair(
+            rho * chi1.values * rng.uniform(0.5, 1.5, shape),
+            chi2.values / rho * rng.uniform(0.5, 1.5, shape),
+        )
+
+    state, prev = positive_state(), positive_state()
+    envelope = BoundsEnvelope(0.3 * rho, 0.3 * rho) if truncated else None
+    level = rho if truncated else equilibrium_rho_from_state(prev, grid)
+    return grid, NonlinearStepper(grid, chi1, chi2, flux, level, envelope), state, prev
+
+
+def mass_drift(state, prev, grid):
+    """|mass difference of state - that of prev| and the scale of prev."""
+    scale = grid.dx * grid.dv * float(np.sum(prev.f + prev.g))
+    return abs(mass_difference(state, grid) - mass_difference(prev, grid)), scale
+
+
 class TestAugmentedNewtonUpdate:
     """Fast (GMRES on the matrix-free Jacobian product) against reference (dense) solve."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        nx=st.integers(min_value=1, max_value=15).map(lambda half: 2 * half + 1),
-        nv=st.integers(min_value=1, max_value=4),
-        flux=st.sampled_from([Flux.lax_friedrichs(1.5), Flux.centered(), Flux.upwind()]),
-        truncated=st.booleans(),
-        rho=st.floats(min_value=0.5, max_value=2.0),
-        dt=st.floats(min_value=1e-3, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
+    @given(**NEWTON_SETTINGS)
     def test_update_matches_dense_solve_and_conserves_mass(
         self, nx, nv, flux, truncated, rho, dt, seed
     ):
-        grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
-        chi1, chi2 = make_profiles(grid)
-        rng = np.random.default_rng(seed)
-        shape = (grid.nx, grid.n_vel)
-
-        def positive_state():
-            # Within +-50% of the steady state, so the envelope clamps some
-            # cells and leaves others free.
-            return SpeciesPair(
-                rho * chi1.values * rng.uniform(0.5, 1.5, shape),
-                chi2.values / rho * rng.uniform(0.5, 1.5, shape),
-            )
-
-        state, prev = positive_state(), positive_state()
-        envelope = BoundsEnvelope(0.3 * rho, 0.3 * rho) if truncated else None
-        level = rho if truncated else equilibrium_rho_from_state(prev, grid)
-        stepper = NonlinearStepper(grid, chi1, chi2, flux, level, envelope)
+        grid, stepper, state, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
         u = stack_pair(state)
         res = stepper.residual(u, stack_pair(prev), dt)
-        delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt))
+        delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), KRYLOV_TOL)
         reference = np.linalg.solve(stepper.jacobian(u, dt), -res)
         assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
         # The mass difference of the residual is the step's mass change over
         # dt and the reaction's derivative carries none, so one Newton step
         # lands on the previous mass difference.
-        stepped = state + unstack_pair(delta, grid)
-        scale = grid.dx * grid.dv * float(np.sum(prev.f + prev.g))
-        drift = abs(mass_difference(stepped, grid) - mass_difference(prev, grid))
+        drift, scale = mass_drift(state + unstack_pair(delta, grid), prev, grid)
         assert drift <= 1e-12 * scale
+
+
+class TestInexactNewtonUpdate:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        eta=st.floats(min_value=-12.0, max_value=-2.0).map(lambda e: 10.0**e),
+        **NEWTON_SETTINGS,
+    )
+    def test_update_meets_its_tolerance_and_conserves_mass(
+        self, eta, nx, nv, flux, truncated, rho, dt, seed
+    ):
+        # Newton's first iterate is the previous state, whose residual has no
+        # mass difference.  For the mass difference m, m(J z) = m(z)/dt and
+        # m(dt*solve(v)) = dt*m(v), so no Krylov vector has one, and neither
+        # has the update, at any tolerance.
+        grid, stepper, _, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
+        u = stack_pair(prev)
+        res = stepper.residual(u, u, dt)
+        delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), eta)
+        linear = res + stepper.jacobian(u, dt) @ delta
+        assert math.sqrt(linear @ linear) <= eta * math.sqrt(res @ res)
+        drift, scale = mass_drift(prev + unstack_pair(delta, grid), prev, grid)
+        assert drift <= 1e-12 * scale
+
+
+class TestGmres:
+    def test_returns_only_what_the_recomputed_residual_accepts(self):
+        # An affine "product" breaks the Arnoldi relation behind the Givens
+        # estimate: the estimate falls below tol while the true residual of
+        # the combined x stays large, so GMRES must refuse it.
+        rng = np.random.default_rng(0)
+        matrix = np.diag(np.arange(1.0, 7.0)) + 0.1 * rng.standard_normal((6, 6))
+        rhs = rng.standard_normal(6)
+        x, _ = gmres(lambda v: matrix @ v, lambda v: v, rhs, 1e-8, 6)
+        assert np.linalg.norm(rhs - matrix @ x) <= 1e-8 * np.linalg.norm(rhs)
+        with pytest.raises(NewtonDivergedError, match="GMRES"):
+            gmres(lambda v: matrix @ v + 0.1, lambda v: v, rhs, 1e-8, 6)
+
+
+class TestForcingTerm:
+    def test_first_update_is_solved_to_eta_max(self):
+        assert forcing_term(1.0, 1e-11, None) == ETA_MAX
+
+    def test_choice_two_floor_and_krylov_tol(self):
+        # gamma times the squared residual ratio, unless Kelley's floor or
+        # KRYLOV_TOL is larger.
+        assert forcing_term(0.1, 1e-11, (1.0, ETA_MAX)) == 0.9 * 0.1**2
+        assert forcing_term(1e-10, 1e-11, (1.0, ETA_MAX)) == 0.5 * 1e-11 / 1e-10
+        assert forcing_term(1e-8, 1e-20, (1.0, ETA_MAX)) == KRYLOV_TOL
+
+    def test_safeguard_keeps_a_large_previous_tolerance(self, monkeypatch):
+        # gamma*eta_prev^2 exceeds 0.1 only for eta_prev > 1/3.  Under
+        # ETA_MAX = 1e-2 only Kelley's floor gets there, and then the floor
+        # also sets the result, so a larger cap shows the safeguard.
+        monkeypatch.setattr(nonlinear, "ETA_MAX", 0.9)
+        assert forcing_term(1e-3, 1e-11, (1.0, 0.9)) == 0.9 * 0.9**2
+        assert forcing_term(1e-3, 1e-11, (1.0, 0.3)) == 0.9 * 1e-3**2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        res_norm=st.floats(min_value=1e-11, max_value=1e3),
+        ratio=st.floats(min_value=1e-6, max_value=1e3),
+        eta_prev=st.floats(min_value=KRYLOV_TOL, max_value=0.5),
+        tol_residual=st.floats(min_value=1e-14, max_value=1e-6),
+    )
+    def test_stays_between_the_floors_and_eta_max(self, res_norm, ratio, eta_prev, tol_residual):
+        # Kelley's floor comes after the cap, so it lifts the tolerance above
+        # ETA_MAX when the residual is within 50*tol_residual of the stop.
+        floor = 0.5 * tol_residual / res_norm
+        eta = forcing_term(res_norm, tol_residual, (res_norm / ratio, eta_prev))
+        assert max(KRYLOV_TOL, floor) <= eta <= max(ETA_MAX, floor)
 
 
 class TestNewton:
@@ -350,11 +441,11 @@ class TestNewton:
         u = stack_pair(prev)
         res = stepper.residual(u, u, 0.2)
         preconditioner = stepper.steady_step(0.2)
-        stepper.newton_update(u, res, 0.2, preconditioner)
+        stepper.newton_update(u, res, 0.2, preconditioner, KRYLOV_TOL)
         assert stepper.krylov_iterations[-1] > 1
         monkeypatch.setattr(nonlinear, "KRYLOV_MAX_ITERATIONS", 1)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
-            stepper.newton_update(u, res, 0.2, preconditioner)
+            stepper.newton_update(u, res, 0.2, preconditioner, KRYLOV_TOL)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
             stepper.newton(prev, 0.2, NewtonConfig())
 
