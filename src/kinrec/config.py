@@ -119,6 +119,11 @@ def parse_snapshots(text: str) -> tuple[float, ...]:
     return tuple(sorted(_parse_float(part) for part in text.split(",")))
 
 
+def snapshot_name(t: float) -> str:
+    """File name of the snapshot requested at time t; %g keeps six significant digits."""
+    return "snapshot_t%s.csv" % ("%g" % t).replace(".", "p").replace("-", "m")
+
+
 # (section, key) -> (config field, parser)
 _SCHEMA: dict[tuple[str, str], tuple[str, Any]] = {
     ("grid", "torus_length"): ("torus_length", _parse_float),
@@ -219,6 +224,12 @@ def validate_config(cfg: RunConfig) -> None:
             raise bad("dt", f"need dt_min <= dt <= dt_max, got {cfg.dt_min}, {cfg.dt}, {cfg.dt_max}")
     if any(t < 0 for t in cfg.snapshot_times):
         raise bad("snapshot_times", f"times must be non-negative, got {cfg.snapshot_times}")
+    named: dict[str, float] = {}
+    for t in cfg.snapshot_times:
+        name = snapshot_name(t)
+        if name in named:
+            raise bad("snapshot_times", f"times {named[name]!r} and {t!r} would both write {name}")
+        named[name] = t
     if cfg.t_final is not None and cfg.t_final < 0:
         raise bad("t_final", f"must be non-negative, got {cfg.t_final}")
     if cfg.model == "linear" and cfg.t_final is not None:

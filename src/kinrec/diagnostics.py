@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, VelocityProfile, centered_gradient
-from .state import ConstantsLedger, SpeciesPair, moments_ujs, weighted_norm
+from .state import ConstantsLedger, moments_ujs, weighted_norm
 
 
 def wide_stencil_symbol(grid: GridSpec) -> np.ndarray:
@@ -66,7 +66,7 @@ class PotentialState:
 
 
 def modified_entropy(
-    state: SpeciesPair,
+    state: np.ndarray,
     pot: PotentialState,
     dt: float,
     ledger: ConstantsLedger,
@@ -94,7 +94,7 @@ def modified_entropy(
         )
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _, j_h, _ = moments_ujs(state.f - state.g, grid, d0)
+    _, j_h, _ = moments_ujs(state[0] - state[1], grid, d0)
     dphi = centered_gradient(pot.phi, grid)
     h = 0.5 * weighted_norm(state, chi1, chi2, ledger.rho, grid) ** 2
     h += delta * grid.dx * float(np.sum(j_h * dphi))

@@ -6,15 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    VelocityProfile,
-    backward_gradient,
-    centered_gradient,
-    second_difference,
-)
+from .grid import GridSpec, VelocityProfile, centered_gradient, second_difference
 from .state import (
-    SpeciesPair,
     collision_linear,
     irfft_pair,
     moments_ujs,
@@ -77,14 +70,14 @@ def interface_weights(flux: Flux, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
 
 
 def flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray:
-    """Per-cell transport update (flux difference over cell area) of one species.
+    """Per-cell transport update (flux difference over cell area).
 
-    field has shape (nx, 2*nv).  The difference of interface values keeps a
-    constant field exactly stationary.
+    field is one species, shape (nx, 2*nv), or a state.  The difference of
+    interface values keeps a constant field exactly stationary.
     """
     a, b = interface_weights(flux, grid)
-    right = a * field + b * np.roll(field, -1, axis=0)
-    return (right - np.roll(right, 1, axis=0)) / grid.dx
+    right = a * field + b * np.roll(field, -1, axis=-2)
+    return (right - np.roll(right, 1, axis=-2)) / grid.dx
 
 
 class ImplicitLinearOperator:
@@ -131,11 +124,11 @@ class ImplicitLinearOperator:
         self._det = 1.0 - self._a[:, :1] * self._a[:, 1:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for a stack_pair vector; the solution is a new stack_pair vector."""
+        """Solve for a state, or its ravel(); the solution is a new array of rhs's shape."""
         grid = self.grid
         modes = rfft_pair(rhs.reshape(2, grid.nx, grid.n_vel))
         self.solve_modes(modes)
-        return irfft_pair(modes, grid.nx).ravel()
+        return irfft_pair(modes, grid.nx).reshape(rhs.shape)
 
     def solve_modes(self, modes: np.ndarray) -> None:
         """Overwrite the rfft_pair modes of a right-hand side with those of the solution."""
@@ -157,33 +150,26 @@ def assemble_linear_operator(
 
 
 def residual_linear(
-    state_next: SpeciesPair,
-    state_prev: SpeciesPair,
+    state_next: np.ndarray,
+    state_prev: np.ndarray,
     dt: float,
     flux: Flux,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     rho: float,
     grid: GridSpec,
-) -> SpeciesPair:
+) -> np.ndarray:
     """Pointwise defect of the implicit linear scheme, via the stencil path."""
-    coll = collision_linear(state_next, rho, chi1, chi2, grid)
-    rf = (
-        (state_next.f - state_prev.f) / dt
-        + flux_divergence(state_next.f, flux, grid)
-        - coll.f
+    return (
+        (state_next - state_prev) / dt
+        + flux_divergence(state_next, flux, grid)
+        - collision_linear(state_next, rho, chi1, chi2, grid)
     )
-    rg = (
-        (state_next.g - state_prev.g) / dt
-        + flux_divergence(state_next.g, flux, grid)
-        - coll.g
-    )
-    return SpeciesPair(rf, rg)
 
 
 def verify_moment_schemes(
-    state_prev: SpeciesPair,
-    state_next: SpeciesPair,
+    state_prev: np.ndarray,
+    state_next: np.ndarray,
     grid: GridSpec,
     rho: float,
     d0: float,
@@ -201,10 +187,10 @@ def verify_moment_schemes(
     density_shift holds the new site densities minus their steady levels,
     (rho_f - rho, rho_g - 1/rho), which add the bilinear current term.
     """
-    u_p, j_p, _ = moments_ujs(state_prev.f - state_prev.g, grid, d0)
-    u_n, j_n, s_n = moments_ujs(state_next.f - state_next.g, grid, d0)
-    _, jf_n, _ = moments_ujs(state_next.f, grid, d0)
-    _, jg_n, _ = moments_ujs(state_next.g, grid, d0)
+    u_p, j_p, _ = moments_ujs(state_prev[0] - state_prev[1], grid, d0)
+    u_n, j_n, s_n = moments_ujs(state_next[0] - state_next[1], grid, d0)
+    _, jf_n, _ = moments_ujs(state_next[0], grid, d0)
+    _, jg_n, _ = moments_ujs(state_next[1], grid, d0)
 
     res_u = (
         (u_n - u_p) / dt
@@ -223,7 +209,7 @@ def verify_moment_schemes(
 
 
 def transport_quadratic_form(
-    state: SpeciesPair,
+    state: np.ndarray,
     flux: Flux,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
@@ -236,14 +222,11 @@ def transport_quadratic_form(
     difference between the LF and centered forms is the explicit gradient
     dissipation returned by lax_friedrichs_dissipation.
     """
-    div = SpeciesPair(
-        flux_divergence(state.f, flux, grid), flux_divergence(state.g, flux, grid)
-    )
-    return weighted_inner(div, state, chi1, chi2, rho, grid)
+    return weighted_inner(flux_divergence(state, flux, grid), state, chi1, chi2, rho, grid)
 
 
 def lax_friedrichs_dissipation(
-    state: SpeciesPair,
+    state: np.ndarray,
     lam: float,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
@@ -258,9 +241,5 @@ def lax_friedrichs_dissipation(
     penalty into -||backward gradient||^2; the two one-sided gradients have
     equal norms on the periodic grid).
     """
-    gf = backward_gradient(state.f, grid)
-    gg = backward_gradient(state.g, grid)
-    quad = float(
-        np.sum(gf**2 / (rho * chi1.values) + gg**2 * (rho / chi2.values))
-    )
-    return lam * grid.dx * grid.dx * grid.dv * quad
+    gradient = (state - np.roll(state, 1, axis=1)) / grid.dx
+    return lam * grid.dx * weighted_inner(gradient, gradient, chi1, chi2, rho, grid)

@@ -11,14 +11,7 @@ import scipy.sparse as sp
 
 from .grid import GridSpec, VelocityProfile
 from .linear import Flux, ImplicitLinearOperator, interface_weights, verify_moment_schemes
-from .state import (
-    EquilibriumData,
-    SpeciesPair,
-    macroscopic_densities,
-    mass_difference,
-    stack_pair,
-    unstack_pair,
-)
+from .state import EquilibriumData, macroscopic_densities, mass_difference, species_profiles
 
 
 class NewtonDivergedError(RuntimeError):
@@ -33,19 +26,12 @@ class StepFailedError(RuntimeError):
 class NewtonConfig:
     tol_residual: float = 1e-11
     max_iterations: int = 25
-    # Relative per-step tolerance on the conserved mass difference, which
-    # every flux conserves, the centered one included.
-    mass_diff_drift_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.tol_residual <= 0.0:
             raise ValueError(f"tol_residual must be positive, got {self.tol_residual}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.mass_diff_drift_tol <= 0.0:
-            raise ValueError(
-                f"mass_diff_drift_tol must be positive, got {self.mass_diff_drift_tol}"
-            )
 
 
 # Step-size rule of the nonlinear march: grow after an accept within the
@@ -61,31 +47,29 @@ ACCEPT_ITERATION_BUDGET = 8
 KRYLOV_TOL = 1e-12
 ETA_MAX = 1e-2
 KRYLOV_MAX_ITERATIONS = 40
+# Relative per-step tolerance on the conserved mass difference, which every
+# flux conserves, the centered one included.
+MASS_DIFF_DRIFT_TOL = 1e-10
 
 
-def forcing_term(
-    res_norm: float, tol_residual: float, previous: tuple[float, float] | None
-) -> float:
+def forcing_term(res_norm: float, tol_residual: float, norm_prev: float | None) -> float:
     """Relative GMRES tolerance of the Newton update at residual 2-norm res_norm.
 
     Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996) with
-    gamma = 0.9: ETA_MAX on the first update, then gamma times the squared
-    ratio of res_norm to the previous residual 2-norm, raised to gamma times
-    the previous tolerance squared when that exceeds 0.1, and capped at
-    ETA_MAX.  previous is (residual 2-norm, tolerance) of the last update,
-    None on the first.  Kelley's floor (Iterative Methods for Linear and
-    Nonlinear Equations, SIAM 1995, ch. 6) then stops GMRES from pushing the
-    linear residual's 2-norm below 0.5*tol_residual, which already bounds its
-    max norm by half the Newton stop; KRYLOV_TOL bounds the result from below.
+    gamma = 0.9: ETA_MAX on the first update (norm_prev None), then gamma
+    times the squared ratio of res_norm to the previous residual 2-norm
+    norm_prev, capped at ETA_MAX.  Their safeguard, gamma times the previous
+    tolerance squared when that exceeds 0.1, is left out: it needs a previous
+    tolerance above 1/3, which under this cap only Kelley's floor gives, and
+    then the floor sets this tolerance too.  Kelley's floor (Iterative
+    Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6) stops GMRES
+    from pushing the linear residual's 2-norm below 0.5*tol_residual, which
+    already bounds its max norm by half the Newton stop; KRYLOV_TOL bounds
+    the result from below.
     """
     eta = ETA_MAX
-    if previous is not None:
-        norm_prev, eta_prev = previous
-        eta = 0.9 * (res_norm / norm_prev) ** 2
-        safeguard = 0.9 * eta_prev**2
-        if safeguard > 0.1:
-            eta = max(eta, safeguard)
-        eta = min(eta, ETA_MAX)
+    if norm_prev is not None:
+        eta = min(0.9 * (res_norm / norm_prev) ** 2, ETA_MAX)
     return max(eta, 0.5 * tol_residual / res_norm, KRYLOV_TOL)
 
 
@@ -119,16 +103,13 @@ class BoundsEnvelope:
         if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
             raise ValueError(f"gammas must be positive, got {self.gamma1}, {self.gamma2}")
 
-    def levels(self, rho: float) -> tuple[float, float, float, float]:
-        """(f_low, f_high, g_low, g_high) multipliers of the two profiles."""
+    def levels(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high) multipliers of the two profiles, shape (2, 1, 1): f's, then g's."""
         if self.gamma1 >= rho:
             raise ValueError(f"gamma1={self.gamma1} must stay below rho={rho}")
-        return (
-            rho - self.gamma1,
-            rho + self.gamma2,
-            1.0 / (rho + self.gamma2),
-            1.0 / (rho - self.gamma1),
-        )
+        low = np.array([rho - self.gamma1, 1.0 / (rho + self.gamma2)])
+        high = np.array([rho + self.gamma2, 1.0 / (rho - self.gamma1)])
+        return low[:, None, None], high[:, None, None]
 
 
 def truncate_state(
@@ -138,11 +119,10 @@ def truncate_state(
     chi1: VelocityProfile,
     chi2: VelocityProfile,
 ) -> np.ndarray:
-    """Clamp the (2, nx, 2*nv) cells of both species into the envelope, cell by cell."""
-    f_lo, f_hi, g_lo, g_hi = envelope.levels(rho)
-    low = np.stack([f_lo * chi1.values, g_lo * chi2.values])[:, None]
-    high = np.stack([f_hi * chi1.values, g_hi * chi2.values])[:, None]
-    return np.clip(cells, low, high)
+    """Clamp a state into the envelope, cell by cell."""
+    low, high = envelope.levels(rho)
+    profiles = species_profiles(chi1, chi2)
+    return np.clip(cells, low * profiles, high * profiles)
 
 
 @dataclass(frozen=True)
@@ -157,31 +137,25 @@ class BoundsReport:
 
 
 def check_maximum_principle(
-    state: SpeciesPair,
+    state: np.ndarray,
     envelope: BoundsEnvelope,
     rho: float,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     rtol: float = 1e-11,
 ) -> BoundsReport:
-    f_lo, f_hi, g_lo, g_hi = envelope.levels(rho)
-    rf = state.f / chi1.values
-    rg = state.g / chi2.values
-    f_min, f_max = float(rf.min()), float(rf.max())
-    g_min, g_max = float(rg.min()), float(rg.max())
-    slack_f = rtol * max(1.0, abs(f_lo), abs(f_hi))
-    slack_g = rtol * max(1.0, abs(g_lo), abs(g_hi))
-    passed = (
-        f_min >= f_lo - slack_f
-        and f_max <= f_hi + slack_f
-        and g_min >= g_lo - slack_g
-        and g_max <= g_hi + slack_g
-    )
+    low, high = envelope.levels(rho)
+    ratios = state / species_profiles(chi1, chi2)
+    lowest = ratios.min(axis=(1, 2), keepdims=True)
+    highest = ratios.max(axis=(1, 2), keepdims=True)
+    slack = rtol * np.maximum(1.0, np.maximum(abs(low), abs(high)))
+    passed = bool(np.all(lowest >= low - slack) and np.all(highest <= high + slack))
+    (f_min, g_min), (f_max, g_max) = lowest.ravel().tolist(), highest.ravel().tolist()
     return BoundsReport(f_min, f_max, g_min, g_max, passed)
 
 
 def transport_pair(flux: Flux, grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The conservative transport of both species, in stack_pair layout, as (F, D).
+    """The conservative transport of a raveled state, as (F, D).
 
     F maps h to the interface values a_m*h_i + b_m*h_{i+1}, with the weights
     (a, b) of interface_weights; D maps interface values to the periodic
@@ -259,9 +233,10 @@ def gmres(
 class NonlinearStepper:
     """Newton driver with a fixed grid, flux, profile pair and equilibrium level.
 
-    States are stack_pair vectors.  The transport is the pair (F, D) of
-    transport_pair, built once here: the residual applies D @ (F @ u) / dx,
-    and Jacobian products apply their product (D @ F) / dx, formed once.
+    newton takes and returns states; the residual and the Jacobian work on
+    their ravel().  The transport is the pair (F, D) of transport_pair, built
+    once here: the residual applies D @ (F @ u) / dx, and Jacobian products
+    apply their product (D @ F) / dx, formed once.
     Each Newton update is solved by GMRES; its products with the Jacobian
     are that transport plus the reaction's derivative: a diagonal and, per
     site, a rank-one sum over velocities.  The preconditioner is the linear
@@ -288,7 +263,7 @@ class NonlinearStepper:
         self.rho = rho
         self.envelope = envelope
         self._cells = (2, grid.nx, grid.n_vel)
-        self._sources = np.stack([chi1.values, chi2.values])[:, None]
+        self._sources = species_profiles(chi1, chi2)
         self._interfaces, self._difference = transport_pair(flux, grid)
         transport = self._difference @ self._interfaces / grid.dx
         transport.eliminate_zeros()  # the centered flux has a = b
@@ -298,7 +273,7 @@ class NonlinearStepper:
         self.krylov_iterations: list[int] = []
 
     def _reaction_state(self, cells: np.ndarray) -> np.ndarray:
-        """The (2, nx, 2*nv) cells the reaction is evaluated at: clamped if truncated."""
+        """The state the reaction is evaluated at: clamped if truncated."""
         if self.envelope is None:
             return cells
         return truncate_state(cells, self.envelope, self.rho, self.chi1, self.chi2)
@@ -388,8 +363,8 @@ class NonlinearStepper:
         return delta
 
     def newton(
-        self, state_prev: SpeciesPair, dt: float, cfg: NewtonConfig
-    ) -> tuple[SpeciesPair, int]:
+        self, state_prev: np.ndarray, dt: float, cfg: NewtonConfig
+    ) -> tuple[np.ndarray, int]:
         """Solve the implicit step; returns the new state and iteration count.
 
         Starts from the previous state and stops once the residual's max norm
@@ -399,15 +374,16 @@ class NonlinearStepper:
         and J and dt*solve map vectors without one to vectors without one,
         so no Krylov vector or update has one.  Raises NewtonDivergedError when
         the iteration budget is exhausted or when the converged state moved
-        the conserved mass difference too far.
+        the conserved mass difference too far.  A step that needs no
+        iteration returns a view of state_prev, so states are never written to.
         """
-        u_prev = stack_pair(state_prev)
+        u_prev = state_prev.ravel()
         u = u_prev
         res = self.residual(u, u_prev, dt)
         res_norm = np.max(np.abs(res))
         iterations = 0
         preconditioner = self.steady_step(dt)
-        previous: tuple[float, float] | None = None
+        res_norm_prev: float | None = None
         while res_norm > cfg.tol_residual:
             if iterations >= cfg.max_iterations:
                 raise NewtonDivergedError(
@@ -415,8 +391,8 @@ class NonlinearStepper:
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
             res_norm2 = math.sqrt(res @ res)
-            eta = forcing_term(res_norm2, cfg.tol_residual, previous)
-            previous = (res_norm2, eta)
+            eta = forcing_term(res_norm2, cfg.tol_residual, res_norm_prev)
+            res_norm_prev = res_norm2
             delta = self.newton_update(u, res, dt, preconditioner, eta)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
@@ -426,10 +402,10 @@ class NonlinearStepper:
             if not math.isfinite(res_norm):
                 raise NewtonDivergedError(f"non-finite residual at dt {dt:.3e}")
             iterations += 1
-        state = unstack_pair(u, self.grid)
+        state = u.reshape(self._cells)
         m_prev = mass_difference(state_prev, self.grid)
         drift = abs(mass_difference(state, self.grid) - m_prev)
-        if drift > cfg.mass_diff_drift_tol * (1.0 + abs(m_prev)):
+        if drift > MASS_DIFF_DRIFT_TOL * (1.0 + abs(m_prev)):
             raise NewtonDivergedError(
                 f"mass-difference drift {drift:.3e} exceeds tolerance at dt {dt:.3e}"
             )
@@ -437,8 +413,8 @@ class NonlinearStepper:
 
 
 def verify_moment_schemes_nonlinear(
-    state_prev: SpeciesPair,
-    state_next: SpeciesPair,
+    state_prev: np.ndarray,
+    state_next: np.ndarray,
     equilibrium: EquilibriumData,
     grid: GridSpec,
     dt: float,
@@ -463,14 +439,14 @@ def verify_moment_schemes_nonlinear(
 
 @dataclass(frozen=True)
 class StepResult:
-    state: SpeciesPair
+    state: np.ndarray
     dt_used: float
     next_dt: float
     newton_iterations: int
 
 
 def adaptive_advance(
-    state_prev: SpeciesPair,
+    state_prev: np.ndarray,
     dt: float,
     controller: AdaptiveController,
     cfg: NewtonConfig,

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import RunConfig, ValidationError, effective_config_text, resolve_config
+from .config import RunConfig, ValidationError, effective_config_text, resolve_config, snapshot_name
 from .diagnostics import (
     DecayFit,
     TimeSeriesRecord,
@@ -49,7 +49,6 @@ from .nonlinear import (
 from .state import (
     ConstantsLedger,
     EquilibriumData,
-    SpeciesPair,
     build_equilibrium,
     constants_ledger,
     equilibrium_rho,
@@ -103,13 +102,13 @@ def _bump(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(-(np.square(x - math.pi / 2.0)[:, None] + np.square(v)[None, :] / 2.0) / 0.2)
 
 
-def initial_data(cfg: RunConfig, grid: GridSpec, rng: np.random.Generator) -> SpeciesPair:
+def initial_data(cfg: RunConfig, grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
     """Full initial distributions for the configured experiment.
 
     Tests 1 and 2 share a smooth two-species bump; test 3 uses a mean-zero
     velocity-ring profile times a spatial cosine; test 4 draws iid uniform
-    cell values from the seeded generator.  Without a test number the data
-    family follows the model kind.
+    cell values from the seeded generator, all of f before g.  Without a test
+    number the data family follows the model kind.
     """
     x, v = grid.x_centers, grid.v_centers
     test = cfg.test
@@ -118,14 +117,13 @@ def initial_data(cfg: RunConfig, grid: GridSpec, rng: np.random.Generator) -> Sp
     if test in (1, 2):
         f = 10.0 * _bump(x, v)
         g = (1.0 + np.cos(4.0 * x))[:, None] * _bump(x, v)
-        return SpeciesPair(f=f, g=g)
+        return np.stack([f, g])
     if test == 3:
         maxwellian = np.exp(-np.square(v) / 2.0) / math.sqrt(2.0 * math.pi)
         f = (1.0 + np.cos(2.0 * x))[:, None] * (maxwellian * v**4)[None, :]
         g = (1.0 + np.cos(4.0 * x))[:, None] * _bump(x, v)
-        return SpeciesPair(f=f, g=g)
-    shape = (grid.nx, grid.n_vel)
-    return SpeciesPair(f=rng.random(shape), g=rng.random(shape))
+        return np.stack([f, g])
+    return rng.random((2, grid.nx, grid.n_vel))
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class RunSetup:
     chi1: VelocityProfile
     chi2: VelocityProfile
     flux: Flux
-    data0: SpeciesPair
+    data0: np.ndarray
     rho: float
     equilibrium: EquilibriumData
     ledger: ConstantsLedger
@@ -184,7 +182,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
 class Snapshot:
     requested_t: float
     actual_t: float
-    state: SpeciesPair
+    state: np.ndarray
 
 
 class DiagnosticsRecorder:
@@ -237,7 +235,7 @@ class DiagnosticsRecorder:
         modes: np.ndarray,
         dt_used: float | None,
         newton_iterations: int | None,
-        state: SpeciesPair | None = None,
+        state: np.ndarray | None = None,
     ) -> TimeSeriesRecord:
         """Record one step from the deviation's modes, which are left unchanged.
 
@@ -286,7 +284,7 @@ class DiagnosticsRecorder:
         self.records.append(record)
         while self._pending and t >= self._pending[0] - 1e-9:
             if state is None:
-                state = SpeciesPair(*irfft_pair(modes, grid.nx))
+                state = irfft_pair(modes, grid.nx)
             self.snapshots.append(
                 Snapshot(requested_t=self._pending.pop(0), actual_t=t, state=state.copy())
             )
@@ -347,7 +345,7 @@ def _march_linear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
 
 def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
     cfg = setup.cfg
-    state = setup.data0.copy()
+    state = setup.data0
     # Subtracted in physical space: near the solver floor the deviation is
     # about 1e-10 of the state, and the modes of the difference keep its digits.
     equilibrium = setup.equilibrium.state
@@ -504,17 +502,13 @@ def snapshot_chunks(snapshot: Snapshot, grid: GridSpec, templates: list[str]) ->
     """The text of a snapshot CSV: the header, then the rows of one cell at a time."""
     yield "# t=%s\n# N=%d L=%d\ni,j,x,v,f,g\n" % (_fmt(snapshot.actual_t), grid.nx, grid.nv)
     # Per cell, f and g alternate over the velocities, in the order of the rows.
-    values = np.stack([snapshot.state.f, snapshot.state.g], axis=-1).reshape(grid.nx, -1)
+    values = snapshot.state.transpose(1, 2, 0).reshape(grid.nx, -1)
     for template, cell in zip(templates, values):
         yield template % tuple(cell.tolist())
 
 
 def snapshot_csv(snapshot: Snapshot, grid: GridSpec) -> str:
     return "".join(snapshot_chunks(snapshot, grid, snapshot_templates(grid)))
-
-
-def _snapshot_tag(requested_t: float) -> str:
-    return ("%g" % requested_t).replace(".", "p").replace("-", "m")
 
 
 def summary_text(data: RunData) -> str:
@@ -593,8 +587,7 @@ def write_outputs(data: RunData, out_dir: str | Path) -> Path:
     (out / "timeseries.csv").write_text(timeseries_csv(data.records), encoding="utf-8")
     templates = snapshot_templates(data.setup.grid)
     for snapshot in data.snapshots:
-        name = f"snapshot_t{_snapshot_tag(snapshot.requested_t)}.csv"
-        with open(out / name, "w", encoding="utf-8") as fh:
+        with open(out / snapshot_name(snapshot.requested_t), "w", encoding="utf-8") as fh:
             fh.writelines(snapshot_chunks(snapshot, data.setup.grid, templates))
     (out / "summary.txt").write_text(summary_text(data), encoding="utf-8")
     (out / "config.ini").write_text(effective_config_text(data.setup.cfg), encoding="utf-8")

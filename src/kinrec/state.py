@@ -1,4 +1,10 @@
-"""Two-species states, equilibrium data, weighted geometry, and estimate constants."""
+"""Two-species states, equilibrium data, weighted geometry, and estimate constants.
+
+A state of the pair (f, g) is one float array of shape (2, nx, 2*nv):
+species, then cell, then velocity, in C order.  Its ravel() is the vector
+Newton and GMRES work on, with cell (i, m) of species s at
+(s*nx + i)*2*nv + m.
+"""
 
 from __future__ import annotations
 
@@ -11,39 +17,9 @@ import numpy as np
 from .grid import GridSpec, VelocityProfile, poincare_constant
 
 
-@dataclass(frozen=True)
-class SpeciesPair:
-    """Pair of phase-space fields, one per species, each of shape (nx, 2*nv)."""
-
-    f: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.f.shape != self.g.shape:
-            raise ValueError(f"species shapes differ: {self.f.shape} vs {self.g.shape}")
-
-    def __add__(self, other: "SpeciesPair") -> "SpeciesPair":
-        return SpeciesPair(self.f + other.f, self.g + other.g)
-
-    def __sub__(self, other: "SpeciesPair") -> "SpeciesPair":
-        return SpeciesPair(self.f - other.f, self.g - other.g)
-
-    def __rmul__(self, a: float) -> "SpeciesPair":
-        return SpeciesPair(a * self.f, a * self.g)
-
-    def copy(self) -> "SpeciesPair":
-        return SpeciesPair(self.f.copy(), self.g.copy())
-
-
-def stack_pair(state: SpeciesPair) -> np.ndarray:
-    """Flatten (f, g) into one vector, species one first, cell (i, m) at i*2*nv + m."""
-    return np.concatenate([state.f.ravel(), state.g.ravel()])
-
-
-def unstack_pair(x: np.ndarray, grid: GridSpec) -> SpeciesPair:
-    n = grid.n_unknowns
-    shape = (grid.nx, grid.n_vel)
-    return SpeciesPair(x[:n].reshape(shape).copy(), x[n:].reshape(shape).copy())
+def species_profiles(chi1: VelocityProfile, chi2: VelocityProfile) -> np.ndarray:
+    """chi1 and chi2 as shape (2, 1, 2*nv), to broadcast over the cells of a state."""
+    return np.stack([chi1.values, chi2.values])[:, None]
 
 
 # Largest nx whose periodic transforms are products with the dense real DFT
@@ -73,14 +49,11 @@ def dft_matrices(nx: int) -> tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def rfft_pair(cells: SpeciesPair | np.ndarray) -> np.ndarray:
-    """Spatial rfft of both species, shape (nx//2+1, 2, 2*nv): mode, species, velocity.
+def rfft_pair(cells: np.ndarray) -> np.ndarray:
+    """Spatial rfft of a state, shape (nx//2+1, 2, 2*nv): mode, species, velocity.
 
-    cells is a SpeciesPair or the (2, nx, 2*nv) view of a stack_pair
-    vector.  The modes are a new C-contiguous complex array.
+    The modes are a new C-contiguous complex array.
     """
-    if isinstance(cells, SpeciesPair):
-        cells = np.stack([cells.f, cells.g])
     _, nx, n_vel = cells.shape
     if nx > DENSE_DFT_MAX_NX:
         return np.ascontiguousarray(np.fft.rfft(cells, axis=1).transpose(1, 0, 2))
@@ -93,7 +66,7 @@ def rfft_pair(cells: SpeciesPair | np.ndarray) -> np.ndarray:
 
 
 def irfft_pair(modes: np.ndarray, nx: int) -> np.ndarray:
-    """Inverse of rfft_pair on nx cells, as the (2, nx, 2*nv) view of a new stack_pair vector."""
+    """Inverse of rfft_pair on nx cells: a new C-contiguous state."""
     n_modes, _, n_vel = modes.shape
     if nx > DENSE_DFT_MAX_NX:
         return np.ascontiguousarray(np.fft.irfft(modes, n=nx, axis=0).transpose(1, 0, 2))
@@ -102,12 +75,12 @@ def irfft_pair(modes: np.ndarray, nx: int) -> np.ndarray:
     return dft_matrices(nx)[1] @ parts
 
 
-def mass_difference(state: SpeciesPair, grid: GridSpec) -> float:
+def mass_difference(state: np.ndarray, grid: GridSpec) -> float:
     """Net phase-space mass of species one minus species two.
 
     Conserved exactly by both evolution schemes with any conservative flux.
     """
-    return grid.dx * grid.dv * float(np.sum(state.f) - np.sum(state.g))
+    return grid.dx * grid.dv * float(np.sum(state[0]) - np.sum(state[1]))
 
 
 def equilibrium_rho(mass_diff: float, torus_length: float) -> float:
@@ -124,7 +97,7 @@ def equilibrium_rho(mass_diff: float, torus_length: float) -> float:
     return rho
 
 
-def equilibrium_rho_from_state(state: SpeciesPair, grid: GridSpec) -> float:
+def equilibrium_rho_from_state(state: np.ndarray, grid: GridSpec) -> float:
     return equilibrium_rho(mass_difference(state, grid), grid.torus_length)
 
 
@@ -139,7 +112,7 @@ class EquilibriumData:
     """
 
     rho: float
-    state: SpeciesPair
+    state: np.ndarray
     d0: float
 
 
@@ -148,15 +121,14 @@ def build_equilibrium(
 ) -> EquilibriumData:
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    ones = np.ones((grid.nx, 1))
-    state = SpeciesPair(rho * ones * chi1.values, ones * chi2.values / rho)
+    state = np.stack([rho * chi1.values, chi2.values / rho])[:, None].repeat(grid.nx, axis=1)
     d0 = (rho**2 * chi1.second_moment + chi2.second_moment) / (rho**2 + 1.0)
     return EquilibriumData(rho=float(rho), state=state, d0=d0)
 
 
 def weighted_inner(
-    a: SpeciesPair,
-    b: SpeciesPair,
+    a: np.ndarray,
+    b: np.ndarray,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     rho: float,
@@ -167,12 +139,12 @@ def weighted_inner(
     Makes the linearized collision operator self-adjoint and its kernel
     projection orthogonal.
     """
-    w = a.f * b.f / (rho * chi1.values) + a.g * b.g * (rho / chi2.values)
+    w = a[0] * b[0] / (rho * chi1.values) + a[1] * b[1] * (rho / chi2.values)
     return grid.dx * grid.dv * float(np.sum(w))
 
 
 def weighted_norm(
-    state: SpeciesPair,
+    state: np.ndarray,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     rho: float,
@@ -181,18 +153,18 @@ def weighted_norm(
     return math.sqrt(max(weighted_inner(state, state, chi1, chi2, rho, grid), 0.0))
 
 
-def macroscopic_densities(state: SpeciesPair, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity averages (rho_f, rho_g), each of shape (nx,)."""
-    return grid.dv * state.f.sum(axis=1), grid.dv * state.g.sum(axis=1)
+def macroscopic_densities(state: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Velocity averages (rho_f, rho_g), shape (2, nx)."""
+    return grid.dv * state.sum(axis=-1)
 
 
 def project_pi(
-    state: SpeciesPair,
+    state: np.ndarray,
     rho: float,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     grid: GridSpec,
-) -> SpeciesPair:
+) -> np.ndarray:
     """Orthogonal projection onto the kernel of the linearized collision operator.
 
     The kernel at each site is spanned by (rho^2*chi1, -chi2); the coefficient
@@ -200,23 +172,21 @@ def project_pi(
     """
     rho_f, rho_g = macroscopic_densities(state, grid)
     coef = (rho_f - rho_g) / (rho**2 + 1.0)
-    return SpeciesPair(
-        np.outer(coef, rho**2 * chi1.values), np.outer(coef, -chi2.values)
-    )
+    return coef[:, None] * np.stack([rho**2 * chi1.values, -chi2.values])[:, None]
 
 
 def collision_linear(
-    state: SpeciesPair,
+    state: np.ndarray,
     rho: float,
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     grid: GridSpec,
-) -> SpeciesPair:
+) -> np.ndarray:
     """Linearized generation-recombination operator around the uniform steady state."""
     rho_f, rho_g = macroscopic_densities(state, grid)
-    lf = -rho * np.outer(rho_g, chi1.values) - state.f / rho
-    lg = -np.outer(rho_f, chi2.values) / rho - rho * state.g
-    return SpeciesPair(lf, lg)
+    lf = -rho * np.outer(rho_g, chi1.values) - state[0] / rho
+    lg = -np.outer(rho_f, chi2.values) / rho - rho * state[1]
+    return np.stack([lf, lg])
 
 
 def moments_ujs(

@@ -22,14 +22,11 @@ from kinrec.linear import CENTERED, LAX_FRIEDRICHS, UPWIND, Flux, assemble_linea
 from kinrec.nonlinear import NonlinearStepper
 from kinrec.runner import TIMESERIES_HEADER, Snapshot, _count, _fmt
 from kinrec.state import (
-    SpeciesPair,
     build_equilibrium,
     equilibrium_rho_from_state,
     macroscopic_densities,
     mass_difference,
     moments_ujs,
-    stack_pair,
-    unstack_pair,
     weighted_norm,
 )
 
@@ -69,14 +66,12 @@ def make_gaussian(grid: GridSpec):
     return discretize_profile(gaussian_profile, grid)
 
 
-def random_pair(grid: GridSpec, rng: np.random.Generator, scale=1.0) -> SpeciesPair:
-    shape = (grid.nx, grid.n_vel)
-    return SpeciesPair(scale * rng.standard_normal(shape), scale * rng.standard_normal(shape))
+def random_pair(grid: GridSpec, rng: np.random.Generator, scale=1.0) -> np.ndarray:
+    return scale * rng.standard_normal((2, grid.nx, grid.n_vel))
 
 
-def random_positive_pair(grid: GridSpec, rng: np.random.Generator) -> SpeciesPair:
-    shape = (grid.nx, grid.n_vel)
-    return SpeciesPair(rng.uniform(0.2, 2.0, shape), rng.uniform(0.2, 2.0, shape))
+def random_positive_pair(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(0.2, 2.0, (2, grid.nx, grid.n_vel))
 
 
 def norm2(field: np.ndarray, grid: GridSpec) -> float:
@@ -165,13 +160,8 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     column by column from the product Newton's GMRES uses, for comparison
     with the per-mode solve and with dense_reference_operator.
     """
-    equilibrium = stack_pair(build_equilibrium(rho, chi1, chi2, grid).state)
+    equilibrium = build_equilibrium(rho, chi1, chi2, grid).state.ravel()
     return dt * NonlinearStepper(grid, chi1, chi2, flux, rho).jacobian(equilibrium, dt)
-
-
-def solve_pair(op, state: SpeciesPair) -> SpeciesPair:
-    """op.solve of a SpeciesPair, through the stack_pair vectors it takes and returns."""
-    return unstack_pair(op.solve(stack_pair(state)), op.grid)
 
 
 def make_stepper(grid, chi1, chi2, flux, state) -> NonlinearStepper:
@@ -187,7 +177,7 @@ def physical_diagnostics(deviation, pot, dt, setup):
     of the deviation's density difference.
     """
     grid, d0 = setup.grid, setup.equilibrium.d0
-    u = moments_ujs(deviation.f - deviation.g, grid, d0)[0]
+    u = moments_ujs(deviation[0] - deviation[1], grid, d0)[0]
     phi = solve_discrete_poisson(u, grid)
     pot = PotentialState(phi) if pot is None else pot.advanced(phi)
     rho_f, rho_g = macroscopic_densities(deviation, grid)
@@ -214,7 +204,7 @@ def physical_linear_march(setup):
     records, snapshots, pot = [], [], None
     for n in range(round(cfg.t_final / cfg.dt) + 1):
         if n > 0:
-            deviation = solve_pair(op, deviation)
+            deviation = op.solve(deviation)
         t = n * cfg.dt
         norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
             deviation, pot, cfg.dt, setup
@@ -252,7 +242,7 @@ def cellwise_timeseries_csv(records) -> str:
 def cellwise_snapshot_csv(snapshot, grid) -> str:
     """Snapshot text formatted one cell at a time, the writer's reference."""
     lines = ["# t=%s" % _fmt(snapshot.actual_t), "# N=%d L=%d" % (grid.nx, grid.nv), "i,j,x,v,f,g"]
-    f, g = snapshot.state.f, snapshot.state.g
+    f, g = snapshot.state
     for i in range(grid.nx):
         for j in range(grid.n_vel):
             lines.append(

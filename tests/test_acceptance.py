@@ -21,7 +21,6 @@ from conftest import (
     linear_step_matrix,
     random_pair,
     random_positive_pair,
-    solve_pair,
 )
 
 from kinrec.config import load_config
@@ -53,13 +52,11 @@ from kinrec.nonlinear import (
 )
 from kinrec.runner import build_setup, execute_run, run_experiment
 from kinrec.state import (
-    SpeciesPair,
     collision_linear,
     equilibrium_rho_from_state,
     macroscopic_densities,
     moments_ujs,
     project_pi,
-    stack_pair,
     weighted_inner,
     weighted_norm,
 )
@@ -104,8 +101,7 @@ def envelope_march(setup, flux, state, envelope, rho_hat, t_final):
     cfg = setup.cfg
     stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, flux, rho_hat)
     newton_cfg = NewtonConfig(tol_residual=cfg.newton_tol,
-                              max_iterations=cfg.newton_max_iterations,
-                              mass_diff_drift_tol=1e-10)
+                              max_iterations=cfg.newton_max_iterations)
     controller = AdaptiveController(dt_min=1e-8, dt_max=0.3)
     t, dt, steps, violations, first = 0.0, 1e-3, 0, 0, None
     f_min, f_max = math.inf, -math.inf
@@ -141,7 +137,7 @@ def test_criterion_01_algebraic_identity_suite():
                     fpair = random_pair(grid, rng)
                     gpair = random_pair(grid, rng)
                     states += 1
-                    a, b = fpair.f, gpair.g
+                    a, b = fpair[0], gpair[1]
 
                     # <Dc a, b> = -<a, Dc b>
                     da, db = centered_gradient(a, grid), centered_gradient(b, grid)
@@ -207,8 +203,8 @@ def test_criterion_02_small_instance_matches_dense_reference():
         worst = max(worst, gap)
         assert gap <= 1e-13
         state = random_pair(grid, rng)
-        mine = op.solve(stack_pair(state))
-        ref = np.linalg.solve(dense, stack_pair(state))
+        mine = op.solve(state.ravel())
+        ref = np.linalg.solve(dense, state.ravel())
         assert np.max(np.abs(mine - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -228,7 +224,7 @@ def test_criterion_03_per_step_dissipation():
 
     op = assemble_linear_operator(grid, setup.chi1, setup.chi2, setup.rho, dt, setup.flux)
     dev = setup.data0 - eq.state
-    u0 = moments_ujs(dev.f - dev.g, grid, eq.d0)[0]
+    u0 = moments_ujs(dev[0] - dev[1], grid, eq.d0)[0]
     pot = PotentialState(phi=solve_discrete_poisson(u0, grid))
     entropy = lambda state, p: modified_entropy(
         state, p, dt, led, setup.chi1, setup.chi2, grid, eq.d0
@@ -238,7 +234,7 @@ def test_criterion_03_per_step_dissipation():
     max_entropy_violation = -math.inf
     n_steps = int(round(setup.cfg.t_final / dt))
     for _ in range(n_steps):
-        dev = solve_pair(op, dev)
+        dev = op.solve(dev)
         dissipation = -weighted_inner(
             collision_linear(dev, setup.rho, setup.chi1, setup.chi2, grid),
             dev, setup.chi1, setup.chi2, setup.rho, grid,
@@ -247,7 +243,7 @@ def test_criterion_03_per_step_dissipation():
         gap_sq = weighted_norm(gap, setup.chi1, setup.chi2, setup.rho, grid) ** 2
         min_coercivity = min(min_coercivity, dissipation - led.c_mc * gap_sq)
 
-        u = moments_ujs(dev.f - dev.g, grid, eq.d0)[0]
+        u = moments_ujs(dev[0] - dev[1], grid, eq.d0)[0]
         pot = pot.advanced(solve_discrete_poisson(u, grid))
         h = entropy(dev, pot)
         norm_sq = weighted_norm(dev, setup.chi1, setup.chi2, setup.rho, grid) ** 2
@@ -297,10 +293,10 @@ def test_criterion_06_maximum_principle_propagation():
     grid = setup.grid
     assert setup.flux.lam == 6.0  # exactly the v*/2 monotonicity threshold
     x = grid.x_centers
-    state = SpeciesPair(
+    state = np.stack([
         np.outer(1.0 + 0.05 * np.cos(2.0 * x), setup.chi1.values),
         np.outer(1.0 - 0.05 * np.sin(2.0 * x), setup.chi2.values),
-    )
+    ])
     rho_hat = equilibrium_rho_from_state(state, grid)
     envelope = BoundsEnvelope(gamma1=0.2 * rho_hat, gamma2=0.2 * rho_hat)
     report = check_maximum_principle(state, envelope, rho_hat, setup.chi1, setup.chi2)
@@ -355,13 +351,13 @@ def test_criterion_07_nonlinear_flux_dichotomy(dichotomy_runs):
     setup = build_setup(load_config(None, ENVELOPE_GRID))
     x = setup.grid.x_centers
     jump = 0.15 * np.sign(np.cos(2.0 * x))
-    state = SpeciesPair(np.outer(1.0 + jump, setup.chi1.values),
-                        np.outer(1.0 - jump, setup.chi2.values))
+    state = np.stack([np.outer(1.0 + jump, setup.chi1.values),
+                      np.outer(1.0 - jump, setup.chi2.values)])
     rho_hat = equilibrium_rho_from_state(state, setup.grid)
     envelope = BoundsEnvelope(gamma1=0.2 * rho_hat, gamma2=0.2 * rho_hat)
     assert check_maximum_principle(state, envelope, rho_hat,
                                    setup.chi1, setup.chi2).passed
-    f_lo, f_hi = envelope.levels(rho_hat)[:2]
+    f_lo, f_hi = (level.flat[0] for level in envelope.levels(rho_hat))
     violations = {}
     for flux in (Flux("lax-friedrichs", 6.0), Flux("upwind"), Flux("centered")):
         steps, bad, first, r_min, r_max = envelope_march(
@@ -386,7 +382,7 @@ def test_criterion_08_newton_jacobian_exactness():
     n = grid.n_unknowns
     worst = 0.0
     for _ in range(3):
-        base = stack_pair(random_positive_pair(grid, rng))
+        base = random_positive_pair(grid, rng).ravel()
         prev = random_positive_pair(grid, rng)
         stepper = NonlinearStepper(grid, chi1, chi2, flux,
                                    equilibrium_rho_from_state(prev, grid))
@@ -396,8 +392,8 @@ def test_criterion_08_newton_jacobian_exactness():
             plus, minus = base.copy(), base.copy()
             plus[col] += h
             minus[col] -= h
-            r_plus = stepper.residual(plus, stack_pair(prev), dt)
-            r_minus = stepper.residual(minus, stack_pair(prev), dt)
+            r_plus = stepper.residual(plus, prev.ravel(), dt)
+            r_minus = stepper.residual(minus, prev.ravel(), dt)
             fd[:, col] = (r_plus - r_minus) / (2.0 * h)
         gap = float(np.max(np.abs(exact - fd)))
         worst = max(worst, gap)
@@ -405,12 +401,11 @@ def test_criterion_08_newton_jacobian_exactness():
 
     setup = build_setup(load_config(None, {"test": 3}))
     eq = setup.equilibrium.state
-    newton_cfg = NewtonConfig(tol_residual=1e-11, max_iterations=25,
-                              mass_diff_drift_tol=1e-10)
+    newton_cfg = NewtonConfig(tol_residual=1e-11, max_iterations=25)
     stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux, setup.rho)
     result, iterations = stepper.newton(eq, 0.1, newton_cfg)
     assert iterations <= 1
-    drift = np.max(np.abs(stack_pair(result) - stack_pair(eq)))
+    drift = np.max(np.abs(result - eq))
     assert drift <= 1e-9
     print(f"criterion 8: Jacobian vs FD gap {worst:.2e} <= 1e-6; equilibrium "
           f"fixed in {iterations} iteration(s), moved {drift:.1e}")
@@ -425,7 +420,7 @@ def test_criterion_09_moment_scheme_consistency():
     dev = setup.data0 - setup.equilibrium.state
     worst_linear = 0.0
     for _ in range(50):
-        nxt = solve_pair(op, dev)
+        nxt = op.solve(dev)
         res_u, res_j = verify_moment_schemes(dev, nxt, setup.grid, setup.rho,
                                              setup.equilibrium.d0, cfg.dt,
                                              setup.flux.lam)

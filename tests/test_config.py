@@ -1,6 +1,7 @@
 """Configuration loading: presets, file parsing, precedence, round-trips."""
 
 import configparser
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ from kinrec.config import (
     ValidationError,
     effective_config_text,
     load_config,
+    snapshot_name,
     validate_config,
 )
 
@@ -179,6 +181,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match=path.replace(".", r"\.")):
             load_config(None, overrides)
 
+    @pytest.mark.parametrize(
+        "times", [(0.5, 0.50000001), (2.0, 2.0), (1e-7, 1.0000001e-7, 3.0)]
+    )
+    def test_snapshot_times_sharing_a_file_name_rejected(self, times):
+        message = r"output\.snapshots.*" + re.escape(snapshot_name(times[0]))
+        with pytest.raises(ValidationError, match=message):
+            load_config(None, {"snapshot_times": times})
+
     def test_even_cell_count_message_mentions_odd(self):
         with pytest.raises(ValidationError, match="odd"):
             load_config(None, {"nx": 100})
@@ -217,6 +227,19 @@ class TestRoundTrip:
         text = effective_config_text(RunConfig(t_final=1.0))
         sections = [line for line in text.splitlines() if line.startswith("[")]
         assert sections == ["[grid]", "[model]", "[time]", "[newton]", "[output]"]
+
+
+def test_snapshot_names_match_the_benchmark_check():
+    # The benchmark's output check names the snapshot files it expects on its
+    # own; both must agree on every preset time.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    times = [t for preset in TEST_PRESETS.values() for t in preset["snapshot_times"]]
+    assert len(times) == 24
+    for t in times:
+        assert snapshot_name(t) == check.snapshot_name(t)
 
 
 def test_readme_config_block_lists_every_key():

@@ -12,7 +12,7 @@ from kinrec.diagnostics import (
     solve_discrete_poisson,
 )
 from kinrec.grid import centered_gradient
-from kinrec.state import SpeciesPair, constants_ledger, moments_ujs, weighted_norm
+from kinrec.state import constants_ledger, moments_ujs, weighted_norm
 
 
 def wide_second_difference(phi, grid):
@@ -112,10 +112,8 @@ class TestModifiedEntropy:
     def test_zero_state_zero_potential(self, setting):
         grid, chi1, chi2, ledger = setting
         pot = PotentialState(np.zeros(grid.nx))
-        zero = np.zeros((grid.nx, grid.n_vel))
-        value = modified_entropy(
-            SpeciesPair(zero, zero), pot, 0.1, ledger, chi1, chi2, grid, d0=1.0
-        )
+        zero = np.zeros((2, grid.nx, grid.n_vel))
+        value = modified_entropy(zero, pot, 0.1, ledger, chi1, chi2, grid, d0=1.0)
         assert value == 0.0
 
     def test_matches_direct_formula(self, setting):
@@ -127,7 +125,7 @@ class TestModifiedEntropy:
         got = modified_entropy(
             state, PotentialState(phi, phi_prev), dt, ledger, chi1, chi2, grid, d0
         )
-        _, j_h, _ = moments_ujs(state.f - state.g, grid, d0)
+        _, j_h, _ = moments_ujs(state[0] - state[1], grid, d0)
         dphi = centered_gradient(phi, grid)
         incr = dphi - centered_gradient(phi_prev, grid)
         want = (

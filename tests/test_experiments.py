@@ -41,7 +41,6 @@ from kinrec.runner import (
     write_outputs,
 )
 from kinrec.state import (
-    SpeciesPair,
     build_equilibrium,
     irfft_pair,
     mass_difference,
@@ -112,9 +111,9 @@ class TestInitialData:
         bump = np.exp(
             -((x[:, None] - math.pi / 2.0) ** 2 + v[None, :] ** 2 / 2.0) / 0.2
         )
-        np.testing.assert_allclose(data.f, 10.0 * bump, rtol=1e-13)
+        np.testing.assert_allclose(data[0], 10.0 * bump, rtol=1e-13)
         np.testing.assert_allclose(
-            data.g, (1.0 + np.cos(4.0 * x))[:, None] * bump, rtol=1e-13, atol=1e-300
+            data[1], (1.0 + np.cos(4.0 * x))[:, None] * bump, rtol=1e-13, atol=1e-300
         )
 
     def test_velocity_ring_family(self):
@@ -124,7 +123,7 @@ class TestInitialData:
         x, v = grid.x_centers, grid.v_centers
         ring = np.exp(-(v**2) / 2.0) / math.sqrt(2.0 * math.pi) * v**4
         np.testing.assert_allclose(
-            data.f, (1.0 + np.cos(2.0 * x))[:, None] * ring[None, :], rtol=1e-13
+            data[0], (1.0 + np.cos(2.0 * x))[:, None] * ring[None, :], rtol=1e-13
         )
 
     def test_model_kind_picks_family_without_test_number(self):
@@ -132,10 +131,10 @@ class TestInitialData:
         rng = np.random.default_rng(0)
         linear = initial_data(tiny_config(), grid, rng)
         preset = initial_data(tiny_config(test=1, t_final=1.0), grid, rng)
-        np.testing.assert_array_equal(linear.f, preset.f)
+        np.testing.assert_array_equal(linear[0], preset[0])
         nonlinear = initial_data(tiny_config(model="nonlinear"), grid, rng)
         ring = initial_data(tiny_config(test=3, t_final=1.0), grid, rng)
-        np.testing.assert_array_equal(nonlinear.f, ring.f)
+        np.testing.assert_array_equal(nonlinear[0], ring[0])
 
     def test_random_family_is_seed_deterministic(self):
         cfg = tiny_config(test=4, t_final=1.0)
@@ -143,10 +142,10 @@ class TestInitialData:
         one = initial_data(cfg, grid, np.random.default_rng(42))
         two = initial_data(cfg, grid, np.random.default_rng(42))
         other = initial_data(cfg, grid, np.random.default_rng(43))
-        np.testing.assert_array_equal(one.f, two.f)
-        np.testing.assert_array_equal(one.g, two.g)
-        assert not np.array_equal(one.f, other.f)
-        assert np.all(one.f >= 0.0) and np.all(one.f <= 1.0)
+        np.testing.assert_array_equal(one[0], two[0])
+        np.testing.assert_array_equal(one[1], two[1])
+        assert not np.array_equal(one[0], other[0])
+        assert np.all(one[0] >= 0.0) and np.all(one[0] <= 1.0)
 
 
 class TestBuildSetup:
@@ -156,7 +155,7 @@ class TestBuildSetup:
         residual = setup.grid.torus_length * (setup.rho - 1.0 / setup.rho) - m0
         assert residual == pytest.approx(0.0, abs=1e-12)
         eq = build_equilibrium(setup.rho, setup.chi1, setup.chi2, setup.grid)
-        np.testing.assert_array_equal(setup.equilibrium.state.f, eq.state.f)
+        np.testing.assert_array_equal(setup.equilibrium.state[0], eq.state[0])
 
     def test_envelope_and_ledger_wiring(self):
         setup = build_setup(tiny_config())
@@ -274,10 +273,10 @@ class TestMarches:
         assert [(s.requested_t, s.actual_t) for s in data.snapshots] == [
             (s.requested_t, s.actual_t) for s in snapshots
         ]
-        scale = np.max(np.abs(snapshots[0].state.f)) + np.max(np.abs(snapshots[0].state.g))
+        scale = np.max(np.abs(snapshots[0].state[0])) + np.max(np.abs(snapshots[0].state[1]))
         for got, want in zip(data.snapshots, snapshots):
-            np.testing.assert_allclose(got.state.f, want.state.f, rtol=0.0, atol=1e-12 * scale)
-            np.testing.assert_allclose(got.state.g, want.state.g, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got.state[0], want.state[0], rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got.state[1], want.state[1], rtol=0.0, atol=1e-12 * scale)
 
     def test_nonlinear_march_factorizes_nothing(self, monkeypatch):
         # Newton solves each step by GMRES, preconditioned with the per-mode
@@ -496,7 +495,7 @@ class TestOutputs:
         shape = (grid.nx, grid.n_vel)
         f, g = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape) for _ in "fg")
         f[0, :3] = (0.0, -0.0, 1.0)
-        snap = Snapshot(0.83, 0.8300000000000001, SpeciesPair(f, g))
+        snap = Snapshot(0.83, 0.8300000000000001, np.stack([f, g]))
         # Compared as line lists: a failure then names the first differing line.
         assert (
             snapshot_csv(snap, grid).split("\n") == cellwise_snapshot_csv(snap, grid).split("\n")
@@ -593,7 +592,7 @@ class TestModalDiagnostics:
             # The potential exists for mean-free density differences only.
             u = moments_ujs(f - g, grid, setup.equilibrium.d0)[0]
             f -= np.mean(u) / (grid.dv * grid.n_vel)
-            deviation = SpeciesPair(f, g)
+            deviation = np.stack([f, g])
             state = None if model == "linear" else setup.equilibrium.state + deviation
             record = recorder.observe(0.1 * step, rfft_pair(deviation), dt_used, None, state)
 
@@ -616,8 +615,49 @@ class TestModalDiagnostics:
                 entropy_scale += delta / (2.0 * entropy_dt) * grid.dx * np.sum(incr**2)
             assert abs(record.entropy - entropy) <= 1e-12 * entropy_scale
             evolved = deviation if state is None else state
-            mass_scale = grid.dx * grid.dv * float(np.sum(np.abs(evolved.f) + np.abs(evolved.g)))
+            mass_scale = grid.dx * grid.dv * float(np.sum(np.abs(evolved[0]) + np.abs(evolved[1])))
             assert abs(record.mass_difference - mass_difference(evolved, grid)) <= 1e-12 * mass_scale
+
+
+class TestStateAliasing:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # Snapshots 0.25 and 0.3 both come from the step that lands on 0.3.
+            dict(t_final=0.5, snapshot_times=(0.0, 0.25, 0.3, 0.5)),
+            # The step that first passes 0.1 serves both 0.1 and 0.1001.
+            dict(
+                model="nonlinear", test=4, seed=1, t_final=0.3,
+                snapshot_times=(0.0, 0.1, 0.1001, 0.3),
+            ),
+        ],
+        ids=["linear", "nonlinear"],
+    )
+    def test_run_leaves_its_setup_alone_and_snapshots_own_their_arrays(
+        self, overrides, monkeypatch
+    ):
+        # States are mutable arrays: a march must not write into the data or
+        # the equilibrium, and no snapshot may share memory with another one
+        # or with the state the march carries on (the modes of a linear run).
+        observed = []
+        observe = DiagnosticsRecorder.observe
+
+        def recording(self, t, modes, dt_used, newton_iterations, state=None):
+            observed.append(modes if state is None else state)
+            return observe(self, t, modes, dt_used, newton_iterations, state)
+
+        monkeypatch.setattr(DiagnosticsRecorder, "observe", recording)
+        cfg = tiny_config(**overrides)
+        data = execute_run(cfg)
+        fresh = build_setup(data.setup.cfg)
+        np.testing.assert_array_equal(data.setup.data0, fresh.data0)
+        np.testing.assert_array_equal(data.setup.equilibrium.state, fresh.equilibrium.state)
+        snapshots = [s.state for s in data.snapshots]
+        assert len(snapshots) == 4 and len({s.actual_t for s in data.snapshots}) == 3
+        for k, snapshot in enumerate(snapshots):
+            others = snapshots[:k] + snapshots[k + 1 :] + observed
+            others += [data.setup.data0, data.setup.equilibrium.state]
+            assert not any(np.shares_memory(snapshot, other) for other in others)
 
 
 class TestDeterminism:
@@ -701,6 +741,16 @@ class TestCli:
         out = tmp_path / "short"
         assert main(["--test", "1", "--nx", "11", "--nv", "2", "--out", str(out), *flags]) == 2
         assert "time.t_final" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snapshots", ["0.5,0.50000001,1", "0.5,1,0.5"])
+    def test_snapshots_sharing_a_file_exit_two(self, tmp_path, capsys, snapshots):
+        # Both times would write snapshot_t0p5.csv, the second over the first.
+        out = tmp_path / "never"
+        argv = ["--test", "1", "--nx", "11", "--nv", "2", "--tfinal", "1"]
+        assert main([*argv, "--snapshots", snapshots, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "output.snapshots" in err and "snapshot_t0p5.csv" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("snapshots", ["0,x", "0,,1"])

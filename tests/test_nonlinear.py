@@ -28,13 +28,10 @@ from kinrec.nonlinear import (
     verify_moment_schemes_nonlinear,
 )
 from kinrec.state import (
-    SpeciesPair,
     build_equilibrium,
     equilibrium_rho,
     equilibrium_rho_from_state,
     mass_difference,
-    stack_pair,
-    unstack_pair,
 )
 
 
@@ -42,29 +39,30 @@ def naive_residual(state_next, state_prev, dt, flux, chi1, chi2, grid):
     """Loop reference for the implicit defect of the full system."""
     from conftest import naive_flux_divergence
 
+    (f_next, g_next), (f_prev, g_prev) = state_next, state_prev
     rho_f = np.array(
-        [grid.dv * sum(state_next.f[i]) for i in range(grid.nx)]
+        [grid.dv * sum(f_next[i]) for i in range(grid.nx)]
     )
     rho_g = np.array(
-        [grid.dv * sum(state_next.g[i]) for i in range(grid.nx)]
+        [grid.dv * sum(g_next[i]) for i in range(grid.nx)]
     )
-    div_f = naive_flux_divergence(state_next.f, flux, grid)
-    div_g = naive_flux_divergence(state_next.g, flux, grid)
-    rf = np.zeros_like(state_next.f)
-    rg = np.zeros_like(state_next.g)
+    div_f = naive_flux_divergence(f_next, flux, grid)
+    div_g = naive_flux_divergence(g_next, flux, grid)
+    rf = np.zeros_like(f_next)
+    rg = np.zeros_like(g_next)
     for i in range(grid.nx):
         for m in range(grid.n_vel):
             rf[i, m] = (
-                (state_next.f[i, m] - state_prev.f[i, m]) / dt
+                (f_next[i, m] - f_prev[i, m]) / dt
                 + div_f[i, m]
-                - (chi1.values[m] - rho_g[i] * state_next.f[i, m])
+                - (chi1.values[m] - rho_g[i] * f_next[i, m])
             )
             rg[i, m] = (
-                (state_next.g[i, m] - state_prev.g[i, m]) / dt
+                (g_next[i, m] - g_prev[i, m]) / dt
                 + div_g[i, m]
-                - (chi2.values[m] - rho_f[i] * state_next.g[i, m])
+                - (chi2.values[m] - rho_f[i] * g_next[i, m])
             )
-    return SpeciesPair(rf, rg)
+    return np.stack([rf, rg])
 
 
 @pytest.fixture
@@ -78,7 +76,7 @@ class TestResidual:
     def test_equilibrium_is_a_fixed_point(self, setting):
         grid, chi1, chi2 = setting
         for rho in (0.5, 1.0, 2.0):
-            u = stack_pair(build_equilibrium(rho, chi1, chi2, grid).state)
+            u = build_equilibrium(rho, chi1, chi2, grid).state.ravel()
             stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), rho)
             assert float(np.max(np.abs(stepper.residual(u, u, 0.2)))) <= 1e-12
 
@@ -92,10 +90,10 @@ class TestResidual:
         rng = np.random.default_rng(1)
         nxt, prev = random_positive_pair(grid, rng), random_positive_pair(grid, rng)
         stepper = make_stepper(grid, chi1, chi2, flux, prev)
-        got = unstack_pair(stepper.residual(stack_pair(nxt), stack_pair(prev), 0.1), grid)
+        got = stepper.residual(nxt.ravel(), prev.ravel(), 0.1).reshape(nxt.shape)
         want = naive_residual(nxt, prev, 0.1, flux, chi1, chi2, grid)
-        np.testing.assert_allclose(got.f, want.f, atol=1e-12)
-        np.testing.assert_allclose(got.g, want.g, atol=1e-12)
+        np.testing.assert_allclose(got[0], want[0], atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], atol=1e-12)
 
     def test_agrees_with_linearization_to_second_order(self, setting):
         # Around the uniform steady state the full defect minus epsilon times
@@ -112,20 +110,17 @@ class TestResidual:
         errs = []
         eps_values = (1e-2, 1e-3, 1e-4)
         for eps in eps_values:
-            full = unstack_pair(
-                stepper.residual(stack_pair(eq.state + eps * a), stack_pair(eq.state + eps * b), dt),
-                grid,
-            )
+            full = stepper.residual((eq.state + eps * a).ravel(), (eq.state + eps * b).ravel(), dt)
             lin = residual_linear(a, b, dt, flux, chi1, chi2, rho, grid)
-            gap = full - eps * lin
-            errs.append(max(np.max(np.abs(gap.f)), np.max(np.abs(gap.g))))
+            gap = full - eps * lin.ravel()
+            errs.append(np.max(np.abs(gap)))
         slope = np.polyfit(np.log(eps_values), np.log(errs), 1)[0]
         assert slope >= 1.9
 
     def test_nonpositive_dt_rejected(self, setting):
         grid, chi1, chi2 = setting
         state = random_positive_pair(grid, np.random.default_rng(3))
-        u = stack_pair(state)
+        u = state.ravel()
         with pytest.raises(ValueError, match="dt"):
             make_stepper(grid, chi1, chi2, Flux.centered(), state).residual(u, u, 0.0)
 
@@ -148,17 +143,16 @@ class TestTransportPair:
         grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
         chi1, chi2 = make_profiles(grid)
         state = random_pair(grid, np.random.default_rng(seed))
-        u = stack_pair(state)
+        u = state.ravel()
         interfaces, difference = transport_pair(flux, grid)
-        divergence = unstack_pair(difference @ (interfaces @ u) / grid.dx, grid)
-        assert np.array_equal(divergence.f, flux_divergence(state.f, flux, grid))
-        assert np.array_equal(divergence.g, flux_divergence(state.g, flux, grid))
+        divergence = difference @ (interfaces @ u) / grid.dx
+        assert np.array_equal(divergence, flux_divergence(state, flux, grid).ravel())
 
         stepper = NonlinearStepper(grid, chi1, chi2, flux, 1.0)
         cells = u.reshape(2, grid.nx, grid.n_vel)
         sources = np.stack([chi1.values, chi2.values])[:, None]
         reaction = sources - grid.dv * cells.sum(axis=2)[::-1, :, None] * cells
-        assert np.array_equal(stepper.residual(u, u, 0.1), stack_pair(divergence) - reaction.ravel())
+        assert np.array_equal(stepper.residual(u, u, 0.1), divergence - reaction.ravel())
 
         product = difference @ interfaces / grid.dx
         product.sort_indices()
@@ -200,8 +194,8 @@ class TestJacobian:
         state = random_positive_pair(grid, np.random.default_rng(4))
         dt = 0.15
         stepper = make_stepper(grid, chi1, chi2, flux, state)
-        exact = stepper.jacobian(stack_pair(state), dt)
-        approx = self.fd_jacobian(stepper, stack_pair(state), dt)
+        exact = stepper.jacobian(state.ravel(), dt)
+        approx = self.fd_jacobian(stepper, state.ravel(), dt)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
 
     @GRIDS
@@ -218,7 +212,7 @@ class TestJacobian:
         g = np.tile(chi2.values / rho, (grid.nx, 1))
         f[0] = 2.0 * chi1.values       # clamped from above
         g[1] = 0.2 * chi2.values       # clamped from below
-        u = stack_pair(SpeciesPair(f, g))
+        u = np.stack([f, g]).ravel()
         dt = 0.15
         stepper = NonlinearStepper(grid, chi1, chi2, flux, rho, envelope)
         exact = stepper.jacobian(u, dt)
@@ -251,9 +245,11 @@ def newton_setting(nx, nv, flux, truncated, rho, seed):
     shape = (grid.nx, grid.n_vel)
 
     def positive_state():
-        return SpeciesPair(
-            rho * chi1.values * rng.uniform(0.5, 1.5, shape),
-            chi2.values / rho * rng.uniform(0.5, 1.5, shape),
+        return np.stack(
+            [
+                rho * chi1.values * rng.uniform(0.5, 1.5, shape),
+                chi2.values / rho * rng.uniform(0.5, 1.5, shape),
+            ]
         )
 
     state, prev = positive_state(), positive_state()
@@ -264,7 +260,7 @@ def newton_setting(nx, nv, flux, truncated, rho, seed):
 
 def mass_drift(state, prev, grid):
     """|mass difference of state - that of prev| and the scale of prev."""
-    scale = grid.dx * grid.dv * float(np.sum(prev.f + prev.g))
+    scale = grid.dx * grid.dv * float(np.sum(prev[0] + prev[1]))
     return abs(mass_difference(state, grid) - mass_difference(prev, grid)), scale
 
 
@@ -277,8 +273,8 @@ class TestAugmentedNewtonUpdate:
         self, nx, nv, flux, truncated, rho, dt, seed
     ):
         grid, stepper, state, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
-        u = stack_pair(state)
-        res = stepper.residual(u, stack_pair(prev), dt)
+        u = state.ravel()
+        res = stepper.residual(u, prev.ravel(), dt)
         delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), KRYLOV_TOL)
         reference = np.linalg.solve(stepper.jacobian(u, dt), -res)
         assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
@@ -286,7 +282,7 @@ class TestAugmentedNewtonUpdate:
         # The mass difference of the residual is the step's mass change over
         # dt and the reaction's derivative carries none, so one Newton step
         # lands on the previous mass difference.
-        drift, scale = mass_drift(state + unstack_pair(delta, grid), prev, grid)
+        drift, scale = mass_drift(state + delta.reshape(state.shape), prev, grid)
         assert drift <= 1e-12 * scale
 
 
@@ -304,12 +300,12 @@ class TestInexactNewtonUpdate:
         # m(dt*solve(v)) = dt*m(v), so no Krylov vector has one, and neither
         # has the update, at any tolerance.
         grid, stepper, _, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
-        u = stack_pair(prev)
+        u = prev.ravel()
         res = stepper.residual(u, u, dt)
         delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), eta)
         linear = res + stepper.jacobian(u, dt) @ delta
         assert math.sqrt(linear @ linear) <= eta * math.sqrt(res @ res)
-        drift, scale = mass_drift(prev + unstack_pair(delta, grid), prev, grid)
+        drift, scale = mass_drift(prev + delta.reshape(prev.shape), prev, grid)
         assert drift <= 1e-12 * scale
 
 
@@ -334,30 +330,21 @@ class TestForcingTerm:
     def test_choice_two_floor_and_krylov_tol(self):
         # gamma times the squared residual ratio, unless Kelley's floor or
         # KRYLOV_TOL is larger.
-        assert forcing_term(0.1, 1e-11, (1.0, ETA_MAX)) == 0.9 * 0.1**2
-        assert forcing_term(1e-10, 1e-11, (1.0, ETA_MAX)) == 0.5 * 1e-11 / 1e-10
-        assert forcing_term(1e-8, 1e-20, (1.0, ETA_MAX)) == KRYLOV_TOL
-
-    def test_safeguard_keeps_a_large_previous_tolerance(self, monkeypatch):
-        # gamma*eta_prev^2 exceeds 0.1 only for eta_prev > 1/3.  Under
-        # ETA_MAX = 1e-2 only Kelley's floor gets there, and then the floor
-        # also sets the result, so a larger cap shows the safeguard.
-        monkeypatch.setattr(nonlinear, "ETA_MAX", 0.9)
-        assert forcing_term(1e-3, 1e-11, (1.0, 0.9)) == 0.9 * 0.9**2
-        assert forcing_term(1e-3, 1e-11, (1.0, 0.3)) == 0.9 * 1e-3**2
+        assert forcing_term(0.1, 1e-11, 1.0) == 0.9 * 0.1**2
+        assert forcing_term(1e-10, 1e-11, 1.0) == 0.5 * 1e-11 / 1e-10
+        assert forcing_term(1e-8, 1e-20, 1.0) == KRYLOV_TOL
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         res_norm=st.floats(min_value=1e-11, max_value=1e3),
         ratio=st.floats(min_value=1e-6, max_value=1e3),
-        eta_prev=st.floats(min_value=KRYLOV_TOL, max_value=0.5),
         tol_residual=st.floats(min_value=1e-14, max_value=1e-6),
     )
-    def test_stays_between_the_floors_and_eta_max(self, res_norm, ratio, eta_prev, tol_residual):
+    def test_stays_between_the_floors_and_eta_max(self, res_norm, ratio, tol_residual):
         # Kelley's floor comes after the cap, so it lifts the tolerance above
         # ETA_MAX when the residual is within 50*tol_residual of the stop.
         floor = 0.5 * tol_residual / res_norm
-        eta = forcing_term(res_norm, tol_residual, (res_norm / ratio, eta_prev))
+        eta = forcing_term(res_norm, tol_residual, res_norm / ratio)
         assert max(KRYLOV_TOL, floor) <= eta <= max(ETA_MAX, floor)
 
 
@@ -370,8 +357,8 @@ class TestNewton:
             grid, chi1, chi2, Flux.lax_friedrichs(1.5), 1.4
         ).newton(eq.state, 0.2, cfg)
         assert iterations <= 1
-        np.testing.assert_allclose(state.f, eq.state.f, atol=1e-10)
-        np.testing.assert_allclose(state.g, eq.state.g, atol=1e-10)
+        np.testing.assert_allclose(state[0], eq.state[0], atol=1e-10)
+        np.testing.assert_allclose(state[1], eq.state[1], atol=1e-10)
 
     def test_uniform_step_matches_independent_cell_solve(self, setting):
         # Uniform states stay uniform (no transport), so the implicit step is
@@ -380,7 +367,7 @@ class TestNewton:
         rng = np.random.default_rng(5)
         nvel = grid.n_vel
         row_f, row_g = rng.uniform(0.3, 1.5, nvel), rng.uniform(0.3, 1.5, nvel)
-        prev = SpeciesPair(np.tile(row_f, (grid.nx, 1)), np.tile(row_g, (grid.nx, 1)))
+        prev = np.stack([np.tile(row_f, (grid.nx, 1)), np.tile(row_g, (grid.nx, 1))])
         dt = 0.25
         cfg = NewtonConfig(tol_residual=1e-13)
         state, _ = make_stepper(grid, chi1, chi2, Flux.upwind(), prev).newton(prev, dt, cfg)
@@ -394,8 +381,8 @@ class TestNewton:
         z0 = np.concatenate([row_f, row_g])
         oracle = fsolve(cell_residual, z0, xtol=1e-13)
         for i in range(grid.nx):
-            np.testing.assert_allclose(state.f[i], oracle[:nvel], atol=1e-9)
-            np.testing.assert_allclose(state.g[i], oracle[nvel:], atol=1e-9)
+            np.testing.assert_allclose(state[0, i], oracle[:nvel], atol=1e-9)
+            np.testing.assert_allclose(state[1, i], oracle[nvel:], atol=1e-9)
 
     def test_step_residual_meets_tolerance(self, setting):
         grid, chi1, chi2 = setting
@@ -403,7 +390,7 @@ class TestNewton:
         cfg = NewtonConfig(tol_residual=1e-12)
         stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
         state, iterations = stepper.newton(prev, 0.1, cfg)
-        res = stepper.residual(stack_pair(state), stack_pair(prev), 0.1)
+        res = stepper.residual(state.ravel(), prev.ravel(), 0.1)
         assert np.max(np.abs(res)) <= 1e-12
         assert 1 <= iterations <= 10
 
@@ -438,7 +425,7 @@ class TestNewton:
         grid, chi1, chi2 = setting
         prev = random_positive_pair(grid, np.random.default_rng(10))
         stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
-        u = stack_pair(prev)
+        u = prev.ravel()
         res = stepper.residual(u, u, 0.2)
         preconditioner = stepper.steady_step(0.2)
         stepper.newton_update(u, res, 0.2, preconditioner, KRYLOV_TOL)
@@ -449,13 +436,14 @@ class TestNewton:
         with pytest.raises(NewtonDivergedError, match="GMRES"):
             stepper.newton(prev, 0.2, NewtonConfig())
 
-    def test_mass_drift_guard_trips_on_tiny_tolerance(self, setting):
+    def test_mass_drift_guard_trips_on_tiny_tolerance(self, setting, monkeypatch):
         # The conserved quantity moves at rounding level per step; an absurdly
         # small tolerance must trip the guard rather than pass silently.
         grid, chi1, chi2 = setting
         rng = np.random.default_rng(8)
         prev = random_positive_pair(grid, rng)
-        cfg = NewtonConfig(tol_residual=1e-9, mass_diff_drift_tol=1e-18)
+        monkeypatch.setattr(nonlinear, "MASS_DIFF_DRIFT_TOL", 1e-18)
+        cfg = NewtonConfig(tol_residual=1e-9)
         with pytest.raises(NewtonDivergedError, match="drift"):
             make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev).newton(prev, 0.2, cfg)
 
@@ -477,7 +465,6 @@ class TestNewton:
             {"tol_residual": 0.0},
             {"tol_residual": -1e-3},
             {"max_iterations": 0},
-            {"mass_diff_drift_tol": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -488,7 +475,9 @@ class TestNewton:
 class TestEnvelope:
     def test_levels(self):
         env = BoundsEnvelope(gamma1=0.2, gamma2=0.4)
-        f_lo, f_hi, g_lo, g_hi = env.levels(2.0)
+        low, high = env.levels(2.0)
+        assert low.shape == high.shape == (2, 1, 1)
+        (f_lo, g_lo), (f_hi, g_hi) = low.ravel(), high.ravel()
         assert (f_lo, f_hi) == (1.8, 2.4)
         assert g_lo == pytest.approx(1.0 / 2.4)
         assert g_hi == pytest.approx(1.0 / 1.8)
@@ -504,21 +493,22 @@ class TestEnvelope:
         rho = 1.0
         env = BoundsEnvelope(gamma1=0.2, gamma2=0.2)
         state = random_positive_pair(grid, np.random.default_rng(11))
-        once = truncate_state(np.stack([state.f, state.g]), env, rho, chi1, chi2)
+        once = truncate_state(state, env, rho, chi1, chi2)
         twice = truncate_state(once, env, rho, chi1, chi2)
         np.testing.assert_array_equal(once, twice)
-        report = check_maximum_principle(SpeciesPair(*once), env, rho, chi1, chi2)
+        report = check_maximum_principle(once, env, rho, chi1, chi2)
         assert report.passed
 
     def test_truncation_is_identity_inside_the_band(self, setting):
         grid, chi1, chi2 = setting
         rho = 1.5
         env = BoundsEnvelope(gamma1=0.3, gamma2=0.3)
-        inside = SpeciesPair(
-            np.tile((rho + 0.1) * chi1.values, (grid.nx, 1)),
-            np.tile(chi2.values / (rho + 0.1), (grid.nx, 1)),
+        cells = np.stack(
+            [
+                np.tile((rho + 0.1) * chi1.values, (grid.nx, 1)),
+                np.tile(chi2.values / (rho + 0.1), (grid.nx, 1)),
+            ]
         )
-        cells = np.stack([inside.f, inside.g])
         np.testing.assert_array_equal(truncate_state(cells, env, rho, chi1, chi2), cells)
 
     def test_report_flags_violations(self, setting):
@@ -529,7 +519,8 @@ class TestEnvelope:
         good = check_maximum_principle(eq.state, env, rho, chi1, chi2)
         assert good.passed
         assert good.f_ratio_min == pytest.approx(rho, rel=1e-12)
-        bad_state = SpeciesPair(eq.state.f * 1.5, eq.state.g)
+        bad_state = eq.state.copy()
+        bad_state[0] *= 1.5
         bad = check_maximum_principle(bad_state, env, rho, chi1, chi2)
         assert not bad.passed
         assert bad.f_ratio_max == pytest.approx(1.5 * rho, rel=1e-12)
@@ -605,7 +596,8 @@ class TestAdaptiveControl:
         eq = build_equilibrium(1.0, chi1, chi2, grid)
         bump = np.outer(0.05 * np.cos(2 * np.pi * grid.x_centers / grid.torus_length),
                         chi1.values)
-        state = SpeciesPair(eq.state.f + bump, eq.state.g.copy())
+        state = eq.state.copy()
+        state[0] += bump
         stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), state)
         controller = AdaptiveController(dt_min=1e-8, dt_max=0.3)
         cfg = NewtonConfig()
@@ -638,9 +630,11 @@ class TestMaximumPrinciplePropagation:
         rho = 1.0
         env = BoundsEnvelope(gamma1=0.2 * rho, gamma2=0.2 * rho)
         wave = 0.05 * np.cos(2.0 * np.pi * grid.x_centers / grid.torus_length)
-        state = SpeciesPair(
-            np.outer(rho * (1.0 + wave), chi1.values),
-            np.outer((1.0 - 0.7 * wave) / rho, chi2.values),
+        state = np.stack(
+            [
+                np.outer(rho * (1.0 + wave), chi1.values),
+                np.outer((1.0 - 0.7 * wave) / rho, chi2.values),
+            ]
         )
         lam = grid.v_star / 2.0
         stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), state)
@@ -676,6 +670,6 @@ class TestNonlinearMomentSchemes:
         stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), state)
         nxt, _ = stepper.newton(state, dt, NewtonConfig(tol_residual=1e-13))
         bad = nxt.copy()
-        bad.f[1, 0] += 1e-3
+        bad[0, 1, 0] += 1e-3
         res_u, res_j = verify_moment_schemes_nonlinear(state, bad, eq, grid, dt, lam)
         assert max(res_u, res_j) > 1e-6

@@ -1,4 +1,4 @@
-"""Species pairs, equilibrium, weighted geometry, moments, and estimate constants."""
+"""States, equilibrium, weighted geometry, moments, and estimate constants."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from kinrec.grid import VelocityProfile, build_grid, discretize_profile, gaussia
 from kinrec.runner import build_setup
 from kinrec.state import (
     DENSE_DFT_MAX_NX,
-    SpeciesPair,
     build_equilibrium,
     collision_linear,
     constants_ledger,
@@ -32,7 +31,7 @@ def naive_mass_difference(state, grid):
     total = 0.0
     for i in range(grid.nx):
         for m in range(grid.n_vel):
-            total += grid.dx * grid.dv * (state.f[i, m] - state.g[i, m])
+            total += grid.dx * grid.dv * (state[0, i, m] - state[1, i, m])
     return total
 
 
@@ -41,24 +40,6 @@ def setting():
     grid = make_grid(torus_length=2.0, nx=7, nv=3, v_star=3.0)
     chi1, chi2 = make_profiles(grid)
     return grid, chi1, chi2
-
-
-class TestSpeciesPair:
-    def test_arithmetic(self):
-        grid = make_grid()
-        rng = np.random.default_rng(0)
-        a, b = random_pair(grid, rng), random_pair(grid, rng)
-        s = a + b
-        np.testing.assert_array_equal(s.f, a.f + b.f)
-        np.testing.assert_array_equal((a - b).g, a.g - b.g)
-        np.testing.assert_array_equal((2.0 * a).f, 2.0 * a.f)
-        c = a.copy()
-        c.f[0, 0] += 1.0
-        assert c.f[0, 0] != a.f[0, 0]
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            SpeciesPair(np.zeros((3, 2)), np.zeros((3, 4)))
 
 
 class TestMassDifference:
@@ -72,7 +53,7 @@ class TestMassDifference:
     def test_equal_species_give_exact_zero(self, setting):
         grid, _, _ = setting
         f = np.random.default_rng(2).standard_normal((grid.nx, grid.n_vel))
-        assert mass_difference(SpeciesPair(f, f.copy()), grid) == 0.0
+        assert mass_difference(np.stack([f, f]), grid) == 0.0
 
     def test_equilibrium_mass(self):
         grid = build_grid(np.pi, 11, 8, 12.0)
@@ -117,16 +98,16 @@ class TestBuildEquilibrium:
         grid, chi1, chi2 = setting
         eq = build_equilibrium(2.0, chi1, chi2, grid)
         for i in range(grid.nx):
-            np.testing.assert_array_equal(eq.state.f[i], eq.state.f[0])
-            np.testing.assert_array_equal(eq.state.g[i], eq.state.g[0])
-        np.testing.assert_allclose(eq.state.f[0], 2.0 * chi1.values)
-        np.testing.assert_allclose(eq.state.g[0], chi2.values / 2.0)
+            np.testing.assert_array_equal(eq.state[0, i], eq.state[0, 0])
+            np.testing.assert_array_equal(eq.state[1, i], eq.state[1, 0])
+        np.testing.assert_allclose(eq.state[0, 0], 2.0 * chi1.values)
+        np.testing.assert_allclose(eq.state[1, 0], chi2.values / 2.0)
 
     def test_unit_density_with_equal_profiles(self):
         grid = make_grid(nv=4)
         chi = discretize_profile(gaussian_profile, grid)
         eq = build_equilibrium(1.0, chi, chi, grid)
-        np.testing.assert_array_equal(eq.state.f, eq.state.g)
+        np.testing.assert_array_equal(eq.state[0], eq.state[1])
         assert eq.d0 == pytest.approx(chi.second_moment, rel=1e-15)
 
     def test_weight_interpolates_profile_moments(self):
@@ -159,7 +140,7 @@ class TestWeightedGeometry:
     def test_norm_of_zero(self, setting):
         grid, chi1, chi2 = setting
         zero = np.zeros((grid.nx, grid.n_vel))
-        assert weighted_norm(SpeciesPair(zero, zero), chi1, chi2, 1.0, grid) == 0.0
+        assert weighted_norm(np.stack([zero, zero]), chi1, chi2, 1.0, grid) == 0.0
 
     def test_norm_positive_definite(self, setting):
         grid, chi1, chi2 = setting
@@ -172,20 +153,20 @@ class TestProjector:
     def test_fixes_its_range(self, setting, rho):
         grid, chi1, chi2 = setting
         coef = np.cos(2.0 * np.pi * grid.x_centers / grid.torus_length)
-        state = SpeciesPair(
-            np.outer(coef, rho**2 * chi1.values), np.outer(coef, -chi2.values)
+        state = np.stack(
+            [np.outer(coef, rho**2 * chi1.values), np.outer(coef, -chi2.values)]
         )
         proj = project_pi(state, rho, chi1, chi2, grid)
-        np.testing.assert_allclose(proj.f, state.f, atol=1e-12)
-        np.testing.assert_allclose(proj.g, state.g, atol=1e-12)
+        np.testing.assert_allclose(proj[0], state[0], atol=1e-12)
+        np.testing.assert_allclose(proj[1], state[1], atol=1e-12)
 
     def test_idempotent(self, setting):
         grid, chi1, chi2 = setting
         state = random_pair(grid, np.random.default_rng(6))
         once = project_pi(state, 1.6, chi1, chi2, grid)
         twice = project_pi(once, 1.6, chi1, chi2, grid)
-        np.testing.assert_allclose(twice.f, once.f, atol=1e-13)
-        np.testing.assert_allclose(twice.g, once.g, atol=1e-13)
+        np.testing.assert_allclose(twice[0], once[0], atol=1e-13)
+        np.testing.assert_allclose(twice[1], once[1], atol=1e-13)
 
     def test_self_adjoint_and_orthogonal(self, setting):
         grid, chi1, chi2 = setting
@@ -220,13 +201,13 @@ class TestCollision:
         grid, chi1, chi2 = setting
         rho = 1.9
         coef = np.sin(2.0 * np.pi * grid.x_centers / grid.torus_length) + 0.3
-        state = SpeciesPair(
-            np.outer(coef, rho**2 * chi1.values), np.outer(coef, -chi2.values)
+        state = np.stack(
+            [np.outer(coef, rho**2 * chi1.values), np.outer(coef, -chi2.values)]
         )
         out = collision_linear(state, rho, chi1, chi2, grid)
-        scale = float(np.max(np.abs(state.f)))
-        assert float(np.max(np.abs(out.f))) <= 1e-12 * scale
-        assert float(np.max(np.abs(out.g))) <= 1e-12 * scale
+        scale = float(np.max(np.abs(state[0])))
+        assert float(np.max(np.abs(out[0]))) <= 1e-12 * scale
+        assert float(np.max(np.abs(out[1]))) <= 1e-12 * scale
 
     def test_equilibrium_deviation_of_projection_is_zero(self, setting):
         grid, chi1, chi2 = setting
@@ -234,8 +215,8 @@ class TestCollision:
         rho = 0.7
         proj = project_pi(state, rho, chi1, chi2, grid)
         out = collision_linear(proj, rho, chi1, chi2, grid)
-        assert float(np.max(np.abs(out.f))) <= 1e-12
-        assert float(np.max(np.abs(out.g))) <= 1e-12
+        assert float(np.max(np.abs(out[0]))) <= 1e-12
+        assert float(np.max(np.abs(out[1]))) <= 1e-12
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_dissipative_with_kernel_gap(self, setting, rho):
@@ -260,10 +241,10 @@ class TestMacroscopicDensities:
         rho_f, rho_g = macroscopic_densities(state, grid)
         for i in range(grid.nx):
             assert rho_f[i] == pytest.approx(
-                grid.dv * sum(state.f[i, m] for m in range(grid.n_vel)), rel=1e-13
+                grid.dv * sum(state[0, i, m] for m in range(grid.n_vel)), rel=1e-13
             )
             assert rho_g[i] == pytest.approx(
-                grid.dv * sum(state.g[i, m] for m in range(grid.n_vel)), rel=1e-13
+                grid.dv * sum(state[1, i, m] for m in range(grid.n_vel)), rel=1e-13
             )
 
     def test_equilibrium_levels(self, setting):
@@ -276,7 +257,7 @@ class TestMacroscopicDensities:
     def test_replicated_profile_has_unit_density(self, setting):
         grid, chi1, _ = setting
         field = np.tile(chi1.values, (grid.nx, 1))
-        rho_f, _ = macroscopic_densities(SpeciesPair(field, field), grid)
+        rho_f, _ = macroscopic_densities(np.stack([field, field]), grid)
         np.testing.assert_allclose(rho_f, 1.0, rtol=1e-13)
 
 
@@ -291,7 +272,7 @@ class TestMoments:
         grid = make_grid(nv=4)
         chi = discretize_profile(gaussian_profile, grid)
         eq = build_equilibrium(1.0, chi, chi, grid)
-        h = eq.state.f - eq.state.g
+        h = eq.state[0] - eq.state[1]
         u, j, s = moments_ujs(h, grid, eq.d0)
         assert np.all(u == 0.0) and np.all(j == 0.0) and np.all(s == 0.0)
 
@@ -320,9 +301,9 @@ class TestMoments:
             state = random_pair(grid, rng)
             proj = project_pi(state, rho, chi1, chi2, grid)
             rest = state - proj
-            u, j, s = moments_ujs(state.f - state.g, grid, eq.d0)
-            _, jf, _ = moments_ujs(state.f, grid, eq.d0)
-            _, jg, _ = moments_ujs(state.g, grid, eq.d0)
+            u, j, s = moments_ujs(state[0] - state[1], grid, eq.d0)
+            _, jf, _ = moments_ujs(state[0], grid, eq.d0)
+            _, jg, _ = moments_ujs(state[1], grid, eq.d0)
             total = weighted_norm(state, chi1, chi2, rho, grid)
             kernel = weighted_norm(proj, chi1, chi2, rho, grid)
             rest_norm = weighted_norm(rest, chi1, chi2, rho, grid)
@@ -401,13 +382,12 @@ class TestPeriodicTransforms:
             st.sampled_from([37, 53, 71, 89, 101, DENSE_DFT_MAX_NX, DENSE_DFT_MAX_NX + 2]),
         ),
         n_vel=st.integers(1, 16).map(lambda k: 2 * k),
-        as_pair=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_helpers_match_numpy_fft_and_round_trip(self, nx, n_vel, as_pair, seed):
+    def test_helpers_match_numpy_fft_and_round_trip(self, nx, n_vel, seed):
         rng = np.random.default_rng(seed)
         cells = rng.standard_normal((2, nx, n_vel))
-        modes = rfft_pair(SpeciesPair(*cells) if as_pair else cells)
+        modes = rfft_pair(cells)
         expected = np.fft.rfft(cells, axis=1).transpose(1, 0, 2)
         assert modes.dtype == complex and modes.flags.c_contiguous
         np.testing.assert_allclose(
