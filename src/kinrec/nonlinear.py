@@ -111,6 +111,17 @@ class BoundsEnvelope:
         high = np.array([rho + self.gamma2, 1.0 / (rho - self.gamma1)])
         return low[:, None, None], high[:, None, None]
 
+    def limits(self, rho: float, rtol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) bounds of a state's profile-relative ratios, shape (2, 1, 1).
+
+        The levels widened by the slack rtol*max(1, |low|, |high|) of each
+        species: a state is within the band when every ratio lies in
+        [lower, upper].
+        """
+        low, high = self.levels(rho)
+        slack = rtol * np.maximum(1.0, np.maximum(abs(low), abs(high)))
+        return low - slack, high + slack
+
 
 def truncate_state(
     cells: np.ndarray,
@@ -144,12 +155,11 @@ def check_maximum_principle(
     chi2: VelocityProfile,
     rtol: float = 1e-11,
 ) -> BoundsReport:
-    low, high = envelope.levels(rho)
+    lower, upper = envelope.limits(rho, rtol)
     ratios = state / species_profiles(chi1, chi2)
     lowest = ratios.min(axis=(1, 2), keepdims=True)
     highest = ratios.max(axis=(1, 2), keepdims=True)
-    slack = rtol * np.maximum(1.0, np.maximum(abs(low), abs(high)))
-    passed = bool(np.all(lowest >= low - slack) and np.all(highest <= high + slack))
+    passed = bool(np.all(lowest >= lower) and np.all(highest <= upper))
     (f_min, g_min), (f_max, g_max) = lowest.ravel().tolist(), highest.ravel().tolist()
     return BoundsReport(f_min, f_max, g_min, g_max, passed)
 
@@ -230,6 +240,23 @@ def gmres(
     )
 
 
+def _defect(
+    u: np.ndarray, u_prev: np.ndarray, dt: float, transport: np.ndarray, reaction: np.ndarray
+) -> np.ndarray:
+    """The backward-Euler defect of NonlinearStepper.residual from its two parts at u."""
+    return (u - u_prev) / dt + transport - reaction
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """A state newton returned, its residual's transport and reaction, its mass difference."""
+
+    state: np.ndarray
+    transport: np.ndarray
+    reaction: np.ndarray
+    mass: float
+
+
 class NonlinearStepper:
     """Newton driver with a fixed grid, flux, profile pair and equilibrium level.
 
@@ -242,6 +269,10 @@ class NonlinearStepper:
     site, a rank-one sum over velocities.  The preconditioner is the linear
     step at the uniform steady state of rho, solved per Fourier mode.
     krylov_iterations lists the GMRES iterations of every Newton update.
+
+    The stepper carries the evaluation of the last state newton returned
+    into the next call from that state, so each accepted state is evaluated
+    once (see newton).
 
     rho is the run's equilibrium level, fixed by its conserved mass
     difference; the truncated collision clamps into the envelope around it.
@@ -271,6 +302,9 @@ class NonlinearStepper:
         self._transport = transport
         self._preconditioner: tuple[float, ImplicitLinearOperator] | None = None
         self.krylov_iterations: list[int] = []
+        # (transport, reaction) of the last residual call.
+        self._evaluated: tuple[np.ndarray, np.ndarray] | None = None
+        self._carried: _Evaluation | None = None
 
     def _reaction_state(self, cells: np.ndarray) -> np.ndarray:
         """The state the reaction is evaluated at: clamped if truncated."""
@@ -286,14 +320,16 @@ class NonlinearStepper:
 
         all reaction terms evaluated at the new state u.  With an envelope,
         the reaction uses the clamped state (truncated scheme); transport and
-        the time increment always use the raw one.
+        the time increment always use the raw one.  The transport and the
+        reaction it evaluates at u are kept for newton to carry.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         eff = self._reaction_state(u.reshape(self._cells))
         reaction = self._sources - self.grid.dv * eff.sum(axis=2)[::-1, :, None] * eff
         transport = self._difference @ (self._interfaces @ u) / self.grid.dx
-        return (u - u_prev) / dt + transport - reaction.ravel()
+        self._evaluated = (transport, reaction.ravel())
+        return _defect(u, u_prev, dt, *self._evaluated)
 
     def _jacobian_product(self, u: np.ndarray, dt: float) -> Callable[[np.ndarray], np.ndarray]:
         """v -> J v, the exact derivative of the residual at the candidate new state u.
@@ -375,11 +411,29 @@ class NonlinearStepper:
         so no Krylov vector or update has one.  Raises NewtonDivergedError when
         the iteration budget is exhausted or when the converged state moved
         the conserved mass difference too far.  A step that needs no
-        iteration returns a view of state_prev, so states are never written to.
+        iteration returns a view of state_prev, so states are never written
+        to; the returned array is read-only.
+
+        When state_prev is the array the previous call returned, that call
+        already computed its transport, reaction and mass difference, none
+        of which depends on dt.  The first residual is formed from them with
+        residual's arithmetic, and a step without iteration reads that mass
+        for both ends of the drift check, so the result has the bits a new
+        stepper would give.  A failed attempt carries nothing, so its retry
+        at a smaller dt reuses them too.
         """
+        if dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
         u_prev = state_prev.ravel()
         u = u_prev
-        res = self.residual(u, u_prev, dt)
+        carried = self._carried
+        if carried is not None and carried.state is state_prev:
+            transport, reaction, m_prev = carried.transport, carried.reaction, carried.mass
+            res = _defect(u, u_prev, dt, transport, reaction)
+        else:
+            res = self.residual(u, u_prev, dt)
+            transport, reaction = self._evaluated
+            m_prev = mass_difference(state_prev, self.grid)
         res_norm = np.max(np.abs(res))
         iterations = 0
         preconditioner = self.steady_step(dt)
@@ -403,12 +457,17 @@ class NonlinearStepper:
                 raise NewtonDivergedError(f"non-finite residual at dt {dt:.3e}")
             iterations += 1
         state = u.reshape(self._cells)
-        m_prev = mass_difference(state_prev, self.grid)
-        drift = abs(mass_difference(state, self.grid) - m_prev)
+        state.flags.writeable = False
+        m_new = m_prev
+        if iterations:
+            transport, reaction = self._evaluated
+            m_new = mass_difference(state, self.grid)
+        drift = abs(m_new - m_prev)
         if drift > MASS_DIFF_DRIFT_TOL * (1.0 + abs(m_prev)):
             raise NewtonDivergedError(
                 f"mass-difference drift {drift:.3e} exceeds tolerance at dt {dt:.3e}"
             )
+        self._carried = _Evaluation(state, transport, reaction, m_new)
         return state, iterations
 
 
@@ -443,6 +502,7 @@ class StepResult:
     dt_used: float
     next_dt: float
     newton_iterations: int
+    rejected_attempts: int
 
 
 def adaptive_advance(
@@ -456,8 +516,10 @@ def adaptive_advance(
 
     The accepted step grows the next dt, up to dt_max, only when Newton took
     at most ACCEPT_ITERATION_BUDGET iterations; a rejection shrinks dt down
-    to dt_min.  A failure at or below dt_min raises StepFailedError.
+    to dt_min.  A failure at or below dt_min raises StepFailedError.  The
+    result counts the rejected attempts before the accepted one.
     """
+    rejected = 0
     while True:
         try:
             state, iterations = stepper.newton(state_prev, dt, cfg)
@@ -467,9 +529,10 @@ def adaptive_advance(
                     f"no acceptable step above dt_min={controller.dt_min}: {exc}"
                 ) from exc
             dt = max(dt * DT_SHRINK, controller.dt_min)
+            rejected += 1
             continue
         if iterations <= ACCEPT_ITERATION_BUDGET:
             next_dt = min(dt * DT_GROWTH, controller.dt_max)
         else:
             next_dt = dt
-        return StepResult(state, dt, next_dt, iterations)
+        return StepResult(state, dt, next_dt, iterations, rejected)

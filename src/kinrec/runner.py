@@ -40,7 +40,6 @@ from .linear import LAX_FRIEDRICHS, Flux, assemble_linear_operator
 from .nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
-    BoundsReport,
     NewtonConfig,
     NonlinearStepper,
     check_maximum_principle,
@@ -55,6 +54,7 @@ from .state import (
     irfft_pair,
     mass_difference,
     rfft_pair,
+    species_profiles,
 )
 
 # Physical-space diagnostics the runner no longer calls.  The benchmark's
@@ -196,6 +196,11 @@ class DiagnosticsRecorder:
     centered gradient has symbol i*sin(theta)/dx.  The entropy needs a
     mean-free deviation density; a run whose mass difference drifts, which
     none of the three fluxes does, aborts on the Poisson solve's error.
+
+    The bounds check of a nonlinear run divides the state by the species
+    profiles and compares the ratios with the envelope's limits, both made
+    once here.  That gives check_maximum_principle's verdict: a minimum is
+    at least a limit exactly when every element is, and a NaN fails both.
     """
 
     def __init__(self, setup: RunSetup) -> None:
@@ -218,12 +223,16 @@ class DiagnosticsRecorder:
         self._poisson = wide_stencil_symbol(grid)
         self._gradient = 1j * np.sin(theta) / grid.dx
         self._equilibrium_mass = mass_difference(setup.equilibrium.state, grid)
+        self._profiles = species_profiles(setup.chi1, setup.chi2)
+        self._lower, self._upper = setup.envelope.limits(setup.rho)
         self._dphi_prev: np.ndarray | None = None
         self.records: list[TimeSeriesRecord] = []
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
-        # GMRES iterations of every Newton update, nonlinear runs only.
+        # GMRES iterations of every Newton update and the Newton failures
+        # retried with a smaller dt, nonlinear runs only.
         self.krylov_iterations: list[int] | None = None
+        self.rejected_attempts: int | None = None
 
     def _sum(self, a: np.ndarray, b: np.ndarray) -> float:
         """dx * sum_i a_i b_i of two real fields, from their modes."""
@@ -264,12 +273,11 @@ class DiagnosticsRecorder:
             entropy += delta / (2.0 * dt_used) * self._sum(incr, incr)
         self._dphi_prev = dphi
         mass = grid.dx * float(u_hat[0].real)
-        report: BoundsReport | None = None
+        bounds_pass: bool | None = None
         if state is not None:
             mass += self._equilibrium_mass
-            report = check_maximum_principle(
-                state, setup.envelope, setup.rho, setup.chi1, setup.chi2
-            )
+            ratios = state / self._profiles
+            bounds_pass = bool(np.all(ratios >= self._lower) and np.all(ratios <= self._upper))
         record = TimeSeriesRecord(
             t=t,
             weighted_norm=math.sqrt(max(norm_sq, 0.0)),
@@ -277,7 +285,7 @@ class DiagnosticsRecorder:
             rho_g_l2=math.sqrt(self._sum(density[:, 1], density[:, 1])),
             entropy=entropy,
             mass_difference=mass,
-            bounds_pass=None if report is None else report.passed,
+            bounds_pass=bounds_pass,
             dt_used=dt_used,
             newton_iterations=newton_iterations,
         )
@@ -308,6 +316,8 @@ class RunSummary:
     g_ratio_max: float | None
     n_steps: int
     newton_iterations: int | None
+    stalled_steps: int | None
+    rejected_attempts: int | None
     krylov_iterations: int | None
     krylov_iterations_max: int | None
     wall_clock_s: float
@@ -358,6 +368,7 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         rho=setup.rho,
     )
     recorder.krylov_iterations = stepper.krylov_iterations  # grows as the march runs
+    recorder.rejected_attempts = 0
     newton_cfg = NewtonConfig(
         tol_residual=cfg.newton_tol, max_iterations=cfg.newton_max_iterations
     )
@@ -370,6 +381,7 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         )
         state, next_dt = result.state, result.next_dt
         t += result.dt_used
+        recorder.rejected_attempts += result.rejected_attempts
         recorder.observe(
             t,
             rfft_pair(state - equilibrium),
@@ -396,6 +408,7 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     scale = max(1.0, abs(mass0))
 
     krylov = recorder.krylov_iterations
+    newton = [r.newton_iterations for r in records[1:]] if cfg.model == "nonlinear" else None
     ratios: dict[str, float | None] = {k: None for k in ("f_min", "f_max", "g_min", "g_max")}
     if cfg.model == "nonlinear":
         bounds_states = [setup.data0] + [s.state for s in recorder.snapshots]
@@ -425,9 +438,9 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         g_ratio_min=ratios["g_min"],
         g_ratio_max=ratios["g_max"],
         n_steps=len(records) - 1,
-        newton_iterations=(
-            sum(r.newton_iterations for r in records[1:]) if cfg.model == "nonlinear" else None
-        ),
+        newton_iterations=None if newton is None else sum(newton),
+        stalled_steps=None if newton is None else newton.count(0),
+        rejected_attempts=recorder.rejected_attempts,
         krylov_iterations=None if krylov is None else sum(krylov),
         krylov_iterations_max=None if krylov is None else max(krylov, default=0),
         wall_clock_s=time.perf_counter() - start,
@@ -532,6 +545,8 @@ def summary_text(data: RunData) -> str:
         ("g_ratio_max", _fmt(s.g_ratio_max)),
         ("n_steps", str(s.n_steps)),
         ("newton_iterations", _count(s.newton_iterations)),
+        ("stalled_steps", _count(s.stalled_steps)),
+        ("rejected_attempts", _count(s.rejected_attempts)),
         ("krylov_iterations", _count(s.krylov_iterations)),
         ("krylov_iterations_max", _count(s.krylov_iterations_max)),
         ("wall_clock_s", _fmt(s.wall_clock_s)),

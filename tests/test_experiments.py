@@ -23,6 +23,7 @@ from kinrec.config import ParseError, RunConfig, ValidationError, load_config
 from kinrec.diagnostics import fit_decay_rate
 from kinrec.grid import build_grid, centered_gradient, discretize_profile, heavytail_profile
 from kinrec.linear import FLUX_NAMES, ImplicitLinearOperator
+from kinrec.nonlinear import check_maximum_principle
 from kinrec.runner import (
     REPORT_ENVELOPE_FRACTION,
     TIMESERIES_HEADER,
@@ -46,6 +47,7 @@ from kinrec.state import (
     mass_difference,
     moments_ujs,
     rfft_pair,
+    species_profiles,
 )
 
 TINY = dict(nx=7, nv=2, v_star=3.0, torus_length=2.0)
@@ -305,6 +307,32 @@ class TestMarches:
         assert sum(r.newton_iterations for r in data.records[1:]) >= 2
         assert len(built) == 1
 
+    def test_nonlinear_march_evaluates_each_accepted_state_once(self, monkeypatch):
+        # The residual applies its transport D (F u) once per Newton iteration;
+        # each step then starts from the evaluation of the state it left, which
+        # the stepper carries, so only the data are evaluated for a start.
+        assemble = nonlinear.transport_pair
+        applied = []
+
+        class Counting:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, other):
+                if isinstance(other, np.ndarray):
+                    applied.append(other.size)
+                return self.matrix @ other
+
+        def counting(*args):
+            interfaces, difference = assemble(*args)
+            return interfaces, Counting(difference)
+
+        monkeypatch.setattr(nonlinear, "transport_pair", counting)
+        data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=40.0))
+        summary = data.summary
+        assert summary.rejected_attempts == 0 and summary.n_steps > summary.stalled_steps > 0
+        assert len(applied) == summary.newton_iterations + 1
+
     def test_nonlinear_march_builds_one_preconditioner_per_step_size(self, monkeypatch):
         # The preconditioner is the linear step at the run's own steady state,
         # whose level the march conserves, so only a new dt rebuilds it.
@@ -351,7 +379,10 @@ class TestMarches:
         # Newton or GMRES count shows here and must re-pin them.
         data = execute_run(load_config(None, dict(nv=8, **overrides)))
         counts = [r.newton_iterations for r in data.records[1:]]
-        assert (len(counts), sum(counts), counts.count(0)) == (steps, iterations, stalled)
+        values = dict(line.split(" = ") for line in summary_text(data).splitlines())
+        stalls = int(values["stalled_steps"])
+        assert (len(counts), sum(counts), stalls) == (steps, iterations, stalled)
+        assert counts.count(0) == stalled and values["rejected_attempts"] == "0"
         summary = data.summary
         assert (summary.krylov_iterations, summary.krylov_iterations_max) == krylov
 
@@ -524,6 +555,7 @@ class TestOutputs:
         values = dict(line.split(" = ") for line in text.splitlines())
         assert values["krylov_iterations"] == values["krylov_iterations_max"] == ""
         assert values["newton_iterations"] == ""
+        assert values["stalled_steps"] == values["rejected_attempts"] == ""
 
     def test_nonlinear_summary_reports_krylov_totals(self):
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
@@ -532,6 +564,28 @@ class TestOutputs:
         assert 1 <= int(values["krylov_iterations_max"]) <= data.summary.krylov_iterations
         newton = sum(r.newton_iterations for r in data.records[1:])
         assert int(values["newton_iterations"]) == data.summary.newton_iterations == newton > 0
+        stalled = [r.newton_iterations for r in data.records[1:]].count(0)
+        assert int(values["stalled_steps"]) == data.summary.stalled_steps == stalled
+
+    def test_rejected_attempts_count_the_retried_newton_failures(self, monkeypatch):
+        attempts = []
+        advance = runner.adaptive_advance
+
+        def recording(state, dt, controller, cfg, stepper):
+            result = advance(state, dt, controller, cfg, stepper)
+            attempts.append(result.rejected_attempts)
+            return result
+
+        monkeypatch.setattr(runner, "adaptive_advance", recording)
+        # Three Newton iterations are too few for the first steps of dt 3.
+        cfg = tiny_config(
+            model="nonlinear", test=4, seed=1, t_final=20.0, dt=3.0, dt_max=3.0,
+            newton_max_iterations=3,
+        )
+        data = execute_run(cfg)
+        values = dict(line.split(" = ") for line in summary_text(data).splitlines())
+        assert int(values["rejected_attempts"]) == data.summary.rejected_attempts
+        assert data.summary.rejected_attempts == sum(attempts) > 0
 
     def test_write_outputs_file_set(self, linear_run, tmp_path):
         out = write_outputs(linear_run, tmp_path / "files")
@@ -617,6 +671,47 @@ class TestModalDiagnostics:
             evolved = deviation if state is None else state
             mass_scale = grid.dx * grid.dv * float(np.sum(np.abs(evolved[0]) + np.abs(evolved[1])))
             assert abs(record.mass_difference - mass_difference(evolved, grid)) <= 1e-12 * mass_scale
+
+
+class TestPerStepBounds:
+    """The recorder's per-step bounds_pass against check_maximum_principle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        nx=st.integers(1, 10).map(lambda k: 2 * k + 1),
+        nv=st.integers(1, 4),
+        species=st.sampled_from([0, 1]),
+        edge=st.sampled_from(["low", "high"]),
+        whole_species=st.booleans(),
+        # Outward distance from the edge in units of the check's slack.
+        offset=st.sampled_from([0.0, -0.5, 0.5, 2.0, 1e3, -1e3]),
+        nan=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_check_maximum_principle(
+        self, nx, nv, species, edge, whole_species, offset, nan, seed
+    ):
+        setup = build_setup(tiny_config(nx=nx, nv=nv, model="nonlinear"))
+        grid, envelope, rho = setup.grid, setup.envelope, setup.rho
+        lows, highs = envelope.levels(rho)
+        low, high = lows[species, 0, 0], highs[species, 0, 0]
+        slack = 1e-11 * max(1.0, abs(low), abs(high))
+        rng = np.random.default_rng(seed)
+        ratios = rng.uniform(lows, highs, (2, grid.nx, grid.n_vel))
+        # One cell, or the whole species, scaled onto the edge and moved by offset.
+        target = ratios[species] if whole_species else ratios[species, 0, :1]
+        target[...] = low - offset * slack if edge == "low" else high + offset * slack
+        state = ratios * species_profiles(setup.chi1, setup.chi2)
+        if nan:
+            state[tuple(rng.integers(0, n) for n in state.shape)] = np.nan
+        n_modes = grid.nx // 2 + 1
+        record = DiagnosticsRecorder(setup).observe(
+            0.0, np.zeros((n_modes, 2, grid.n_vel), complex), None, None, state
+        )
+        report = check_maximum_principle(state, envelope, rho, setup.chi1, setup.chi2)
+        assert record.bounds_pass is report.passed
+        # Division by the profile moves a ratio by a rounding only.
+        assert report.passed is (not nan and offset <= 0.5)
 
 
 class TestStateAliasing:

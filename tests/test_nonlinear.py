@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from conftest import make_grid, make_profiles, make_stepper, random_pair, random_positive_pair
@@ -264,7 +264,7 @@ def mass_drift(state, prev, grid):
     return abs(mass_difference(state, grid) - mass_difference(prev, grid)), scale
 
 
-class TestAugmentedNewtonUpdate:
+class TestNewtonUpdate:
     """Fast (GMRES on the matrix-free Jacobian product) against reference (dense) solve."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -276,7 +276,9 @@ class TestAugmentedNewtonUpdate:
         u = state.ravel()
         res = stepper.residual(u, prev.ravel(), dt)
         delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), KRYLOV_TOL)
-        reference = np.linalg.solve(stepper.jacobian(u, dt), -res)
+        # Least squares through the SVD: backward stable, unlike an LU solve,
+        # whose pivots grow by up to 2e4 on the periodic corner entries.
+        reference = np.linalg.lstsq(stepper.jacobian(u, dt), -res, rcond=None)[0]
         assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
         # The mass difference of the residual is the step's mass change over
@@ -284,6 +286,49 @@ class TestAugmentedNewtonUpdate:
         # lands on the previous mass difference.
         drift, scale = mass_drift(state + delta.reshape(state.shape), prev, grid)
         assert drift <= 1e-12 * scale
+
+
+class TestCarriedEvaluation:
+    """newton from the state it last returned reuses that state's evaluation."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**NEWTON_SETTINGS)
+    def test_carried_steps_match_a_new_stepper_bit_for_bit(
+        self, nx, nv, flux, truncated, rho, dt, seed
+    ):
+        def new_stepper():
+            return newton_setting(nx, nv, flux, truncated, rho, seed)[1]
+
+        _, carrying, _, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
+        cfg = NewtonConfig()
+        try:
+            state, _ = carrying.newton(prev, dt, cfg)
+            # A rejected attempt from the carried state, then its retry at a
+            # smaller dt, as adaptive_advance makes them.
+            with pytest.raises(NewtonDivergedError):
+                carrying.newton(state, dt, NewtonConfig(tol_residual=1e-30, max_iterations=1))
+            retried = carrying.newton(state, 0.5 * dt, cfg)
+            expected = new_stepper().newton(state, 0.5 * dt, cfg)
+            # And a step from a state carried without a rejection.
+            carried = carrying.newton(retried[0], dt, cfg)
+            expected_carried = new_stepper().newton(retried[0], dt, cfg)
+        except NewtonDivergedError:
+            assume(False)
+        for got, want in ((retried, expected), (carried, expected_carried)):
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_returned_states_are_read_only(self, setting):
+        # The carry is keyed on the array newton returned, so that array must
+        # keep its values; a step without iteration returns a view of its
+        # input, so the caller's own array is left writable.
+        grid, chi1, chi2 = setting
+        eq = build_equilibrium(1.4, chi1, chi2, grid)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), 1.4)
+        state, _ = stepper.newton(eq.state, 0.2, NewtonConfig())
+        stalled, iterations = stepper.newton(state, 0.2, NewtonConfig())
+        assert iterations == 0 and np.shares_memory(stalled, state)
+        assert not state.flags.writeable and not stalled.flags.writeable
+        assert eq.state.flags.writeable
 
 
 class TestInexactNewtonUpdate:
@@ -553,6 +598,7 @@ class TestAdaptiveControl:
         )
         assert result.dt_used == 0.01
         assert result.next_dt == pytest.approx(0.02)
+        assert result.rejected_attempts == 0
 
     def test_growth_caps_at_dt_max(self, state):
         controller = AdaptiveController(dt_min=1e-6, dt_max=0.3)
@@ -574,6 +620,7 @@ class TestAdaptiveControl:
         result = adaptive_advance(state, 0.2, controller, NewtonConfig(), stepper)
         assert result.dt_used == pytest.approx(0.05)
         assert stepper.attempts == pytest.approx([0.2, 0.1, 0.05])
+        assert result.rejected_attempts == 2
 
     def test_fails_at_dt_min(self, state):
         controller = AdaptiveController(dt_min=0.05, dt_max=0.3)
