@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import GridSpec, VelocityProfile
 from .linear import Flux, ImplicitLinearOperator, interface_weights, verify_moment_schemes
@@ -164,23 +163,6 @@ def check_maximum_principle(
     return BoundsReport(f_min, f_max, g_min, g_max, passed)
 
 
-def transport_pair(flux: Flux, grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The conservative transport of a raveled state, as (F, D).
-
-    F maps h to the interface values a_m*h_i + b_m*h_{i+1}, with the weights
-    (a, b) of interface_weights; D maps interface values to the periodic
-    difference F_i - F_{i-1}.  D @ (F @ u) / dx is flux_divergence of both
-    species, bit for bit.
-    """
-    a, b = interface_weights(flux, grid)
-    up = sp.eye(grid.nx, k=1) + sp.eye(grid.nx, k=1 - grid.nx)  # periodic: picks cell i+1
-    both_up = sp.kron(sp.eye(2), up)
-    interfaces = (sp.kron(sp.eye(2 * grid.nx), sp.diags(a)) + sp.kron(both_up, sp.diags(b))).tocsr()
-    interfaces.eliminate_zeros()  # upwind has a = 0 or b = 0 at every velocity
-    difference = sp.eye(2 * grid.n_unknowns) - sp.kron(both_up.T, sp.eye(grid.n_vel))
-    return interfaces, difference.tocsr()
-
-
 def gmres(
     apply: Callable[[np.ndarray], np.ndarray],
     precondition: Callable[[np.ndarray], np.ndarray],
@@ -261,11 +243,11 @@ class NonlinearStepper:
     """Newton driver with a fixed grid, flux, profile pair and equilibrium level.
 
     newton takes and returns states; the residual and the Jacobian work on
-    their ravel().  The transport is the pair (F, D) of transport_pair, built
-    once here: the residual applies D @ (F @ u) / dx, and Jacobian products
-    apply their product (D @ F) / dx, formed once.
+    their ravel().  The transport is a periodic three-point stencil, built
+    once here from interface_weights and each unknown's neighbours in x.
     Each Newton update is solved by GMRES; its products with the Jacobian
-    are that transport plus the reaction's derivative: a diagonal and, per
+    are that transport, folded into a diagonal (a - b)/dx and neighbour
+    weights (b, -a)/dx, plus the reaction's derivative: a diagonal and, per
     site, a rank-one sum over velocities.  The preconditioner is the linear
     step at the uniform steady state of rho, solved per Fourier mode.
     krylov_iterations lists the GMRES iterations of every Newton update.
@@ -295,11 +277,12 @@ class NonlinearStepper:
         self.envelope = envelope
         self._cells = (2, grid.nx, grid.n_vel)
         self._sources = species_profiles(chi1, chi2)
-        self._interfaces, self._difference = transport_pair(flux, grid)
-        transport = self._difference @ self._interfaces / grid.dx
-        transport.eliminate_zeros()  # the centered flux has a = b
-        transport.sort_indices()  # fixes the order in which each row sums
-        self._transport = transport
+        a, b = interface_weights(flux, grid)
+        index = np.arange(2 * grid.n_unknowns).reshape(self._cells)
+        self._neighbours = np.stack([np.roll(index, s, axis=1).ravel() for s in (-1, 1)])
+        self._a, self._b = (np.broadcast_to(w, self._cells).ravel() for w in (a, b))
+        self._stencil_diagonal = (a - b) / grid.dx
+        self._neighbour_weights = np.stack([self._b, -self._a]) / grid.dx
         self._preconditioner: tuple[float, ImplicitLinearOperator] | None = None
         self.krylov_iterations: list[int] = []
         # (transport, reaction) of the last residual call.
@@ -311,6 +294,12 @@ class NonlinearStepper:
         if self.envelope is None:
             return cells
         return truncate_state(cells, self.envelope, self.rho, self.chi1, self.chi2)
+
+    def transport(self, u: np.ndarray) -> np.ndarray:
+        """The residual's transport of a raveled state: flux_divergence, bit for bit."""
+        up, down = self._neighbours
+        right = self._a * u + self._b * u[up]
+        return (right - right[down]) / self.grid.dx
 
     def residual(self, u: np.ndarray, u_prev: np.ndarray, dt: float) -> np.ndarray:
         """Pointwise defect of the backward-Euler step of
@@ -327,31 +316,31 @@ class NonlinearStepper:
             raise ValueError(f"dt must be positive, got {dt}")
         eff = self._reaction_state(u.reshape(self._cells))
         reaction = self._sources - self.grid.dv * eff.sum(axis=2)[::-1, :, None] * eff
-        transport = self._difference @ (self._interfaces @ u) / self.grid.dx
-        self._evaluated = (transport, reaction.ravel())
+        self._evaluated = (self.transport(u), reaction.ravel())
         return _defect(u, u_prev, dt, *self._evaluated)
 
     def _jacobian_product(self, u: np.ndarray, dt: float) -> Callable[[np.ndarray], np.ndarray]:
         """v -> J v, the exact derivative of the residual at the candidate new state u.
 
-        J v = T v + (1/dt + rho_partner*mask) v + eff * (dv sum_m mask*v)_partner,
-        with T = (D @ F) / dx, eff the state the reaction is evaluated at and
-        rho its site densities.  With an envelope, eff is the clamped state
-        and mask is 1 where the clamp leaves a cell as it is and 0 where it
-        moves it (no derivative through the clamp); with none, eff is the
-        state and mask is 1, which the product skips.
+        J v = (1/dt + rho_partner*mask + (a-b)/dx) v + (b/dx) v_up - (a/dx) v_down
+              + eff * (dv sum_m mask*v)_partner, with v_up, v_down v's stencil
+        neighbours, eff the state the reaction is evaluated at and rho its site
+        densities.  With an envelope, eff is the clamped state and mask is 1
+        where the clamp leaves a cell as it is and 0 where it moves it (no
+        derivative through the clamp); with none, eff is the state, mask 1.
         """
         dv = self.grid.dv
         raw = u.reshape(self._cells)
         eff = self._reaction_state(raw)
         mask = None if eff is raw else (eff == raw).astype(float)
         partner = dv * eff.sum(axis=2)[::-1, :, None]
-        diagonal = 1.0 / dt + (partner if mask is None else partner * mask)
+        diagonal = 1.0 / dt + (partner if mask is None else partner * mask) + self._stencil_diagonal
 
         def apply(v: np.ndarray) -> np.ndarray:
             cells = v.reshape(self._cells)
             site = dv * (cells if mask is None else mask * cells).sum(axis=2)
-            return self._transport @ v + (diagonal * cells + eff * site[::-1, :, None]).ravel()
+            local = (diagonal * cells + eff * site[::-1, :, None]).ravel()
+            return local + (self._neighbour_weights * v[self._neighbours]).sum(axis=0)
 
         return apply
 

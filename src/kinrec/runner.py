@@ -615,10 +615,21 @@ def run_experiment(cfg: RunConfig) -> RunData:
     """Execute a configured run and write its output directory.
 
     On a mid-run failure the partial records gathered so far are still
-    written before the error propagates.
+    written before the error propagates.  An output directory that cannot be
+    made is a ValidationError; so is a configuration the set-up rejects.
     """
+    out = Path(cfg.output_dir)
+    created = [path for path in (out, *out.parents) if not path.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output.dir: {exc}") from exc
     try:
         data = execute_run(cfg)
+    except ValidationError:
+        for path in created:  # a rejected configuration leaves no new directory
+            path.rmdir()
+        raise
     except ExperimentAbortedError as exc:
         write_outputs(exc.partial_data, cfg.output_dir)
         raise

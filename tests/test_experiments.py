@@ -3,7 +3,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from conftest import (
     physical_diagnostics,
     physical_linear_march,
 )
+import kinrec
 from kinrec import linear, nonlinear, runner
 from kinrec.cli import build_parser, main, overrides_from_args
 from kinrec.config import ParseError, RunConfig, ValidationError, load_config
@@ -201,7 +206,7 @@ class TestMarches:
 
     def test_linear_march_factorizes_nothing(self, monkeypatch):
         # The linear step is solved per Fourier mode: a run neither factorizes
-        # nor builds the sparse transport pair of Newton's residual and J v.
+        # nor builds Newton's stepper or its transport stencil.
         def refuse(*args, **kwargs):
             raise AssertionError("the linear march called splu")
 
@@ -212,11 +217,12 @@ class TestMarches:
             operators.append(assemble(*args))
             return operators[-1]
 
-        def refuse_assembly(*args, **kwargs):
-            raise AssertionError("the linear march assembled a sparse matrix")
+        def refuse_stepper(*args, **kwargs):
+            raise AssertionError("the linear march built a Newton stepper or its stencil")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
-        monkeypatch.setattr(nonlinear, "transport_pair", refuse_assembly)
+        monkeypatch.setattr(nonlinear.NonlinearStepper, "__init__", refuse_stepper)
+        monkeypatch.setattr(nonlinear, "interface_weights", refuse_stepper)
         monkeypatch.setattr(runner, "assemble_linear_operator", recording)
         data = execute_run(tiny_config(t_final=0.5))
         assert data.summary.n_steps == 5
@@ -291,43 +297,40 @@ class TestMarches:
         assert data.summary.n_steps >= 1
         assert data.summary.krylov_iterations >= sum(r.newton_iterations for r in data.records[1:])
 
-    def test_nonlinear_march_builds_the_transport_pair_once(self, monkeypatch):
-        # The transport pair and its product are the run's only sparse
-        # matrices, built once; each Newton iteration only forms its reaction
+    def test_nonlinear_march_builds_the_transport_stencil_once(self, monkeypatch):
+        # The stepper, built once per run, builds the transport's stencil from
+        # the interface weights; each Newton iteration only forms its reaction
         # terms.
-        assemble = nonlinear.transport_pair
-        built = []
+        weights = nonlinear.interface_weights
+        init = nonlinear.NonlinearStepper.__init__
+        built = {"stepper": 0, "stencil": 0}
 
-        def recording(*args):
-            built.append(assemble(*args))
-            return built[-1]
+        def recording_weights(*args):
+            built["stencil"] += 1
+            return weights(*args)
 
-        monkeypatch.setattr(nonlinear, "transport_pair", recording)
+        def recording_init(self, *args, **kwargs):
+            built["stepper"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "interface_weights", recording_weights)
+        monkeypatch.setattr(nonlinear.NonlinearStepper, "__init__", recording_init)
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
         assert sum(r.newton_iterations for r in data.records[1:]) >= 2
-        assert len(built) == 1
+        assert built == {"stepper": 1, "stencil": 1}
 
     def test_nonlinear_march_evaluates_each_accepted_state_once(self, monkeypatch):
-        # The residual applies its transport D (F u) once per Newton iteration;
-        # each step then starts from the evaluation of the state it left, which
-        # the stepper carries, so only the data are evaluated for a start.
-        assemble = nonlinear.transport_pair
+        # The residual applies its transport once per Newton iteration; each
+        # step then starts from the evaluation of the state it left, which the
+        # stepper carries, so only the data are evaluated for a start.
+        transport = nonlinear.NonlinearStepper.transport
         applied = []
 
-        class Counting:
-            def __init__(self, matrix):
-                self.matrix = matrix
+        def counting(self, u):
+            applied.append(u.size)
+            return transport(self, u)
 
-            def __matmul__(self, other):
-                if isinstance(other, np.ndarray):
-                    applied.append(other.size)
-                return self.matrix @ other
-
-        def counting(*args):
-            interfaces, difference = assemble(*args)
-            return interfaces, Counting(difference)
-
-        monkeypatch.setattr(nonlinear, "transport_pair", counting)
+        monkeypatch.setattr(nonlinear.NonlinearStepper, "transport", counting)
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=40.0))
         summary = data.summary
         assert summary.rejected_attempts == 0 and summary.n_steps > summary.stalled_steps > 0
@@ -888,6 +891,40 @@ class TestCli:
         assert main([str(path), "--nx", "7", "--nv", "2", "--tfinal", "0.2", "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["file/run", "file"], ids=["under-a-file", "a-file"])
+    def test_uncreatable_output_dir_exits_two_before_the_run(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        def refuse(cfg):
+            raise AssertionError("the run started without an output directory")
+
+        (tmp_path / "file").write_text("not a directory\n")
+        monkeypatch.setattr(runner, "execute_run", refuse)
+        assert main(["--nx", "7", "--nv", "2", "--out", str(tmp_path / out)]) == 2
+        assert "error: output.dir: " in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    def test_runs_leave_scipy_unimported(self, tmp_path):
+        # scipy is only a test dependency: a fresh process that runs a tiny
+        # linear and a tiny nonlinear model never imports it.
+        script = (
+            "import sys\n"
+            "from kinrec.cli import main\n"
+            "tiny = ['--nx', '7', '--nv', '2', '--tfinal', '0.3']\n"
+            f"assert main(tiny + ['--out', {str(tmp_path / 'linear')!r}]) == 0\n"
+            "assert main(tiny + ['--model', 'nonlinear', '--test', '4', '--seed', '1',\n"
+            f"                   '--out', {str(tmp_path / 'nonlinear')!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        path = [str(Path(kinrec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "nonlinear" / "summary.txt").exists()
 
     def test_aborted_run_exits_one(self, tmp_path, capsys):
         path = tmp_path / "abort.ini"

@@ -402,10 +402,11 @@ class TestMomentSchemes:
         assert max(res_u, res_j) > 1e-6
 
 
-def test_linear_module_needs_no_sparse_assembly():
-    # The linear model is its fluxes and the per-mode solve; its matrix form
-    # lives only in the nonlinear Newton system.
-    source = Path(__file__).resolve().parents[1] / "src" / "kinrec" / "linear.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kinrec"
+
+
+def imported_modules(source: Path) -> set[str]:
+    """Every module and imported name a source file's import statements name."""
     imported = set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -416,6 +417,20 @@ def test_linear_module_needs_no_sparse_assembly():
                 base = ".".join(filter(None, ["kinrec", base]))
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def test_linear_module_needs_no_sparse_assembly():
+    # The linear model is its fluxes and the per-mode solve; it needs nothing
+    # of the nonlinear Newton system.
+    imported = imported_modules(PACKAGE / "linear.py")
     assert "kinrec.state" in imported  # the walk sees the relative imports
-    assert not any(name.split(".")[0] == "scipy" for name in imported)
     assert not any(name.split(".")[:2] == ["kinrec", "nonlinear"] for name in imported)
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_package_module_imports_no_scipy(source):
+    # The package depends on numpy alone; scipy is a test dependency.
+    imported = imported_modules(source)
+    assert imported  # the walk sees the module's imports
+    assert not any(name.split(".")[0] == "scipy" for name in imported)
