@@ -24,22 +24,33 @@ def wide_stencil_symbol(grid: GridSpec) -> np.ndarray:
     return symbol
 
 
+class NotMeanFreeError(ValueError):
+    """A Poisson source whose cell-sum is not zero; row is the first such row."""
+
+    def __init__(self, mean: float, row: int) -> None:
+        super().__init__(f"source must be mean-free for solvability, got cell-sum {mean:.3e}")
+        self.row = row
+
+
 def poisson_modes(u_hat: np.ndarray, symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
     """rfft modes of the mean-free potential phi with (Dc Dc phi)_i = -u_i.
 
-    u_hat is the rfft of u on the periodic grid and symbol is
-    wide_stencil_symbol(grid); phi_hat = -u_hat / symbol.  The stencil is
-    invertible on mean-free fields only, so the cell-sum dx*u_hat[0] must
-    stay within 1e-10*max(1, rms u), with rms u from Parseval (odd nx: weight
-    1 at k = 0 and 2 elsewhere).
+    u_hat holds rfft modes of sources u on the periodic grid, shape
+    (..., nx//2+1), one source per row, and symbol is
+    wide_stencil_symbol(grid); phi_hat = -u_hat / symbol row by row.  The
+    stencil is invertible on mean-free fields only, so each row's cell-sum
+    dx*u_hat[..., 0] must stay within 1e-10*max(1, rms u) of that row, with
+    rms u from Parseval (odd nx: weight 1 at k = 0 and 2 elsewhere).
+    Otherwise NotMeanFreeError names the first row that fails, counted in C
+    order over the leading axes (0 for a single source).
     """
     power = u_hat.real**2 + u_hat.imag**2
-    rms = math.sqrt(2.0 * float(np.sum(power)) - float(power[0])) / grid.nx
-    mean = grid.dx * float(u_hat[0].real)
-    if abs(mean) > 1e-10 * max(1.0, rms):
-        raise ValueError(
-            f"source must be mean-free for solvability, got cell-sum {mean:.3e}"
-        )
+    rms = np.sqrt(2.0 * np.sum(power, axis=-1) - power[..., 0]) / grid.nx
+    mean = grid.dx * u_hat[..., 0].real
+    failing = np.flatnonzero(np.abs(mean) > 1e-10 * np.maximum(1.0, rms))
+    if failing.size:
+        row = int(failing[0])
+        raise NotMeanFreeError(float(mean.flat[row]), row)
     return -u_hat / symbol
 
 

@@ -12,7 +12,6 @@ from .state import (
     irfft_pair,
     moments_ujs,
     rfft_pair,
-    weighted_inner,
 )
 
 LAX_FRIEDRICHS = "lax-friedrichs"
@@ -206,40 +205,3 @@ def verify_moment_schemes(
         + (density_shift[1] * jf_n - density_shift[0] * jg_n)
     )
     return float(np.max(np.abs(res_u))), float(np.max(np.abs(res_j)))
-
-
-def transport_quadratic_form(
-    state: np.ndarray,
-    flux: Flux,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    rho: float,
-    grid: GridSpec,
-) -> float:
-    """Weighted inner product of the transport update with the state itself.
-
-    Zero for the centered flux (skew transport), nonnegative for LF; the
-    difference between the LF and centered forms is the explicit gradient
-    dissipation returned by lax_friedrichs_dissipation.
-    """
-    return weighted_inner(flux_divergence(state, flux, grid), state, chi1, chi2, rho, grid)
-
-
-def lax_friedrichs_dissipation(
-    state: np.ndarray,
-    lam: float,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    rho: float,
-    grid: GridSpec,
-) -> float:
-    """Gradient dissipation added by the LF interface penalty.
-
-    Equals lam*dx times the weighted square norm of the one-sided spatial
-    gradient, which is exactly the difference between the LF and centered
-    transport quadratic forms (summation by parts turns the second-difference
-    penalty into -||backward gradient||^2; the two one-sided gradients have
-    equal norms on the periodic grid).
-    """
-    gradient = (state - np.roll(state, 1, axis=1)) / grid.dx
-    return lam * grid.dx * weighted_inner(gradient, gradient, chi1, chi2, rho, grid)

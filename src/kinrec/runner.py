@@ -19,10 +19,12 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.random import default_rng
 
 from .config import RunConfig, ValidationError, effective_config_text, resolve_config, snapshot_name
 from .diagnostics import (
     DecayFit,
+    NotMeanFreeError,
     TimeSeriesRecord,
     fit_decay_rate,
     poisson_modes,
@@ -69,6 +71,12 @@ TIMESERIES_HEADER = "t,weighted_norm,rho_f_l2,rho_g_l2,entropy,mass_difference,b
 # fraction of rho.  Bounds columns in the output always use this envelope;
 # it is a diagnostic, not a constraint on the solver.
 REPORT_ENVELOPE_FRACTION = 0.2
+
+# Steps a DiagnosticsRecorder buffers before finishing their records; each
+# flush has a fixed cost of a few dozen array operations, shared by the block.
+# A step's row holds 4 complex sums and one float per mode, where its modes
+# hold 4*nv complex values per mode, so the buffers stay small on any grid.
+DIAGNOSTICS_BLOCK = 32
 
 
 def resolve_lambda(cfg: RunConfig, grid: GridSpec) -> float:
@@ -152,7 +160,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         except (OSError, ValueError) as exc:
             raise ValidationError(f"model.{field}: {exc}") from exc
     chi1, chi2 = profiles
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     data0 = initial_data(cfg, grid, rng)
     rho = equilibrium_rho(mass_difference(data0, grid), grid.torus_length)
     eq = build_equilibrium(rho, chi1, chi2, grid)
@@ -193,9 +201,24 @@ class DiagnosticsRecorder:
     from Parseval (nx is odd, so the weight is 1 at k = 0 and 2 elsewhere,
     over nx), the site densities and the moments u and j are velocity sums
     per mode, the potential is -u_hat over the wide-stencil symbol and its
-    centered gradient has symbol i*sin(theta)/dx.  The entropy needs a
-    mean-free deviation density; a run whose mass difference drifts, which
-    none of the three fluxes does, aborts on the Poisson solve's error.
+    centered gradient has symbol i*sin(theta)/dx.
+
+    Each observe reduces its step's modes to one row of per-mode sums: the
+    site density and the current per mode and species (two matrix-vector
+    products) and the norm's weighted power per mode.  It also makes the
+    step's bounds check and snapshots, which need the step's own state.
+    flush finishes the buffered rows at once, in vectorized form: u and j,
+    the norm, the potential's gradient, both entropy inner products (the
+    time-increment term with each row's dt, and the previous gradient
+    carried across blocks), the density norms, the mass difference and one
+    TimeSeriesRecord per row.  It runs when DIAGNOSTICS_BLOCK rows are
+    buffered, and reading records runs it first, so the end of a run and
+    its abort both see every observed step.
+
+    The entropy needs a mean-free deviation density.  A step whose density
+    drifts, which none of the three fluxes allows, makes flush record the
+    steps before it, drop the snapshots of that step and later ones, and
+    raise NotMeanFreeError.
 
     The bounds check of a nonlinear run divides the state by the species
     profiles and compares the ratios with the envelope's limits, both made
@@ -206,9 +229,12 @@ class DiagnosticsRecorder:
     def __init__(self, setup: RunSetup) -> None:
         grid = setup.grid
         self._setup = setup
-        theta = 2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx
-        # dx * sum_i a_i b_i = sum_k parseval_k Re(a_hat_k conj(b_hat_k)) for real a, b.
+        n_modes = grid.nx // 2 + 1
+        theta = 2.0 * np.pi * np.arange(n_modes) / grid.nx
+        # dx * sum_i a_i b_i = sum_k parseval_k Re(a_hat_k conj(b_hat_k)) for real a, b;
+        # interleaved holds each weight twice, for the real and the imaginary part.
         self._parseval = np.where(theta == 0.0, 1.0, 2.0) * grid.dx / grid.nx
+        self._parseval_interleaved = np.repeat(self._parseval, 2)
         # Weights 1/(rho chi1) and rho/chi2 of the norm, times dv, per species
         # and velocity, each twice: for the real and the imaginary part.
         self._weights = np.repeat(
@@ -225,8 +251,16 @@ class DiagnosticsRecorder:
         self._equilibrium_mass = mass_difference(setup.equilibrium.state, grid)
         self._profiles = species_profiles(setup.chi1, setup.chi2)
         self._lower, self._upper = setup.envelope.limits(setup.rho)
+        # The buffered rows: the density and the current per mode and
+        # species, and the weighted power per mode; squares is observe's scratch.
+        self._sums = np.empty((DIAGNOSTICS_BLOCK, 2, 2 * n_modes), dtype=complex)
+        self._power = np.empty((DIAGNOSTICS_BLOCK, n_modes))
+        self._squares = np.empty((n_modes, self._weights.size))
+        # Per buffered row: t, dt_used, Newton iterations, bounds verdict and
+        # the number of snapshots taken before the row.
+        self._steps: list[tuple[float, float | None, int | None, bool | None, int]] = []
         self._dphi_prev: np.ndarray | None = None
-        self.records: list[TimeSeriesRecord] = []
+        self._records: list[TimeSeriesRecord] = []
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
         # GMRES iterations of every Newton update and the Newton failures
@@ -234,9 +268,19 @@ class DiagnosticsRecorder:
         self.krylov_iterations: list[int] | None = None
         self.rejected_attempts: int | None = None
 
-    def _sum(self, a: np.ndarray, b: np.ndarray) -> float:
-        """dx * sum_i a_i b_i of two real fields, from their modes."""
-        return float(np.vdot(a, self._parseval * b).real)
+    @property
+    def records(self) -> list[TimeSeriesRecord]:
+        """The records of every observed step; flushes the buffered rows first."""
+        self.flush()
+        return self._records
+
+    def _inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """dx * sum_i a_i b_i of real fields, from their modes along the last axis.
+
+        a and b are C-contiguous, so that their real and imaginary parts
+        interleave in a float view.
+        """
+        return (a.view(float) * b.view(float)) @ self._parseval_interleaved
 
     def observe(
         self,
@@ -245,8 +289,8 @@ class DiagnosticsRecorder:
         dt_used: float | None,
         newton_iterations: int | None,
         state: np.ndarray | None = None,
-    ) -> TimeSeriesRecord:
-        """Record one step from the deviation's modes, which are left unchanged.
+    ) -> None:
+        """Buffer one step's sums from the deviation's modes, which are left unchanged.
 
         state is the full distribution of a nonlinear run: it is checked
         against the reporting envelope, kept for snapshots, and its mass
@@ -254,49 +298,81 @@ class DiagnosticsRecorder:
         evolve the deviation itself and pass none; a snapshot transforms the
         modes back.
         """
-        setup = self._setup
-        grid = setup.grid
-        n_modes, _, n_vel = modes.shape
-        # Per mode and species.
-        density = (modes.reshape(-1, n_vel) @ self._density_sum).reshape(n_modes, 2)
-        current = (modes.reshape(-1, n_vel) @ self._current_sum).reshape(n_modes, 2)
-        u_hat = density[:, 0] - density[:, 1]
-        j_hat = current[:, 0] - current[:, 1]
+        row = len(self._steps)
+        velocities = modes.reshape(-1, modes.shape[-1])
+        density, current = self._sums[row]
+        np.matmul(velocities, self._density_sum, out=density)
+        np.matmul(velocities, self._current_sum, out=current)
         # |mode|^2 as the squares of the interleaved real and imaginary parts.
-        power = np.square(modes.view(float)).reshape(n_modes, -1)
-        norm_sq = float(self._parseval @ (power @ self._weights))
-        dphi = self._gradient * poisson_modes(u_hat, self._poisson, grid)
-        delta = setup.ledger.delta
-        entropy = 0.5 * norm_sq + delta * self._sum(j_hat, dphi)
-        if self._dphi_prev is not None:  # every step after the first has a dt
-            incr = dphi - self._dphi_prev
-            entropy += delta / (2.0 * dt_used) * self._sum(incr, incr)
-        self._dphi_prev = dphi
-        mass = grid.dx * float(u_hat[0].real)
+        np.square(modes.view(float).reshape(self._squares.shape), out=self._squares)
+        np.matmul(self._squares, self._weights, out=self._power[row])
         bounds_pass: bool | None = None
         if state is not None:
-            mass += self._equilibrium_mass
             ratios = state / self._profiles
-            bounds_pass = bool(np.all(ratios >= self._lower) and np.all(ratios <= self._upper))
-        record = TimeSeriesRecord(
-            t=t,
-            weighted_norm=math.sqrt(max(norm_sq, 0.0)),
-            rho_f_l2=math.sqrt(self._sum(density[:, 0], density[:, 0])),
-            rho_g_l2=math.sqrt(self._sum(density[:, 1], density[:, 1])),
-            entropy=entropy,
-            mass_difference=mass,
-            bounds_pass=bounds_pass,
-            dt_used=dt_used,
-            newton_iterations=newton_iterations,
-        )
-        self.records.append(record)
+            bounds_pass = bool((ratios >= self._lower).all() and (ratios <= self._upper).all())
+        self._steps.append((t, dt_used, newton_iterations, bounds_pass, len(self.snapshots)))
         while self._pending and t >= self._pending[0] - 1e-9:
             if state is None:
-                state = irfft_pair(modes, grid.nx)
+                state = irfft_pair(modes, self._setup.grid.nx)
             self.snapshots.append(
                 Snapshot(requested_t=self._pending.pop(0), actual_t=t, state=state.copy())
             )
-        return record
+        if row + 1 == DIAGNOSTICS_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Finish the buffered rows into records, in order; see the class docstring."""
+        steps = self._steps
+        n = len(steps)
+        if not n:
+            return
+        setup = self._setup
+        grid = setup.grid
+        # Step, mode, species.
+        density, current = self._sums[:n].reshape(n, 2, -1, 2).swapaxes(0, 1)
+        u_hat = density[..., 0] - density[..., 1]
+        j_hat = current[..., 0] - current[..., 1]
+        try:
+            dphi = self._gradient * poisson_modes(u_hat, self._poisson, grid)
+        except NotMeanFreeError as exc:
+            # Keep the steps before the first one without a potential.
+            del self.snapshots[steps[exc.row][4]:]
+            del steps[exc.row:]
+            self.flush()
+            raise
+        norm_sq = self._power[:n] @ self._parseval
+        delta = setup.ledger.delta
+        entropy = 0.5 * norm_sq + delta * self._inner(j_hat, dphi)
+        # Every step after the first of a run has a previous potential and a dt.
+        first = 1 if self._dphi_prev is None else 0
+        previous = dphi[:-1] if first else np.concatenate([self._dphi_prev[None], dphi[:-1]])
+        incr = dphi[first:] - previous
+        dt = np.array([step[1] for step in steps[first:]], dtype=float)
+        entropy[first:] += delta / (2.0 * dt) * self._inner(incr, incr)
+        self._dphi_prev = dphi[-1].copy()
+        norm = np.sqrt(np.maximum(norm_sq, 0.0))
+        per_species = np.ascontiguousarray(density.swapaxes(1, 2))
+        rho_l2 = np.sqrt(self._inner(per_species, per_species))
+        mass = grid.dx * u_hat[:, 0].real
+        # A row with a bounds verdict came with the state, whose mass includes the equilibrium's.
+        mass[[step[3] is not None for step in steps]] += self._equilibrium_mass
+        for (t, dt_used, iterations, bounds_pass, _), w, (rho_f, rho_g), h, m in zip(
+            steps, norm.tolist(), rho_l2.tolist(), entropy.tolist(), mass.tolist()
+        ):
+            self._records.append(
+                TimeSeriesRecord(
+                    t=t,
+                    weighted_norm=w,
+                    rho_f_l2=rho_f,
+                    rho_g_l2=rho_g,
+                    entropy=h,
+                    mass_difference=m,
+                    bounds_pass=bounds_pass,
+                    dt_used=dt_used,
+                    newton_iterations=iterations,
+                )
+            )
+        steps.clear()
 
 
 @dataclass(frozen=True)
@@ -456,14 +532,20 @@ def execute_run(cfg: RunConfig) -> RunData:
     march = _march_linear if cfg.model == "linear" else _march_nonlinear
     try:
         march(setup, recorder)
+        recorder.flush()
     except Exception as exc:
+        error = exc
+        try:
+            recorder.flush()  # the steps observed before the failure
+        except NotMeanFreeError as earlier:  # a buffered step had already drifted
+            error = earlier
         if not recorder.records:
-            raise
+            raise error
         raise ExperimentAbortedError(
             f"{cfg.model} run with {cfg.flux} flux aborted at "
-            f"t={recorder.records[-1].t:.6g}: {exc}",
+            f"t={recorder.records[-1].t:.6g}: {error}",
             _finalize(setup, recorder, start),
-        ) from exc
+        ) from error
     return _finalize(setup, recorder, start)
 
 

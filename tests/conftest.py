@@ -6,6 +6,7 @@ import numpy as np
 
 from kinrec.grid import (
     GridSpec,
+    VelocityProfile,
     build_grid,
     discretize_profile,
     gaussian_profile,
@@ -18,7 +19,14 @@ from kinrec.diagnostics import (
     modified_entropy,
     solve_discrete_poisson,
 )
-from kinrec.linear import CENTERED, LAX_FRIEDRICHS, UPWIND, Flux, assemble_linear_operator
+from kinrec.linear import (
+    CENTERED,
+    LAX_FRIEDRICHS,
+    UPWIND,
+    Flux,
+    assemble_linear_operator,
+    flux_divergence,
+)
 from kinrec.nonlinear import NonlinearStepper
 from kinrec.runner import TIMESERIES_HEADER, Snapshot, _count, _fmt
 from kinrec.state import (
@@ -27,6 +35,7 @@ from kinrec.state import (
     macroscopic_densities,
     mass_difference,
     moments_ujs,
+    weighted_inner,
     weighted_norm,
 )
 
@@ -250,3 +259,40 @@ def cellwise_snapshot_csv(snapshot, grid) -> str:
                 % (i, j, _fmt(grid.x_centers[i]), _fmt(grid.v_centers[j]), _fmt(f[i, j]), _fmt(g[i, j]))
             )
     return "\n".join(lines) + "\n"
+
+
+def transport_quadratic_form(
+    state: np.ndarray,
+    flux: Flux,
+    chi1: VelocityProfile,
+    chi2: VelocityProfile,
+    rho: float,
+    grid: GridSpec,
+) -> float:
+    """Weighted inner product of the transport update with the state itself.
+
+    Zero for the centered flux (skew transport), nonnegative for LF; the
+    difference between the LF and centered forms is the explicit gradient
+    dissipation returned by lax_friedrichs_dissipation.
+    """
+    return weighted_inner(flux_divergence(state, flux, grid), state, chi1, chi2, rho, grid)
+
+
+def lax_friedrichs_dissipation(
+    state: np.ndarray,
+    lam: float,
+    chi1: VelocityProfile,
+    chi2: VelocityProfile,
+    rho: float,
+    grid: GridSpec,
+) -> float:
+    """Gradient dissipation added by the LF interface penalty.
+
+    Equals lam*dx times the weighted square norm of the one-sided spatial
+    gradient, which is exactly the difference between the LF and centered
+    transport quadratic forms (summation by parts turns the second-difference
+    penalty into -||backward gradient||^2; the two one-sided gradients have
+    equal norms on the periodic grid).
+    """
+    gradient = (state - np.roll(state, 1, axis=1)) / grid.dx
+    return lam * grid.dx * weighted_inner(gradient, gradient, chi1, chi2, rho, grid)

@@ -24,12 +24,13 @@ from conftest import (
 import kinrec
 from kinrec import linear, nonlinear, runner
 from kinrec.cli import build_parser, main, overrides_from_args
-from kinrec.config import ParseError, RunConfig, ValidationError, load_config
+from kinrec.config import ParseError, RunConfig, ValidationError, load_config, snapshot_name
 from kinrec.diagnostics import fit_decay_rate
 from kinrec.grid import build_grid, centered_gradient, discretize_profile, heavytail_profile
 from kinrec.linear import FLUX_NAMES, ImplicitLinearOperator
 from kinrec.nonlinear import check_maximum_principle
 from kinrec.runner import (
+    DIAGNOSTICS_BLOCK,
     REPORT_ENVELOPE_FRACTION,
     TIMESERIES_HEADER,
     DiagnosticsRecorder,
@@ -47,6 +48,7 @@ from kinrec.runner import (
     write_outputs,
 )
 from kinrec.state import (
+    DENSE_DFT_MAX_NX,
     build_equilibrium,
     irfft_pair,
     mass_difference,
@@ -622,27 +624,62 @@ class TestOutputs:
         assert timeseries_csv(again.records) == timeseries_csv(linear_run.records)
 
 
+def held_array_bytes(recorder) -> int:
+    """Bytes of the arrays a recorder holds, its records, snapshots and setup aside.
+
+    A view counts as the whole array it looks into.
+    """
+    owners = {}
+    pending = [v for k, v in vars(recorder).items() if k not in ("_records", "snapshots", "_setup")]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
+    return sum(owners.values())
+
+
 class TestModalDiagnostics:
-    """DiagnosticsRecorder's per-mode quantities against their physical definitions."""
+    """DiagnosticsRecorder's per-mode records against their physical definitions.
+
+    The recorder finishes its records a block of steps at a time, so the
+    runs of steps observed end before, at and after block edges.
+    """
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         nx=st.one_of(
             st.integers(1, 50).map(lambda k: 2 * k + 1),
+            # Primes, on both sides of the dense transform's limit.
             st.sampled_from([37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101]),
+            st.sampled_from(
+                [p for p in range(DENSE_DFT_MAX_NX + 1, 200) if all(p % d for d in range(2, p))]
+            ),
         ),
         nv=st.integers(1, 4),
         model=st.sampled_from(["linear", "nonlinear"]),
         amplitude=st.floats(1e-12, 1e3),
+        # Steps observed: one, and up to, at and past the end of one and two blocks.
+        n_steps=st.sampled_from(
+            [1]
+            + [DIAGNOSTICS_BLOCK + k for k in (-1, 0, 1)]
+            + [2 * DIAGNOSTICS_BLOCK + 1]
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_physical_oracles(self, nx, nv, model, amplitude, seed):
+    def test_matches_the_physical_oracles(self, nx, nv, model, amplitude, n_steps, seed):
         setup = build_setup(tiny_config(nx=nx, nv=nv, model=model))
-        grid = setup.grid
+        grid, delta = setup.grid, setup.ledger.delta
         rng = np.random.default_rng(seed)
         recorder = DiagnosticsRecorder(setup)
+        expected = []
         pot = None
-        for step, dt_used in enumerate((None, 0.07)):
+        for step in range(n_steps):
+            # Every step but the first has its own dt.
+            dt_used = None if step == 0 else float(rng.uniform(0.01, 2.0))
             shape = (grid.nx, grid.n_vel)
             f = amplitude * rng.standard_normal(shape)
             g = amplitude * rng.standard_normal(shape)
@@ -651,29 +688,64 @@ class TestModalDiagnostics:
             f -= np.mean(u) / (grid.dv * grid.n_vel)
             deviation = np.stack([f, g])
             state = None if model == "linear" else setup.equilibrium.state + deviation
-            record = recorder.observe(0.1 * step, rfft_pair(deviation), dt_used, None, state)
+            recorder.observe(0.1 * step, rfft_pair(deviation), dt_used, step, state)
 
             entropy_dt = setup.cfg.dt if dt_used is None else dt_used
             norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
                 deviation, pot, entropy_dt, setup
             )
-            assert abs(record.weighted_norm - norm) <= 1e-12 * norm
-            rho_f_scale = norm2(grid.dv * np.abs(f).sum(axis=1), grid)
-            rho_g_scale = norm2(grid.dv * np.abs(g).sum(axis=1), grid)
-            assert abs(record.rho_f_l2 - rho_f_l2) <= 1e-12 * rho_f_scale
-            assert abs(record.rho_g_l2 - rho_g_l2) <= 1e-12 * rho_g_scale
             # Scale of the entropy: its three terms in absolute value.
-            delta = setup.ledger.delta
             _, j, _ = moments_ujs(f - g, grid, setup.equilibrium.d0)
             dphi = centered_gradient(pot.phi, grid)
             entropy_scale = 0.5 * norm**2 + delta * grid.dx * np.sum(np.abs(j * dphi))
             if pot.phi_prev is not None:
                 incr = dphi - centered_gradient(pot.phi_prev, grid)
                 entropy_scale += delta / (2.0 * entropy_dt) * grid.dx * np.sum(incr**2)
-            assert abs(record.entropy - entropy) <= 1e-12 * entropy_scale
             evolved = deviation if state is None else state
-            mass_scale = grid.dx * grid.dv * float(np.sum(np.abs(evolved[0]) + np.abs(evolved[1])))
-            assert abs(record.mass_difference - mass_difference(evolved, grid)) <= 1e-12 * mass_scale
+            expected.append(
+                dict(
+                    t=0.1 * step,
+                    dt_used=dt_used,
+                    norm=norm,
+                    rho_f_l2=(rho_f_l2, norm2(grid.dv * np.abs(f).sum(axis=1), grid)),
+                    rho_g_l2=(rho_g_l2, norm2(grid.dv * np.abs(g).sum(axis=1), grid)),
+                    entropy=(entropy, entropy_scale),
+                    mass=(
+                        mass_difference(evolved, grid),
+                        grid.dx * grid.dv * float(np.sum(np.abs(evolved[0]) + np.abs(evolved[1]))),
+                    ),
+                )
+            )
+        records = recorder.records
+        assert len(records) == n_steps
+        for step, (record, want) in enumerate(zip(records, expected)):
+            assert (record.t, record.dt_used) == (want["t"], want["dt_used"])
+            assert record.newton_iterations == step
+            assert (record.bounds_pass is None) is (model == "linear")
+            assert abs(record.weighted_norm - want["norm"]) <= 1e-12 * want["norm"]
+            for got, (value, scale) in (
+                (record.rho_f_l2, want["rho_f_l2"]),
+                (record.rho_g_l2, want["rho_g_l2"]),
+                (record.entropy, want["entropy"]),
+                (record.mass_difference, want["mass"]),
+            ):
+                assert abs(got - value) <= 1e-12 * scale
+
+    def test_buffers_hold_at_most_a_block_of_per_mode_sums(self):
+        # A step's row is 2 species x (density, current) complex sums and one
+        # weighted power per mode.  Whole modes per buffered step would be nv
+        # times more; the recorder may hold one step's worth as scratch.
+        setup = build_setup(tiny_config(nx=201, nv=8, model="nonlinear"))
+        grid = setup.grid
+        n_modes = grid.nx // 2 + 1
+        modes = rfft_pair(setup.data0 - setup.equilibrium.state)
+        recorder = DiagnosticsRecorder(setup)
+        allowed = DIAGNOSTICS_BLOCK * n_modes * (2 * 2 * 16 + 8) + 2 * modes.nbytes
+        for step in range(2 * DIAGNOSTICS_BLOCK + 1):
+            recorder.observe(0.1 * step, modes, 0.1 if step else None, 0, setup.data0)
+            assert held_array_bytes(recorder) <= allowed
+            assert len(recorder._steps) < DIAGNOSTICS_BLOCK
+        assert len(recorder.records) == 2 * DIAGNOSTICS_BLOCK + 1
 
 
 class TestPerStepBounds:
@@ -708,9 +780,9 @@ class TestPerStepBounds:
         if nan:
             state[tuple(rng.integers(0, n) for n in state.shape)] = np.nan
         n_modes = grid.nx // 2 + 1
-        record = DiagnosticsRecorder(setup).observe(
-            0.0, np.zeros((n_modes, 2, grid.n_vel), complex), None, None, state
-        )
+        recorder = DiagnosticsRecorder(setup)
+        recorder.observe(0.0, np.zeros((n_modes, 2, grid.n_vel), complex), None, None, state)
+        (record,) = recorder.records
         report = check_maximum_principle(state, envelope, rho, setup.chi1, setup.chi2)
         assert record.bounds_pass is report.passed
         # Division by the profile moves a ratio by a rounding only.
@@ -905,6 +977,28 @@ class TestCli:
         assert "error: output.dir: " in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "not a directory\n"
 
+    def test_runs_import_no_random_module(self, tmp_path):
+        # build_setup's generator comes from a module-level import, so a run's
+        # wall_clock_s holds no module import: after importing the CLI, a run
+        # adds no numpy.random module.
+        script = (
+            "import sys\n"
+            "import kinrec.cli\n"
+            "from kinrec.config import load_config\n"
+            "from kinrec.runner import execute_run\n"
+            "before = set(sys.modules)\n"
+            "execute_run(load_config(None, dict(nx=7, nv=2, t_final=0.3)))\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(name for name in added if name.startswith('numpy.random')))\n"
+        )
+        path = [str(Path(kinrec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_runs_leave_scipy_unimported(self, tmp_path):
         # scipy is only a test dependency: a fresh process that runs a tiny
         # linear and a tiny nonlinear model never imports it.
@@ -943,21 +1037,45 @@ class TestCli:
 
     def test_mass_drift_aborts_on_the_entropy(self, tmp_path, capsys, monkeypatch):
         # A density difference that is not mean-free has no potential, so the
-        # entropy cannot be recorded and the run stops with its partial outputs.
-        real = runner.poisson_modes
-        calls = []
+        # entropy cannot be recorded.  The recorder finds such a step only
+        # when it finishes the step's block; the run must still stop with the
+        # steps before it and with no snapshot of it or of a later step.
+        self.check_drift_in_mid_block(tmp_path, capsys, monkeypatch, then_fails=False)
 
-        def drifting(u_hat, symbol, grid):
-            calls.append(None)
-            shift = np.fft.rfft(np.full(grid.nx, 1.0 if len(calls) > 2 else 0.0))
-            return real(u_hat + shift, symbol, grid)
+    def test_mass_drift_before_a_failure_aborts_on_the_entropy(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The march fails on a later step of the drifting step's block: the
+        # drift came first, so the run reports it and ends where it did.
+        self.check_drift_in_mid_block(tmp_path, capsys, monkeypatch, then_fails=True)
 
-        monkeypatch.setattr(runner, "poisson_modes", drifting)
+    @staticmethod
+    def check_drift_in_mid_block(tmp_path, capsys, monkeypatch, then_fails):
+        drift_step = DIAGNOSTICS_BLOCK + DIAGNOSTICS_BLOCK // 2
+        solve_modes = ImplicitLinearOperator.solve_modes
+        steps = []
+
+        def drifting(self, modes):
+            solve_modes(self, modes)
+            steps.append(None)
+            if len(steps) == drift_step:
+                modes[0, 0] += 1.0  # a uniform change in f's density
+            if then_fails and len(steps) == drift_step + 2:
+                raise RuntimeError("the step after next fails")
+
+        monkeypatch.setattr(ImplicitLinearOperator, "solve_modes", drifting)
+        dt = 0.05
+        snapshots = [0.0, (drift_step - 1) * dt, drift_step * dt, (drift_step + 3) * dt]
         out = tmp_path / "drift"
-        code = main(["--nx", "7", "--nv", "2", "--vstar", "3.0", "--tfinal", "1.0",
-                     "--out", str(out)])
+        code = main(["--nx", "7", "--nv", "2", "--vstar", "3.0", "--dt", str(dt),
+                     "--tfinal", str(3 * DIAGNOSTICS_BLOCK * dt),
+                     "--snapshots", ",".join(map(str, snapshots)), "--out", str(out)])
         assert code == 1
-        assert "mean-free" in capsys.readouterr().err
-        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
-        assert len(rows) == 2
-        assert all(row.split(",")[4] for row in rows)
+        err = capsys.readouterr().err
+        assert "mean-free" in err
+        rows = [row.split(",") for row in (out / "timeseries.csv").read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [n * dt for n in range(drift_step)]
+        assert all(row[4] for row in rows)
+        assert f"aborted at t={float(rows[-1][0]):.6g}:" in err
+        written = sorted(path.name for path in out.glob("snapshot_t*.csv"))
+        assert written == sorted(snapshot_name(t) for t in snapshots[:2])

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dense_reference_operator,
+    lax_friedrichs_dissipation,
     linear_step_matrix,
     make_grid,
     make_profiles,
     naive_flux_divergence,
     random_pair,
+    transport_quadratic_form,
 )
 from kinrec.grid import build_grid, centered_gradient, second_difference
 from kinrec.linear import (
@@ -24,9 +26,7 @@ from kinrec.linear import (
     Flux,
     assemble_linear_operator,
     flux_divergence,
-    lax_friedrichs_dissipation,
     residual_linear,
-    transport_quadratic_form,
     verify_moment_schemes,
 )
 from kinrec.state import (
