@@ -174,17 +174,3 @@ def fit_decay_rate(
         n_points=int(np.sum(usable)),
     )
 
-
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One accepted step of a run, as written to the time-series file."""
-
-    t: float
-    weighted_norm: float
-    rho_f_l2: float
-    rho_g_l2: float
-    entropy: float
-    mass_difference: float
-    bounds_pass: bool | None
-    dt_used: float | None
-    newton_iterations: int | None

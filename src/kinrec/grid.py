@@ -91,25 +91,6 @@ def centered_gradient(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * grid.dx)
 
 
-def forward_gradient(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(u_{i+1} - u_i) / dx, periodic, along axis 0."""
-    return (np.roll(u, -1, axis=0) - u) / grid.dx
-
-
-def backward_gradient(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(u_i - u_{i-1}) / dx, periodic, along axis 0."""
-    return (u - np.roll(u, 1, axis=0)) / grid.dx
-
-
-def second_difference(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(u_{i+1} - 2 u_i + u_{i-1}) / dx^2, periodic, along axis 0.
-
-    Equals the composition of the forward and backward gradients in either
-    order.
-    """
-    return (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / grid.dx**2
-
-
 def poincare_constant(grid: GridSpec) -> float:
     """Sharp constant C with ||u||_2 <= C ||centered_gradient(u)||_2 on mean-free u.
 

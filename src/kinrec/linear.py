@@ -6,13 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, VelocityProfile, centered_gradient, second_difference
-from .state import (
-    collision_linear,
-    irfft_pair,
-    moments_ujs,
-    rfft_pair,
-)
+from .grid import GridSpec, VelocityProfile
+from .state import irfft_pair, rfft_pair
 
 LAX_FRIEDRICHS = "lax-friedrichs"
 CENTERED = "centered"
@@ -147,61 +142,3 @@ def assemble_linear_operator(
 ) -> ImplicitLinearOperator:
     return ImplicitLinearOperator(grid, chi1, chi2, rho, dt, flux)
 
-
-def residual_linear(
-    state_next: np.ndarray,
-    state_prev: np.ndarray,
-    dt: float,
-    flux: Flux,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    rho: float,
-    grid: GridSpec,
-) -> np.ndarray:
-    """Pointwise defect of the implicit linear scheme, via the stencil path."""
-    return (
-        (state_next - state_prev) / dt
-        + flux_divergence(state_next, flux, grid)
-        - collision_linear(state_next, rho, chi1, chi2, grid)
-    )
-
-
-def verify_moment_schemes(
-    state_prev: np.ndarray,
-    state_next: np.ndarray,
-    grid: GridSpec,
-    rho: float,
-    d0: float,
-    dt: float,
-    lam: float,
-    density_shift: tuple[np.ndarray | float, np.ndarray | float] = (0.0, 0.0),
-) -> tuple[float, float]:
-    """Max-norm defects of the density- and current-difference updates.
-
-    Both vanish identically (up to rounding) when the two states are
-    consecutive iterates of the implicit LF scheme with diffusion strength
-    lam: the velocity averages of the kinetic update close exactly on
-    (u, j, s) because the profiles carry unit mass and no first moment.
-    For the full system the states are deviations from equilibrium and
-    density_shift holds the new site densities minus their steady levels,
-    (rho_f - rho, rho_g - 1/rho), which add the bilinear current term.
-    """
-    u_p, j_p, _ = moments_ujs(state_prev[0] - state_prev[1], grid, d0)
-    u_n, j_n, s_n = moments_ujs(state_next[0] - state_next[1], grid, d0)
-    _, jf_n, _ = moments_ujs(state_next[0], grid, d0)
-    _, jg_n, _ = moments_ujs(state_next[1], grid, d0)
-
-    res_u = (
-        (u_n - u_p) / dt
-        + centered_gradient(j_n, grid)
-        - lam * grid.dx * second_difference(u_n, grid)
-    )
-    res_j = (
-        (j_n - j_p) / dt
-        + centered_gradient(s_n, grid)
-        + d0 * centered_gradient(u_n, grid)
-        - lam * grid.dx * second_difference(j_n, grid)
-        + (jf_n / rho - rho * jg_n)
-        + (density_shift[1] * jf_n - density_shift[0] * jg_n)
-    )
-    return float(np.max(np.abs(res_u))), float(np.max(np.abs(res_j)))

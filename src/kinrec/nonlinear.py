@@ -9,8 +9,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridSpec, VelocityProfile
-from .linear import Flux, ImplicitLinearOperator, interface_weights, verify_moment_schemes
-from .state import EquilibriumData, macroscopic_densities, mass_difference, species_profiles
+from .linear import Flux, ImplicitLinearOperator, interface_weights
+from .state import mass_difference, species_profiles
 
 
 class NewtonDivergedError(RuntimeError):
@@ -458,31 +458,6 @@ class NonlinearStepper:
             )
         self._carried = _Evaluation(state, transport, reaction, m_new)
         return state, iterations
-
-
-def verify_moment_schemes_nonlinear(
-    state_prev: np.ndarray,
-    state_next: np.ndarray,
-    equilibrium: EquilibriumData,
-    grid: GridSpec,
-    dt: float,
-    lam: float,
-) -> tuple[float, float]:
-    """Max-norm defects of the deviation density- and current-difference updates.
-
-    Velocity-averaging one implicit LF step of the full system closes exactly
-    on the moments of the deviation from equilibrium: the density-difference
-    update is conservative, and the current-difference update picks up the
-    linearized damping plus a bilinear correction weighted by the new
-    densities' distance to their steady levels.  Both defects vanish up to
-    the Newton residual left in the step.
-    """
-    rho, eq = equilibrium.rho, equilibrium.state
-    rho_f, rho_g = macroscopic_densities(state_next, grid)
-    shift = (rho_f - rho, rho_g - 1.0 / rho)
-    return verify_moment_schemes(
-        state_prev - eq, state_next - eq, grid, rho, equilibrium.d0, dt, lam, shift
-    )
 
 
 @dataclass(frozen=True)

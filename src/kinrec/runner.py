@@ -25,7 +25,6 @@ from .config import RunConfig, ValidationError, effective_config_text, resolve_c
 from .diagnostics import (
     DecayFit,
     NotMeanFreeError,
-    TimeSeriesRecord,
     fit_decay_rate,
     poisson_modes,
     wide_stencil_symbol,
@@ -65,14 +64,19 @@ from .state import (
 from .diagnostics import modified_entropy, solve_discrete_poisson  # noqa: F401
 from .state import macroscopic_densities, weighted_norm  # noqa: F401
 
-TIMESERIES_HEADER = "t,weighted_norm,rho_f_l2,rho_g_l2,entropy,mass_difference,bounds_pass,dt_used,newton_iters"
+# The time series of a run: one list per column, keyed by the CSV header names.
+TIMESERIES_COLUMNS = (
+    "t", "weighted_norm", "rho_f_l2", "rho_g_l2", "entropy", "mass_difference",
+    "bounds_pass", "dt_used", "newton_iters",
+)
+TIMESERIES_HEADER = ",".join(TIMESERIES_COLUMNS)
 
 # Width of the reporting envelope around the equilibrium amplitudes, as a
 # fraction of rho.  Bounds columns in the output always use this envelope;
 # it is a diagnostic, not a constraint on the solver.
 REPORT_ENVELOPE_FRACTION = 0.2
 
-# Steps a DiagnosticsRecorder buffers before finishing their records; each
+# Steps a DiagnosticsRecorder buffers before finishing their rows; each
 # flush has a fixed cost of a few dozen array operations, shared by the block.
 # A step's row holds 4 complex sums and one float per mode, where its modes
 # hold 4*nv complex values per mode, so the buffers stay small on any grid.
@@ -203,22 +207,24 @@ class DiagnosticsRecorder:
     per mode, the potential is -u_hat over the wide-stencil symbol and its
     centered gradient has symbol i*sin(theta)/dx.
 
-    Each observe reduces its step's modes to one row of per-mode sums: the
+    The time series is one list per column of TIMESERIES_COLUMNS.  Each
+    observe appends its step's t, dt_used, Newton iterations and bounds
+    verdict, and reduces its modes to one buffered row of per-mode sums: the
     site density and the current per mode and species (two matrix-vector
     products) and the norm's weighted power per mode.  It also makes the
     step's bounds check and snapshots, which need the step's own state.
-    flush finishes the buffered rows at once, in vectorized form: u and j,
-    the norm, the potential's gradient, both entropy inner products (the
-    time-increment term with each row's dt, and the previous gradient
-    carried across blocks), the density norms, the mass difference and one
-    TimeSeriesRecord per row.  It runs when DIAGNOSTICS_BLOCK rows are
-    buffered, and reading records runs it first, so the end of a run and
-    its abort both see every observed step.
+    flush finishes the other columns of the buffered rows at once, in
+    vectorized form: u and j, the norm, the potential's gradient, both
+    entropy inner products (the time-increment term with each row's dt, and
+    the previous gradient carried across blocks), the density norms and the
+    mass difference.  It runs when DIAGNOSTICS_BLOCK rows are buffered, and
+    reading series runs it first, so the end of a run and its abort both
+    see every observed step.
 
     The entropy needs a mean-free deviation density.  A step whose density
-    drifts, which none of the three fluxes allows, makes flush record the
-    steps before it, drop the snapshots of that step and later ones, and
-    raise NotMeanFreeError.
+    drifts, which none of the three fluxes allows, makes flush keep the
+    steps before it, drop the snapshots of that step and later ones (step
+    times strictly increase), and raise NotMeanFreeError.
 
     The bounds check of a nonlinear run divides the state by the species
     profiles and compares the ratios with the envelope's limits, both made
@@ -256,11 +262,8 @@ class DiagnosticsRecorder:
         self._sums = np.empty((DIAGNOSTICS_BLOCK, 2, 2 * n_modes), dtype=complex)
         self._power = np.empty((DIAGNOSTICS_BLOCK, n_modes))
         self._squares = np.empty((n_modes, self._weights.size))
-        # Per buffered row: t, dt_used, Newton iterations, bounds verdict and
-        # the number of snapshots taken before the row.
-        self._steps: list[tuple[float, float | None, int | None, bool | None, int]] = []
         self._dphi_prev: np.ndarray | None = None
-        self._records: list[TimeSeriesRecord] = []
+        self._series: dict[str, list] = {column: [] for column in TIMESERIES_COLUMNS}
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
         # GMRES iterations of every Newton update and the Newton failures
@@ -269,10 +272,10 @@ class DiagnosticsRecorder:
         self.rejected_attempts: int | None = None
 
     @property
-    def records(self) -> list[TimeSeriesRecord]:
-        """The records of every observed step; flushes the buffered rows first."""
+    def series(self) -> dict[str, list]:
+        """The time-series columns of every observed step; flushes the buffered rows first."""
         self.flush()
-        return self._records
+        return self._series
 
     def _inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """dx * sum_i a_i b_i of real fields, from their modes along the last axis.
@@ -298,7 +301,8 @@ class DiagnosticsRecorder:
         evolve the deviation itself and pass none; a snapshot transforms the
         modes back.
         """
-        row = len(self._steps)
+        series = self._series
+        row = len(series["t"]) - len(series["weighted_norm"])
         velocities = modes.reshape(-1, modes.shape[-1])
         density, current = self._sums[row]
         np.matmul(velocities, self._density_sum, out=density)
@@ -310,7 +314,10 @@ class DiagnosticsRecorder:
         if state is not None:
             ratios = state / self._profiles
             bounds_pass = bool((ratios >= self._lower).all() and (ratios <= self._upper).all())
-        self._steps.append((t, dt_used, newton_iterations, bounds_pass, len(self.snapshots)))
+        series["t"].append(t)
+        series["dt_used"].append(dt_used)
+        series["newton_iters"].append(newton_iterations)
+        series["bounds_pass"].append(bounds_pass)
         while self._pending and t >= self._pending[0] - 1e-9:
             if state is None:
                 state = irfft_pair(modes, self._setup.grid.nx)
@@ -321,9 +328,10 @@ class DiagnosticsRecorder:
             self.flush()
 
     def flush(self) -> None:
-        """Finish the buffered rows into records, in order; see the class docstring."""
-        steps = self._steps
-        n = len(steps)
+        """Finish the buffered rows' columns, in order; see the class docstring."""
+        series = self._series
+        done = len(series["weighted_norm"])
+        n = len(series["t"]) - done
         if not n:
             return
         setup = self._setup
@@ -336,8 +344,10 @@ class DiagnosticsRecorder:
             dphi = self._gradient * poisson_modes(u_hat, self._poisson, grid)
         except NotMeanFreeError as exc:
             # Keep the steps before the first one without a potential.
-            del self.snapshots[steps[exc.row][4]:]
-            del steps[exc.row:]
+            failed = done + exc.row
+            self.snapshots = [s for s in self.snapshots if s.actual_t < series["t"][failed]]
+            for values in series.values():
+                del values[failed:]
             self.flush()
             raise
         norm_sq = self._power[:n] @ self._parseval
@@ -347,7 +357,7 @@ class DiagnosticsRecorder:
         first = 1 if self._dphi_prev is None else 0
         previous = dphi[:-1] if first else np.concatenate([self._dphi_prev[None], dphi[:-1]])
         incr = dphi[first:] - previous
-        dt = np.array([step[1] for step in steps[first:]], dtype=float)
+        dt = np.array(series["dt_used"][done + first :], dtype=float)
         entropy[first:] += delta / (2.0 * dt) * self._inner(incr, incr)
         self._dphi_prev = dphi[-1].copy()
         norm = np.sqrt(np.maximum(norm_sq, 0.0))
@@ -355,24 +365,12 @@ class DiagnosticsRecorder:
         rho_l2 = np.sqrt(self._inner(per_species, per_species))
         mass = grid.dx * u_hat[:, 0].real
         # A row with a bounds verdict came with the state, whose mass includes the equilibrium's.
-        mass[[step[3] is not None for step in steps]] += self._equilibrium_mass
-        for (t, dt_used, iterations, bounds_pass, _), w, (rho_f, rho_g), h, m in zip(
-            steps, norm.tolist(), rho_l2.tolist(), entropy.tolist(), mass.tolist()
-        ):
-            self._records.append(
-                TimeSeriesRecord(
-                    t=t,
-                    weighted_norm=w,
-                    rho_f_l2=rho_f,
-                    rho_g_l2=rho_g,
-                    entropy=h,
-                    mass_difference=m,
-                    bounds_pass=bounds_pass,
-                    dt_used=dt_used,
-                    newton_iterations=iterations,
-                )
-            )
-        steps.clear()
+        mass[[b is not None for b in series["bounds_pass"][done:]]] += self._equilibrium_mass
+        series["weighted_norm"] += norm.tolist()
+        series["rho_f_l2"] += rho_l2[:, 0].tolist()
+        series["rho_g_l2"] += rho_l2[:, 1].tolist()
+        series["entropy"] += entropy.tolist()
+        series["mass_difference"] += mass.tolist()
 
 
 @dataclass(frozen=True)
@@ -402,7 +400,7 @@ class RunSummary:
 @dataclass(frozen=True)
 class RunData:
     setup: RunSetup
-    records: list[TimeSeriesRecord]
+    series: dict[str, list]
     snapshots: list[Snapshot]
     summary: RunSummary
 
@@ -469,22 +467,21 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
 
 def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> RunData:
     cfg = setup.cfg
-    records = recorder.records
+    series = recorder.series
 
     fit: DecayFit | None = None
-    times = np.array([r.t for r in records])
-    norms = np.array([r.weighted_norm for r in records])
     try:
-        fit = fit_decay_rate(times, norms)
+        fit = fit_decay_rate(series["t"], series["weighted_norm"])
     except ValueError:
         fit = None
 
-    mass0 = records[0].mass_difference
-    drift = max(abs(r.mass_difference - mass0) for r in records)
+    mass = series["mass_difference"]
+    mass0 = mass[0]
+    drift = max(abs(m - mass0) for m in mass)
     scale = max(1.0, abs(mass0))
 
     krylov = recorder.krylov_iterations
-    newton = [r.newton_iterations for r in records[1:]] if cfg.model == "nonlinear" else None
+    newton = series["newton_iters"][1:] if cfg.model == "nonlinear" else None
     ratios: dict[str, float | None] = {k: None for k in ("f_min", "f_max", "g_min", "g_max")}
     if cfg.model == "nonlinear":
         bounds_states = [setup.data0] + [s.state for s in recorder.snapshots]
@@ -506,14 +503,14 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         rho=setup.rho,
         initial_mass_difference=mass0,
         fit=fit,
-        final_weighted_norm=records[-1].weighted_norm,
+        final_weighted_norm=series["weighted_norm"][-1],
         max_mass_drift_abs=drift,
         max_mass_drift_rel=drift / scale,
         f_ratio_min=ratios["f_min"],
         f_ratio_max=ratios["f_max"],
         g_ratio_min=ratios["g_min"],
         g_ratio_max=ratios["g_max"],
-        n_steps=len(records) - 1,
+        n_steps=len(series["t"]) - 1,
         newton_iterations=None if newton is None else sum(newton),
         stalled_steps=None if newton is None else newton.count(0),
         rejected_attempts=recorder.rejected_attempts,
@@ -521,7 +518,7 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         krylov_iterations_max=None if krylov is None else max(krylov, default=0),
         wall_clock_s=time.perf_counter() - start,
     )
-    return RunData(setup=setup, records=records, snapshots=recorder.snapshots, summary=summary)
+    return RunData(setup=setup, series=series, snapshots=recorder.snapshots, summary=summary)
 
 
 def execute_run(cfg: RunConfig) -> RunData:
@@ -539,11 +536,11 @@ def execute_run(cfg: RunConfig) -> RunData:
             recorder.flush()  # the steps observed before the failure
         except NotMeanFreeError as earlier:  # a buffered step had already drifted
             error = earlier
-        if not recorder.records:
+        if not recorder.series["t"]:
             raise error
         raise ExperimentAbortedError(
             f"{cfg.model} run with {cfg.flux} flux aborted at "
-            f"t={recorder.records[-1].t:.6g}: {error}",
+            f"t={recorder.series['t'][-1]:.6g}: {error}",
             _finalize(setup, recorder, start),
         ) from error
     return _finalize(setup, recorder, start)
@@ -559,25 +556,20 @@ def _count(value: int | None) -> str:
     return "" if value is None else str(value)
 
 
-def timeseries_csv(records: list[TimeSeriesRecord]) -> str:
-    lines = [TIMESERIES_HEADER]
-    for r in records:
-        bounds = "" if r.bounds_pass is None else ("1" if r.bounds_pass else "0")
-        lines.append(
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s"
-            % (
-                r.t,
-                r.weighted_norm,
-                r.rho_f_l2,
-                r.rho_g_l2,
-                r.entropy,
-                r.mass_difference,
-                bounds,
-                _fmt(r.dt_used),
-                _count(r.newton_iterations),
-            )
-        )
-    return "\n".join(lines) + "\n"
+def timeseries_csv(series: dict[str, list]) -> str:
+    rows = zip(
+        series["t"],
+        series["weighted_norm"],
+        series["rho_f_l2"],
+        series["rho_g_l2"],
+        series["entropy"],
+        series["mass_difference"],
+        ["" if b is None else ("1" if b else "0") for b in series["bounds_pass"]],
+        map(_fmt, series["dt_used"]),
+        map(_count, series["newton_iters"]),
+    )
+    lines = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s" % row for row in rows]
+    return "\n".join([TIMESERIES_HEADER] + lines) + "\n"
 
 
 def snapshot_templates(grid: GridSpec) -> list[str]:
@@ -681,7 +673,7 @@ for path in sorted(glob.glob(os.path.join(here, "snapshot_t*.csv"))):
 def write_outputs(data: RunData, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "timeseries.csv").write_text(timeseries_csv(data.records), encoding="utf-8")
+    (out / "timeseries.csv").write_text(timeseries_csv(data.series), encoding="utf-8")
     templates = snapshot_templates(data.setup.grid)
     for snapshot in data.snapshots:
         with open(out / snapshot_name(snapshot.requested_t), "w", encoding="utf-8") as fh:
@@ -696,7 +688,7 @@ def write_outputs(data: RunData, out_dir: str | Path) -> Path:
 def run_experiment(cfg: RunConfig) -> RunData:
     """Execute a configured run and write its output directory.
 
-    On a mid-run failure the partial records gathered so far are still
+    On a mid-run failure the partial outputs gathered so far are still
     written before the error propagates.  An output directory that cannot be
     made is a ValidationError; so is a configuration the set-up rejects.
     """

@@ -97,10 +97,6 @@ def equilibrium_rho(mass_diff: float, torus_length: float) -> float:
     return rho
 
 
-def equilibrium_rho_from_state(state: np.ndarray, grid: GridSpec) -> float:
-    return equilibrium_rho(mass_difference(state, grid), grid.torus_length)
-
-
 @dataclass(frozen=True)
 class EquilibriumData:
     """Spatially uniform steady state and the derived velocity-average weight.
@@ -156,37 +152,6 @@ def weighted_norm(
 def macroscopic_densities(state: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Velocity averages (rho_f, rho_g), shape (2, nx)."""
     return grid.dv * state.sum(axis=-1)
-
-
-def project_pi(
-    state: np.ndarray,
-    rho: float,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    grid: GridSpec,
-) -> np.ndarray:
-    """Orthogonal projection onto the kernel of the linearized collision operator.
-
-    The kernel at each site is spanned by (rho^2*chi1, -chi2); the coefficient
-    is (rho_f - rho_g)/(rho^2 + 1).
-    """
-    rho_f, rho_g = macroscopic_densities(state, grid)
-    coef = (rho_f - rho_g) / (rho**2 + 1.0)
-    return coef[:, None] * np.stack([rho**2 * chi1.values, -chi2.values])[:, None]
-
-
-def collision_linear(
-    state: np.ndarray,
-    rho: float,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    grid: GridSpec,
-) -> np.ndarray:
-    """Linearized generation-recombination operator around the uniform steady state."""
-    rho_f, rho_g = macroscopic_densities(state, grid)
-    lf = -rho * np.outer(rho_g, chi1.values) - state[0] / rho
-    lg = -np.outer(rho_f, chi2.values) / rho - rho * state[1]
-    return np.stack([lf, lg])
 
 
 def moments_ujs(

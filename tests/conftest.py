@@ -8,6 +8,7 @@ from kinrec.grid import (
     GridSpec,
     VelocityProfile,
     build_grid,
+    centered_gradient,
     discretize_profile,
     gaussian_profile,
     heavytail_profile,
@@ -15,7 +16,6 @@ from kinrec.grid import (
 )
 from kinrec.diagnostics import (
     PotentialState,
-    TimeSeriesRecord,
     modified_entropy,
     solve_discrete_poisson,
 )
@@ -28,10 +28,11 @@ from kinrec.linear import (
     flux_divergence,
 )
 from kinrec.nonlinear import NonlinearStepper
-from kinrec.runner import TIMESERIES_HEADER, Snapshot, _count, _fmt
+from kinrec.runner import TIMESERIES_COLUMNS, TIMESERIES_HEADER, Snapshot, _count, _fmt
 from kinrec.state import (
+    EquilibriumData,
     build_equilibrium,
-    equilibrium_rho_from_state,
+    equilibrium_rho,
     macroscopic_densities,
     mass_difference,
     moments_ujs,
@@ -42,6 +43,144 @@ from kinrec.state import (
 
 def make_grid(torus_length=1.0, nx=7, nv=3, v_star=3.0) -> GridSpec:
     return build_grid(torus_length, nx, nv, v_star)
+
+
+def forward_gradient(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(u_{i+1} - u_i) / dx, periodic, along axis 0."""
+    return (np.roll(u, -1, axis=0) - u) / grid.dx
+
+
+def backward_gradient(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(u_i - u_{i-1}) / dx, periodic, along axis 0."""
+    return (u - np.roll(u, 1, axis=0)) / grid.dx
+
+
+def second_difference(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(u_{i+1} - 2 u_i + u_{i-1}) / dx^2, periodic, along axis 0.
+
+    Equals the composition of the forward and backward gradients in either
+    order.
+    """
+    return (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / grid.dx**2
+
+
+def equilibrium_rho_from_state(state: np.ndarray, grid: GridSpec) -> float:
+    return equilibrium_rho(mass_difference(state, grid), grid.torus_length)
+
+
+def project_pi(
+    state: np.ndarray,
+    rho: float,
+    chi1: VelocityProfile,
+    chi2: VelocityProfile,
+    grid: GridSpec,
+) -> np.ndarray:
+    """Orthogonal projection onto the kernel of the linearized collision operator.
+
+    The kernel at each site is spanned by (rho^2*chi1, -chi2); the coefficient
+    is (rho_f - rho_g)/(rho^2 + 1).
+    """
+    rho_f, rho_g = macroscopic_densities(state, grid)
+    coef = (rho_f - rho_g) / (rho**2 + 1.0)
+    return coef[:, None] * np.stack([rho**2 * chi1.values, -chi2.values])[:, None]
+
+
+def collision_linear(
+    state: np.ndarray,
+    rho: float,
+    chi1: VelocityProfile,
+    chi2: VelocityProfile,
+    grid: GridSpec,
+) -> np.ndarray:
+    """Linearized generation-recombination operator around the uniform steady state."""
+    rho_f, rho_g = macroscopic_densities(state, grid)
+    lf = -rho * np.outer(rho_g, chi1.values) - state[0] / rho
+    lg = -np.outer(rho_f, chi2.values) / rho - rho * state[1]
+    return np.stack([lf, lg])
+
+
+def residual_linear(
+    state_next: np.ndarray,
+    state_prev: np.ndarray,
+    dt: float,
+    flux: Flux,
+    chi1: VelocityProfile,
+    chi2: VelocityProfile,
+    rho: float,
+    grid: GridSpec,
+) -> np.ndarray:
+    """Pointwise defect of the implicit linear scheme, via the stencil path."""
+    return (
+        (state_next - state_prev) / dt
+        + flux_divergence(state_next, flux, grid)
+        - collision_linear(state_next, rho, chi1, chi2, grid)
+    )
+
+
+def verify_moment_schemes(
+    state_prev: np.ndarray,
+    state_next: np.ndarray,
+    grid: GridSpec,
+    rho: float,
+    d0: float,
+    dt: float,
+    lam: float,
+    density_shift: tuple[np.ndarray | float, np.ndarray | float] = (0.0, 0.0),
+) -> tuple[float, float]:
+    """Max-norm defects of the density- and current-difference updates.
+
+    Both vanish identically (up to rounding) when the two states are
+    consecutive iterates of the implicit LF scheme with diffusion strength
+    lam: the velocity averages of the kinetic update close exactly on
+    (u, j, s) because the profiles carry unit mass and no first moment.
+    For the full system the states are deviations from equilibrium and
+    density_shift holds the new site densities minus their steady levels,
+    (rho_f - rho, rho_g - 1/rho), which add the bilinear current term.
+    """
+    u_p, j_p, _ = moments_ujs(state_prev[0] - state_prev[1], grid, d0)
+    u_n, j_n, s_n = moments_ujs(state_next[0] - state_next[1], grid, d0)
+    _, jf_n, _ = moments_ujs(state_next[0], grid, d0)
+    _, jg_n, _ = moments_ujs(state_next[1], grid, d0)
+
+    res_u = (
+        (u_n - u_p) / dt
+        + centered_gradient(j_n, grid)
+        - lam * grid.dx * second_difference(u_n, grid)
+    )
+    res_j = (
+        (j_n - j_p) / dt
+        + centered_gradient(s_n, grid)
+        + d0 * centered_gradient(u_n, grid)
+        - lam * grid.dx * second_difference(j_n, grid)
+        + (jf_n / rho - rho * jg_n)
+        + (density_shift[1] * jf_n - density_shift[0] * jg_n)
+    )
+    return float(np.max(np.abs(res_u))), float(np.max(np.abs(res_j)))
+
+
+def verify_moment_schemes_nonlinear(
+    state_prev: np.ndarray,
+    state_next: np.ndarray,
+    equilibrium: EquilibriumData,
+    grid: GridSpec,
+    dt: float,
+    lam: float,
+) -> tuple[float, float]:
+    """Max-norm defects of the deviation density- and current-difference updates.
+
+    Velocity-averaging one implicit LF step of the full system closes exactly
+    on the moments of the deviation from equilibrium: the density-difference
+    update is conservative, and the current-difference update picks up the
+    linearized damping plus a bilinear correction weighted by the new
+    densities' distance to their steady levels.  Both defects vanish up to
+    the Newton residual left in the step.
+    """
+    rho, eq = equilibrium.rho, equilibrium.state
+    rho_f, rho_g = macroscopic_densities(state_next, grid)
+    shift = (rho_f - rho, rho_g - 1.0 / rho)
+    return verify_moment_schemes(
+        state_prev - eq, state_next - eq, grid, rho, equilibrium.d0, dt, lam, shift
+    )
 
 
 def dense_poisson(u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -201,8 +340,8 @@ def physical_linear_march(setup):
     """Reference linear march in physical space, for the runner's modal march.
 
     Steps the deviation with ImplicitLinearOperator.solve and records every
-    diagnostic from its physical-space definition; returns the records and
-    the snapshots, in the runner's types.
+    diagnostic from its physical-space definition; returns the time-series
+    columns and the snapshots, in the runner's types.
     """
     cfg = setup.cfg
     op = assemble_linear_operator(
@@ -210,7 +349,8 @@ def physical_linear_march(setup):
     )
     deviation = setup.data0 - setup.equilibrium.state
     pending = list(cfg.snapshot_times)
-    records, snapshots, pot = [], [], None
+    series = {column: [] for column in TIMESERIES_COLUMNS}
+    snapshots, pot = [], None
     for n in range(round(cfg.t_final / cfg.dt) + 1):
         if n > 0:
             deviation = op.solve(deviation)
@@ -218,32 +358,34 @@ def physical_linear_march(setup):
         norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
             deviation, pot, cfg.dt, setup
         )
-        records.append(
-            TimeSeriesRecord(
-                t=t,
-                weighted_norm=norm,
-                rho_f_l2=rho_f_l2,
-                rho_g_l2=rho_g_l2,
-                entropy=entropy,
-                mass_difference=mass_difference(deviation, setup.grid),
-                bounds_pass=None,
-                dt_used=cfg.dt if n > 0 else None,
-                newton_iterations=None,
-            )
+        row = dict(
+            t=t,
+            weighted_norm=norm,
+            rho_f_l2=rho_f_l2,
+            rho_g_l2=rho_g_l2,
+            entropy=entropy,
+            mass_difference=mass_difference(deviation, setup.grid),
+            bounds_pass=None,
+            dt_used=cfg.dt if n > 0 else None,
+            newton_iters=None,
         )
+        for column, value in row.items():
+            series[column].append(value)
         while pending and t >= pending[0] - 1e-9:
             snapshots.append(Snapshot(pending.pop(0), t, deviation.copy()))
-    return records, snapshots
+    return series, snapshots
 
 
-def cellwise_timeseries_csv(records) -> str:
+def cellwise_timeseries_csv(series) -> str:
     """Time-series text formatted one cell at a time, the writer's reference."""
     lines = [TIMESERIES_HEADER]
-    for r in records:
-        bounds = "" if r.bounds_pass is None else ("1" if r.bounds_pass else "0")
-        cells = (r.t, r.weighted_norm, r.rho_f_l2, r.rho_g_l2, r.entropy, r.mass_difference)
+    for row in range(len(series["t"])):
+        r = {column: values[row] for column, values in series.items()}
+        bounds = "" if r["bounds_pass"] is None else ("1" if r["bounds_pass"] else "0")
+        cells = (r["t"], r["weighted_norm"], r["rho_f_l2"], r["rho_g_l2"], r["entropy"],
+                 r["mass_difference"])
         lines.append(
-            ",".join([_fmt(c) for c in cells] + [bounds, _fmt(r.dt_used), _count(r.newton_iterations)])
+            ",".join([_fmt(c) for c in cells] + [bounds, _fmt(r["dt_used"]), _count(r["newton_iters"])])
         )
     return "\n".join(lines) + "\n"
 

@@ -17,10 +17,18 @@ import numpy as np
 import pytest
 
 from conftest import (
+    backward_gradient,
+    collision_linear,
     dense_reference_operator,
+    equilibrium_rho_from_state,
+    forward_gradient,
     linear_step_matrix,
+    project_pi,
     random_pair,
     random_positive_pair,
+    second_difference,
+    verify_moment_schemes,
+    verify_moment_schemes_nonlinear,
 )
 
 from kinrec.config import load_config
@@ -34,13 +42,10 @@ from kinrec.grid import (
     build_grid,
     centered_gradient,
     discretize_profile,
-    forward_gradient,
-    backward_gradient,
     heavytail_profile,
     oscillating_profile,
-    second_difference,
 )
-from kinrec.linear import Flux, assemble_linear_operator, verify_moment_schemes
+from kinrec.linear import Flux, assemble_linear_operator
 from kinrec.nonlinear import (
     AdaptiveController,
     BoundsEnvelope,
@@ -48,15 +53,11 @@ from kinrec.nonlinear import (
     NonlinearStepper,
     adaptive_advance,
     check_maximum_principle,
-    verify_moment_schemes_nonlinear,
 )
 from kinrec.runner import build_setup, execute_run, run_experiment
 from kinrec.state import (
-    collision_linear,
-    equilibrium_rho_from_state,
     macroscopic_densities,
     moments_ujs,
-    project_pi,
     weighted_inner,
     weighted_norm,
 )
@@ -314,15 +315,15 @@ def test_criterion_07_nonlinear_flux_dichotomy(dichotomy_runs):
     runs, elapsed = dichotomy_runs
     fits = {}
     for flux in ("lax-friedrichs", "upwind"):
-        records = runs[flux].records
-        t = np.array([r.t for r in records])
-        norms = np.array([r.weighted_norm for r in records])
+        series = runs[flux].series
+        t = np.array(series["t"])
+        norms = np.array(series["weighted_norm"])
         # Pre-plateau fit: cut the window where the series settles onto its floor.
         fits[flux] = fit_decay_rate(t, norms, floor=runs[flux].summary.final_weighted_norm)
     lf, ce = runs["lax-friedrichs"].summary, runs["centered"].summary
     floor_ratio = ce.final_weighted_norm / lf.final_weighted_norm
     drift_ratio = ce.max_mass_drift_abs / max(lf.max_mass_drift_abs, 1e-300)
-    dts = [r.dt_used for r in runs["lax-friedrichs"].records[1:]]
+    dts = runs["lax-friedrichs"].series["dt_used"][1:]
 
     for flux, fit in fits.items():
         print(f"criterion 7: {flux}: kappa={fit.kappa:.4f} r2={fit.r_squared:.5f} "

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_grid, norm2
+from conftest import backward_gradient, forward_gradient, make_grid, norm2, second_difference
 from kinrec.grid import (
     NAMED_PROFILES,
     VelocityProfile,
-    backward_gradient,
     build_grid,
     centered_gradient,
     discretize_profile,
-    forward_gradient,
     gaussian_profile,
     heavytail_profile,
     oscillating_profile,
     poincare_constant,
     profile_from_samples,
-    second_difference,
 )
 
 

@@ -8,16 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    collision_linear,
     dense_reference_operator,
     lax_friedrichs_dissipation,
     linear_step_matrix,
     make_grid,
     make_profiles,
     naive_flux_divergence,
+    project_pi,
     random_pair,
+    residual_linear,
+    second_difference,
     transport_quadratic_form,
+    verify_moment_schemes,
 )
-from kinrec.grid import build_grid, centered_gradient, second_difference
+from kinrec.grid import build_grid, centered_gradient
 from kinrec.linear import (
     CENTERED,
     FLUX_NAMES,
@@ -26,15 +31,11 @@ from kinrec.linear import (
     Flux,
     assemble_linear_operator,
     flux_divergence,
-    residual_linear,
-    verify_moment_schemes,
 )
 from kinrec.state import (
     build_equilibrium,
-    collision_linear,
     irfft_pair,
     mass_difference,
-    project_pi,
     rfft_pair,
     weighted_inner,
 )

@@ -7,14 +7,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import fsolve
 
-from conftest import make_grid, make_profiles, make_stepper, random_pair, random_positive_pair
+from conftest import (
+    equilibrium_rho_from_state,
+    make_grid,
+    make_profiles,
+    make_stepper,
+    random_pair,
+    random_positive_pair,
+    residual_linear,
+    verify_moment_schemes_nonlinear,
+)
 from kinrec import nonlinear
 from kinrec.linear import (
     Flux,
     ImplicitLinearOperator,
     flux_divergence,
     interface_weights,
-    residual_linear,
 )
 from kinrec.nonlinear import (
     ETA_MAX,
@@ -30,12 +38,10 @@ from kinrec.nonlinear import (
     forcing_term,
     gmres,
     truncate_state,
-    verify_moment_schemes_nonlinear,
 )
 from kinrec.state import (
     build_equilibrium,
     equilibrium_rho,
-    equilibrium_rho_from_state,
     mass_difference,
 )
 

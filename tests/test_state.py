@@ -4,23 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_grid, make_profiles, norm2, random_pair
+from conftest import (
+    collision_linear,
+    equilibrium_rho_from_state,
+    make_grid,
+    make_profiles,
+    norm2,
+    project_pi,
+    random_pair,
+)
 from kinrec.config import load_config
 from kinrec.grid import VelocityProfile, build_grid, discretize_profile, gaussian_profile
 from kinrec.runner import build_setup
 from kinrec.state import (
     DENSE_DFT_MAX_NX,
     build_equilibrium,
-    collision_linear,
     constants_ledger,
     dft_matrices,
     equilibrium_rho,
-    equilibrium_rho_from_state,
     irfft_pair,
     macroscopic_densities,
     mass_difference,
     moments_ujs,
-    project_pi,
     rfft_pair,
     weighted_inner,
     weighted_norm,
