@@ -168,22 +168,28 @@ def gmres(
     precondition: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     tol: float,
-    max_iterations: int,
+    basis: np.ndarray,
+    search: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Solve apply(x) = rhs by right-preconditioned GMRES from zero, without restart.
 
-    Returns x with |rhs - apply(x)| <= tol*|rhs| in the 2-norm and the number
-    of iterations; x is a combination of precondition(v) over the Krylov
-    basis v.  The Givens estimate of the residual only triggers the
-    check; the residual checked is recomputed from x.  Raises
-    NewtonDivergedError when max_iterations pass without meeting tol.
+    basis and search are the workspace, len(search) + 1 and len(search) rows
+    of rhs.size: GMRES overwrites them with the Krylov basis v and with
+    precondition(v), whatever they held, and gives up after len(search)
+    iterations.  Returns a new array x with |rhs - apply(x)| <= tol*|rhs| in
+    the 2-norm and the number of iterations; x is a combination of the rows
+    of search.  The Givens rotations make the Hessenberg matrix upper
+    triangular, kept column by column, and the combination's weights are its
+    back substitution (Saad, Iterative Methods for Sparse Linear Systems,
+    2nd ed., Alg. 6.9).  The Givens estimate of the residual only triggers
+    the check; the residual checked is recomputed from x.  Raises
+    NewtonDivergedError when the iterations run out without meeting tol.
     """
+    max_iterations = len(search)
     beta = math.sqrt(rhs @ rhs)
     if beta == 0.0:
         return np.zeros_like(rhs), 0
-    basis = np.empty((max_iterations + 1, rhs.size))
-    search = np.empty((max_iterations, rhs.size))
-    triangle = np.zeros((max_iterations, max_iterations))
+    columns: list[list[float]] = []
     cos: list[float] = []
     sin: list[float] = []
     g = [beta]
@@ -207,12 +213,16 @@ def gmres(
         cos.append(column[k] / r)
         sin.append(h_next / r)
         column[k] = r
-        triangle[: k + 1, k] = column
+        columns.append(column)
         g.append(-sin[k] * g[k])
         g[k] *= cos[k]
         if abs(g[k + 1]) <= tol * beta:
-            y = np.linalg.solve(triangle[: k + 1, : k + 1], g[: k + 1])
-            x = y @ search[: k + 1]
+            y = g[: k + 1]
+            for j in range(k, -1, -1):
+                y[j] /= columns[j][j]
+                for i in range(j):
+                    y[i] -= columns[j][i] * y[j]
+            x = np.array(y) @ search[: k + 1]
             residual = rhs - apply(x)
             if math.sqrt(residual @ residual) <= tol * beta:
                 return x, k + 1
@@ -231,12 +241,18 @@ def _defect(
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """A state newton returned, its residual's transport and reaction, its mass difference."""
+    """The residual's parts at a raveled state u.
 
-    state: np.ndarray
+    Its transport and reaction, and the state eff the reaction is evaluated
+    at with eff's partner site densities dv*sum_m eff (species swapped),
+    which the Jacobian product at u reuses.
+    """
+
+    u: np.ndarray
     transport: np.ndarray
     reaction: np.ndarray
-    mass: float
+    eff: np.ndarray
+    partner: np.ndarray
 
 
 class NonlinearStepper:
@@ -254,7 +270,8 @@ class NonlinearStepper:
 
     The stepper carries the evaluation of the last state newton returned
     into the next call from that state, so each accepted state is evaluated
-    once (see newton).
+    once (see newton).  It makes GMRES's workspace once, and every Newton
+    update writes into it.
 
     rho is the run's equilibrium level, fixed by its conserved mass
     difference; the truncated collision clamps into the envelope around it.
@@ -285,9 +302,13 @@ class NonlinearStepper:
         self._neighbour_weights = np.stack([self._b, -self._a]) / grid.dx
         self._preconditioner: tuple[float, ImplicitLinearOperator] | None = None
         self.krylov_iterations: list[int] = []
-        # (transport, reaction) of the last residual call.
-        self._evaluated: tuple[np.ndarray, np.ndarray] | None = None
-        self._carried: _Evaluation | None = None
+        self._basis = np.empty((KRYLOV_MAX_ITERATIONS + 1, index.size))
+        self._search = np.empty((KRYLOV_MAX_ITERATIONS, index.size))
+        # The evaluation of the last residual call, or the carried one that
+        # newton started from.
+        self._evaluated: _Evaluation | None = None
+        # The state newton last returned, its evaluation and mass difference.
+        self._carried: tuple[np.ndarray, _Evaluation, float] | None = None
 
     def _reaction_state(self, cells: np.ndarray) -> np.ndarray:
         """The state the reaction is evaluated at: clamped if truncated."""
@@ -309,18 +330,24 @@ class NonlinearStepper:
 
         all reaction terms evaluated at the new state u.  With an envelope,
         the reaction uses the clamped state (truncated scheme); transport and
-        the time increment always use the raw one.  The transport and the
-        reaction it evaluates at u are kept for newton to carry.
+        the time increment always use the raw one.  The evaluation at u is
+        kept for newton_update and for newton to carry.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        eff = self._reaction_state(u.reshape(self._cells))
-        reaction = self._sources - self.grid.dv * eff.sum(axis=2)[::-1, :, None] * eff
-        self._evaluated = (self.transport(u), reaction.ravel())
-        return _defect(u, u_prev, dt, *self._evaluated)
+        evaluation = self._evaluated = self._evaluate(u)
+        return _defect(u, u_prev, dt, evaluation.transport, evaluation.reaction)
 
-    def _jacobian_product(self, u: np.ndarray, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> J v, the exact derivative of the residual at the candidate new state u.
+    def _evaluate(self, u: np.ndarray) -> _Evaluation:
+        eff = self._reaction_state(u.reshape(self._cells))
+        partner = self.grid.dv * eff.sum(axis=2)[::-1, :, None]
+        reaction = (self._sources - partner * eff).ravel()
+        return _Evaluation(u, self.transport(u), reaction, eff, partner)
+
+    def _jacobian_product(
+        self, evaluation: _Evaluation, dt: float
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> J v, the exact derivative of the residual at the evaluation's state u.
 
         J v = (1/dt + rho_partner*mask + (a-b)/dx) v + (b/dx) v_up - (a/dx) v_down
               + eff * (dv sum_m mask*v)_partner, with v_up, v_down v's stencil
@@ -330,10 +357,10 @@ class NonlinearStepper:
         derivative through the clamp); with none, eff is the state, mask 1.
         """
         dv = self.grid.dv
-        raw = u.reshape(self._cells)
-        eff = self._reaction_state(raw)
-        mask = None if eff is raw else (eff == raw).astype(float)
-        partner = dv * eff.sum(axis=2)[::-1, :, None]
+        eff, partner = evaluation.eff, evaluation.partner
+        mask = None
+        if self.envelope is not None:
+            mask = (eff == evaluation.u.reshape(self._cells)).astype(float)
         diagonal = 1.0 / dt + (partner if mask is None else partner * mask) + self._stencil_diagonal
 
         def apply(v: np.ndarray) -> np.ndarray:
@@ -350,7 +377,7 @@ class NonlinearStepper:
         For small grids.  At the steady state, dt times it is the linear step
         of ImplicitLinearOperator.
         """
-        apply = self._jacobian_product(u, dt)
+        apply = self._jacobian_product(self._evaluate(u), dt)
         return np.column_stack([apply(e) for e in np.eye(u.size)])
 
     def steady_step(self, dt: float) -> ImplicitLinearOperator:
@@ -366,23 +393,25 @@ class NonlinearStepper:
 
     def newton_update(
         self,
-        u: np.ndarray,
         res: np.ndarray,
         dt: float,
         preconditioner: ImplicitLinearOperator,
         tol: float,
     ) -> np.ndarray:
-        """Newton increment delta ~ -J^{-1} res at u, by GMRES preconditioned with dt*solve.
+        """Newton increment delta ~ -J^{-1} res, by GMRES preconditioned with dt*solve.
 
+        J is the Jacobian at the state whose residual res is: that of the
+        last residual call, or the carried state newton started from.
         |res + J delta| <= tol*|res| in the 2-norm.  Raises
         NewtonDivergedError when GMRES misses tol within KRYLOV_MAX_ITERATIONS.
         """
         delta, iterations = gmres(
-            self._jacobian_product(u, dt),
+            self._jacobian_product(self._evaluated, dt),
             lambda v: dt * preconditioner.solve(v),
             -res,
             tol,
-            KRYLOV_MAX_ITERATIONS,
+            self._basis,
+            self._search,
         )
         self.krylov_iterations.append(iterations)
         return delta
@@ -404,26 +433,26 @@ class NonlinearStepper:
         to; the returned array is read-only.
 
         When state_prev is the array the previous call returned, that call
-        already computed its transport, reaction and mass difference, none
-        of which depends on dt.  The first residual is formed from them with
-        residual's arithmetic, and a step without iteration reads that mass
-        for both ends of the drift check, so the result has the bits a new
-        stepper would give.  A failed attempt carries nothing, so its retry
+        already computed its evaluation and mass difference, neither of
+        which depends on dt.  The first residual is formed from them with
+        residual's arithmetic, the first update's Jacobian product reuses the
+        evaluation, and a step without iteration reads that mass for both
+        ends of the drift check, so the result has the bits a new stepper
+        would give.  A failed attempt carries nothing, so its retry
         at a smaller dt reuses them too.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         u_prev = state_prev.ravel()
         u = u_prev
-        carried = self._carried
-        if carried is not None and carried.state is state_prev:
-            transport, reaction, m_prev = carried.transport, carried.reaction, carried.mass
-            res = _defect(u, u_prev, dt, transport, reaction)
+        if self._carried is not None and self._carried[0] is state_prev:
+            _, evaluation, m_prev = self._carried
+            self._evaluated = evaluation
+            res = _defect(u, u_prev, dt, evaluation.transport, evaluation.reaction)
         else:
             res = self.residual(u, u_prev, dt)
-            transport, reaction = self._evaluated
             m_prev = mass_difference(state_prev, self.grid)
-        res_norm = np.max(np.abs(res))
+        res_norm = abs(res).max()
         iterations = 0
         preconditioner = self.steady_step(dt)
         res_norm_prev: float | None = None
@@ -436,27 +465,24 @@ class NonlinearStepper:
             res_norm2 = math.sqrt(res @ res)
             eta = forcing_term(res_norm2, cfg.tol_residual, res_norm_prev)
             res_norm_prev = res_norm2
-            delta = self.newton_update(u, res, dt, preconditioner, eta)
-            if not np.all(np.isfinite(delta)):
+            delta = self.newton_update(res, dt, preconditioner, eta)
+            if not np.isfinite(delta).all():
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
             u = u + delta
             res = self.residual(u, u_prev, dt)
-            res_norm = np.max(np.abs(res))
+            res_norm = abs(res).max()
             if not math.isfinite(res_norm):
                 raise NewtonDivergedError(f"non-finite residual at dt {dt:.3e}")
             iterations += 1
         state = u.reshape(self._cells)
         state.flags.writeable = False
-        m_new = m_prev
-        if iterations:
-            transport, reaction = self._evaluated
-            m_new = mass_difference(state, self.grid)
+        m_new = mass_difference(state, self.grid) if iterations else m_prev
         drift = abs(m_new - m_prev)
         if drift > MASS_DIFF_DRIFT_TOL * (1.0 + abs(m_prev)):
             raise NewtonDivergedError(
                 f"mass-difference drift {drift:.3e} exceeds tolerance at dt {dt:.3e}"
             )
-        self._carried = _Evaluation(state, transport, reaction, m_new)
+        self._carried = (state, self._evaluated, m_new)
         return state, iterations
 
 

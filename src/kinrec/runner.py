@@ -576,13 +576,18 @@ def snapshot_templates(grid: GridSpec) -> list[str]:
     """Per cell i, the format string of its 2*nv snapshot rows, open for f and g.
 
     The i,j,x,v start of a row is the same in every snapshot of a run, so a
-    run formats it once.
+    run formats it once, from each x and each v formatted once.
     """
-    v = grid.v_centers.tolist()
-    return [
-        "".join("%d,%d,%.17g,%.17g,%%.17g,%%.17g\n" % (i, j, x, v_j) for j, v_j in enumerate(v))
-        for i, x in enumerate(grid.x_centers.tolist())
+    # Row (i, j) is "i," + "j," + "x_i" + ",v_j,%.17g,%.17g\n".
+    velocities = [
+        ("%d," % j, ",%s,%%.17g,%%.17g\n" % _fmt(v))
+        for j, v in enumerate(grid.v_centers.tolist())
     ]
+    templates = []
+    for i, x in enumerate(grid.x_centers.tolist()):
+        head, x_text = "%d," % i, _fmt(x)
+        templates.append("".join([head + j + x_text + tail for j, tail in velocities]))
+    return templates
 
 
 def snapshot_chunks(snapshot: Snapshot, grid: GridSpec, templates: list[str]) -> Iterator[str]:

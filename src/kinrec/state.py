@@ -80,7 +80,7 @@ def mass_difference(state: np.ndarray, grid: GridSpec) -> float:
 
     Conserved exactly by both evolution schemes with any conservative flux.
     """
-    return grid.dx * grid.dv * float(np.sum(state[0]) - np.sum(state[1]))
+    return grid.dx * grid.dv * float(state[0].sum() - state[1].sum())
 
 
 def equilibrium_rho(mass_diff: float, torus_length: float) -> float:

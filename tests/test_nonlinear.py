@@ -1,6 +1,7 @@
 """Newton solver for the full system, envelope truncation, adaptive stepping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from conftest import (
     residual_linear,
     verify_moment_schemes_nonlinear,
 )
-from kinrec import nonlinear
+from kinrec import load_config, nonlinear
 from kinrec.linear import (
     Flux,
     ImplicitLinearOperator,
@@ -26,6 +27,7 @@ from kinrec.linear import (
 )
 from kinrec.nonlinear import (
     ETA_MAX,
+    KRYLOV_MAX_ITERATIONS,
     KRYLOV_TOL,
     AdaptiveController,
     BoundsEnvelope,
@@ -39,6 +41,7 @@ from kinrec.nonlinear import (
     gmres,
     truncate_state,
 )
+from kinrec.runner import build_setup
 from kinrec.state import (
     build_equilibrium,
     equilibrium_rho,
@@ -170,7 +173,7 @@ class TestTransportStencil:
 
         a, b = interface_weights(flux, grid)
         scale = np.max(np.abs(a) + np.abs(b)) / grid.dx * np.max(np.abs(u))
-        transport = stepper._jacobian_product(np.zeros_like(u), math.inf)
+        transport = stepper._jacobian_product(stepper._evaluate(np.zeros_like(u)), math.inf)
         np.testing.assert_allclose(
             transport(u), divergence, rtol=0.0, atol=16 * np.finfo(float).eps * scale
         )
@@ -291,7 +294,7 @@ class TestNewtonUpdate:
         grid, stepper, state, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
         u = state.ravel()
         res = stepper.residual(u, prev.ravel(), dt)
-        delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), KRYLOV_TOL)
+        delta = stepper.newton_update(res, dt, stepper.steady_step(dt), KRYLOV_TOL)
         # Least squares through the SVD: backward stable, unlike an LU solve,
         # whose pivots grow by up to 2e4 on the periodic corner entries.
         reference = np.linalg.lstsq(stepper.jacobian(u, dt), -res, rcond=None)[0]
@@ -363,7 +366,7 @@ class TestInexactNewtonUpdate:
         grid, stepper, _, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
         u = prev.ravel()
         res = stepper.residual(u, u, dt)
-        delta = stepper.newton_update(u, res, dt, stepper.steady_step(dt), eta)
+        delta = stepper.newton_update(res, dt, stepper.steady_step(dt), eta)
         linear = res + stepper.jacobian(u, dt) @ delta
         assert math.sqrt(linear @ linear) <= eta * math.sqrt(res @ res)
         drift, scale = mass_drift(prev + delta.reshape(prev.shape), prev, grid)
@@ -371,6 +374,11 @@ class TestInexactNewtonUpdate:
 
 
 class TestGmres:
+    @staticmethod
+    def workspace(iterations, n, fill=0.0):
+        """(basis, search) for at most `iterations` iterations on n unknowns."""
+        return np.full((iterations + 1, n), fill), np.full((iterations, n), fill)
+
     def test_returns_only_what_the_recomputed_residual_accepts(self):
         # An affine "product" breaks the Arnoldi relation behind the Givens
         # estimate: the estimate falls below tol while the true residual of
@@ -378,10 +386,56 @@ class TestGmres:
         rng = np.random.default_rng(0)
         matrix = np.diag(np.arange(1.0, 7.0)) + 0.1 * rng.standard_normal((6, 6))
         rhs = rng.standard_normal(6)
-        x, _ = gmres(lambda v: matrix @ v, lambda v: v, rhs, 1e-8, 6)
+        x, _ = gmres(lambda v: matrix @ v, lambda v: v, rhs, 1e-8, *self.workspace(6, 6))
         assert np.linalg.norm(rhs - matrix @ x) <= 1e-8 * np.linalg.norm(rhs)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
-            gmres(lambda v: matrix @ v + 0.1, lambda v: v, rhs, 1e-8, 6)
+            gmres(lambda v: matrix @ v + 0.1, lambda v: v, rhs, 1e-8, *self.workspace(6, 6))
+
+    def test_workspace_contents_do_not_matter(self):
+        # GMRES reads only the workspace rows it has written, so a NaN fill
+        # gives the bits and the iteration count of a zero fill.  The solve
+        # stops before the workspace's last rows.
+        rng = np.random.default_rng(1)
+        matrix = np.diag(np.linspace(1.0, 3.0, 20)) + 0.1 * rng.standard_normal((20, 20))
+        scale = rng.uniform(0.5, 2.0, 20)
+        rhs = rng.standard_normal(20)
+
+        def solve(fill):
+            basis, search = self.workspace(30, 20, fill)
+            return gmres(lambda v: matrix @ v, lambda v: scale * v, rhs, 1e-10, basis, search)
+
+        (x, iterations), (x_nan, iterations_nan) = solve(0.0), solve(np.nan)
+        assert iterations < 20
+        assert np.array_equal(x, x_nan) and iterations == iterations_nan
+
+    def test_solution_is_a_new_array(self):
+        rng = np.random.default_rng(2)
+        matrix = np.eye(8) + 0.1 * rng.standard_normal((8, 8))
+        rhs = rng.standard_normal(8)
+        basis, search = self.workspace(8, 8)
+        x, _ = gmres(lambda v: matrix @ v, lambda v: v, rhs, 1e-10, basis, search)
+        assert not np.shares_memory(x, basis) and not np.shares_memory(x, search)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        tol=st.floats(min_value=-12.0, max_value=-2.0).map(lambda e: 10.0**e),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_meets_tol_and_agrees_with_a_dense_solve(self, n, tol, seed):
+        # 2I plus a matrix of 2-norm at most 1 (entries in [-1/n, 1/n]):
+        # nonsymmetric, with singular values in [1, 3].  Then
+        # |x - A^{-1} rhs| = |A^{-1}(rhs - A x)| <= tol*|rhs|/sigma_min.
+        rng = np.random.default_rng(seed)
+        matrix = 2.0 * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n)) / n
+        rhs = rng.standard_normal(n)
+        x, _ = gmres(lambda v: matrix @ v, lambda v: v, rhs, tol, *self.workspace(n, n))
+        residual = rhs - matrix @ x
+        assert math.sqrt(residual @ residual) <= tol * math.sqrt(rhs @ rhs)
+        reference = np.linalg.solve(matrix, rhs)
+        sigma_min = np.linalg.svd(matrix, compute_uv=False)[-1]
+        bound = tol * np.linalg.norm(rhs) / sigma_min + 1e-13 * np.linalg.norm(reference)
+        assert np.linalg.norm(x - reference) <= bound
 
 
 class TestForcingTerm:
@@ -489,13 +543,34 @@ class TestNewton:
         u = prev.ravel()
         res = stepper.residual(u, u, 0.2)
         preconditioner = stepper.steady_step(0.2)
-        stepper.newton_update(u, res, 0.2, preconditioner, KRYLOV_TOL)
+        stepper.newton_update(res, 0.2, preconditioner, KRYLOV_TOL)
         assert stepper.krylov_iterations[-1] > 1
+        # The cap is the size of the workspace a stepper makes.
         monkeypatch.setattr(nonlinear, "KRYLOV_MAX_ITERATIONS", 1)
+        capped = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
+        capped.residual(u, u, 0.2)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
-            stepper.newton_update(u, res, 0.2, preconditioner, KRYLOV_TOL)
+            capped.newton_update(res, 0.2, capped.steady_step(0.2), KRYLOV_TOL)
         with pytest.raises(NewtonDivergedError, match="GMRES"):
-            stepper.newton(prev, 0.2, NewtonConfig())
+            capped.newton(prev, 0.2, NewtonConfig())
+
+    def test_a_carried_step_allocates_no_krylov_basis(self):
+        # The stepper makes GMRES's workspace once, so a Newton step with
+        # GMRES solves allocates less than one basis of KRYLOV_MAX_ITERATIONS
+        # + 1 vectors.  The second step of test 3 at 21x8, from the carried
+        # state at the same dt, builds no preconditioner either.
+        setup = build_setup(load_config(None, dict(test=3, nx=21, nv=8)))
+        cfg = NewtonConfig(setup.cfg.newton_tol, setup.cfg.newton_max_iterations)
+        stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux, setup.rho)
+        state, _ = stepper.newton(setup.data0, setup.cfg.dt, cfg)
+        tracemalloc.start()
+        try:
+            _, iterations = stepper.newton(state, setup.cfg.dt, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterations >= 1 and stepper.krylov_iterations[-1] > 1
+        assert peak < (KRYLOV_MAX_ITERATIONS + 1) * state.size * state.itemsize
 
     def test_mass_drift_guard_trips_on_tiny_tolerance(self, setting, monkeypatch):
         # The conserved quantity moves at rounding level per step; an absurdly
