@@ -74,47 +74,60 @@ def flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray
     return (right - np.roll(right, 1, axis=-2)) / grid.dx
 
 
+def transport_symbol(flux: Flux, grid: GridSpec) -> np.ndarray:
+    """Per-mode symbol of flux_divergence, shape (nx//2+1, 2*nv): mode, velocity.
+
+    tau_m(k) = (a_m + b_m*e^{i theta})(1 - e^{-i theta})/dx with theta =
+    2*pi*k/nx and (a, b) the interface weights; Re tau = (a - b)(1 - cos theta)
+    >= 0 for every flux.
+    """
+    a, b = interface_weights(flux, grid)
+    phase = np.exp(2j * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx)[:, None]
+    return (a + b * phase) * (1.0 - phase.conj()) / grid.dx
+
+
 class ImplicitLinearOperator:
-    """Backward-Euler step I + dt*(transport - collision), solved per Fourier mode.
+    """Backward-Euler step with coefficients constant in x, solved per Fourier mode.
 
-    Linearized around the uniform steady state, the operator commutes with
-    shifts in x, so an rfft splits it into nx//2+1 separate systems.  In mode
-    k, velocity m is diagonal through the symbol of the interface weights
-    (a, b), tau_m(k) = (a_m + b_m*e^{i theta})(1 - e^{-i theta})/dx with
-    theta = 2*pi*k/nx: D_f = 1 + dt*(tau + 1/rho), D_g = 1 + dt*(tau + rho).
-    The reaction couples each species to its partner's site density
-    sigma = dv*sum_m h.  Eliminating (sigma_f, sigma_g) leaves a 2x2 system
-    per mode with A_f = dv*sum dt*rho*chi1/D_f, A_g = dv*sum (dt/rho)*chi2/D_g
-    and det = 1 - A_f*A_g, which never vanishes: Re tau = (a - b)(1 - cos theta)
-    >= 0 for every flux, so |D_f| >= 1 + dt/rho and |D_g| >= 1 + dt*rho, and
-    with positive unit-mass profiles |A_f*A_g| <= dt^2*rho/((rho + dt)(1 + dt*rho)) < 1.
+    The step maps a state h = (f, g) to h_s + dt*(T h_s + d_s h_s + c_s sigma_s')
+    per species s with partner s': T is the transport, d_s the reaction's
+    diagonal, c_s the velocity profile of its coupling to the partner's site
+    density sigma = dv*sum_m w h, and w the weights of that site sum, 1 when
+    weights is None.  diagonal is shape (2, 1) or (2, 2*nv), coupling and
+    weights (2, 2*nv).  Nothing depends on x, so an rfft splits the step into
+    nx//2+1 separate systems.  In mode k, velocity m is diagonal through the
+    transport's symbol tau (transport_symbol): D_s = 1 + dt*(tau + d_s).
+    Eliminating (sigma_f, sigma_g) leaves a 2x2 system per mode with
+    A_s = dv*sum w_s*dt*c_s/D_s and det = 1 - A_f*A_g.
 
-    The operator is dt times the Jacobian of the nonlinear step at the steady
-    state; NonlinearStepper.jacobian reads that Jacobian back as a dense matrix.
+    assemble_linear_operator linearizes the scheme around the uniform steady
+    state of rho: d = (1/rho, rho), c = (rho*chi1, chi2/rho), w = 1.  There
+    det never vanishes: Re tau >= 0, so |D_f| >= 1 + dt/rho and |D_g| >=
+    1 + dt*rho, and with positive unit-mass profiles
+    |A_f*A_g| <= dt^2*rho/((rho + dt)(1 + dt*rho)) < 1.  That step is dt
+    times the Jacobian of the nonlinear step at the steady state, which
+    NonlinearStepper.jacobian reads back as a dense matrix.
     """
 
     def __init__(
         self,
         grid: GridSpec,
-        chi1: VelocityProfile,
-        chi2: VelocityProfile,
-        rho: float,
+        tau: np.ndarray,
         dt: float,
-        flux: Flux,
+        diagonal: np.ndarray,
+        coupling: np.ndarray,
+        weights: np.ndarray | None = None,
     ) -> None:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {rho}")
         self.grid = grid
-        a, b = interface_weights(flux, grid)
-        phase = np.exp(2j * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx)[:, None]
-        tau = (a + b * phase) * (1.0 - phase.conj()) / grid.dx
+        self._weights = weights
         # Per mode, species (f, g) and velocity; the coupling is the response
         # of each species to a unit site density of its partner.
-        self._inv_d = 1.0 / (1.0 + dt * np.stack([tau + 1.0 / rho, tau + rho], axis=1))
-        self._coupling = self._inv_d * dt * np.stack([rho * chi1.values, chi2.values / rho])
-        self._a = grid.dv * self._coupling.sum(axis=2)
+        self._inv_d = 1.0 / (1.0 + dt * (tau[:, None, :] + diagonal))
+        self._coupling = self._inv_d * dt * coupling
+        weighted = self._coupling if weights is None else self._coupling * weights
+        self._a = grid.dv * weighted.sum(axis=2)
         self._det = 1.0 - self._a[:, :1] * self._a[:, 1:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -127,7 +140,8 @@ class ImplicitLinearOperator:
     def solve_modes(self, modes: np.ndarray) -> None:
         """Overwrite the rfft_pair modes of a right-hand side with those of the solution."""
         modes *= self._inv_d
-        p = self.grid.dv * modes.sum(axis=2)
+        weighted = modes if self._weights is None else modes * self._weights
+        p = self.grid.dv * weighted.sum(axis=2)
         sigma = (p - self._a * p[:, ::-1]) / self._det  # (sigma_f, sigma_g)
         modes -= self._coupling * sigma[:, ::-1, None]
 
@@ -140,5 +154,9 @@ def assemble_linear_operator(
     dt: float,
     flux: Flux,
 ) -> ImplicitLinearOperator:
-    return ImplicitLinearOperator(grid, chi1, chi2, rho, dt, flux)
-
+    """The scheme's step linearized around the uniform steady state of rho."""
+    if rho <= 0.0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    diagonal = np.array([[1.0 / rho], [rho]])
+    coupling = np.stack([rho * chi1.values, chi2.values / rho])
+    return ImplicitLinearOperator(grid, transport_symbol(flux, grid), dt, diagonal, coupling)

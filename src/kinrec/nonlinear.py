@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridSpec, VelocityProfile
-from .linear import Flux, ImplicitLinearOperator, interface_weights
+from .linear import Flux, ImplicitLinearOperator, interface_weights, transport_symbol
 from .state import mass_difference, species_profiles
 
 
@@ -39,37 +39,9 @@ DT_GROWTH = 2.0
 DT_SHRINK = 0.5
 ACCEPT_ITERATION_BUDGET = 8
 
-# Newton's linear solve: GMRES accepts an update once the true residual is
-# within forcing_term's tolerance relative to the Newton residual, which lies
-# between KRYLOV_TOL and ETA_MAX unless the Newton stop's floor is higher, and
-# gives up after KRYLOV_MAX_ITERATIONS (the basis is kept whole, no restart).
-KRYLOV_TOL = 1e-12
-ETA_MAX = 1e-2
-KRYLOV_MAX_ITERATIONS = 40
 # Relative per-step tolerance on the conserved mass difference, which every
 # flux conserves, the centered one included.
 MASS_DIFF_DRIFT_TOL = 1e-10
-
-
-def forcing_term(res_norm: float, tol_residual: float, norm_prev: float | None) -> float:
-    """Relative GMRES tolerance of the Newton update at residual 2-norm res_norm.
-
-    Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996) with
-    gamma = 0.9: ETA_MAX on the first update (norm_prev None), then gamma
-    times the squared ratio of res_norm to the previous residual 2-norm
-    norm_prev, capped at ETA_MAX.  Their safeguard, gamma times the previous
-    tolerance squared when that exceeds 0.1, is left out: it needs a previous
-    tolerance above 1/3, which under this cap only Kelley's floor gives, and
-    then the floor sets this tolerance too.  Kelley's floor (Iterative
-    Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6) stops GMRES
-    from pushing the linear residual's 2-norm below 0.5*tol_residual, which
-    already bounds its max norm by half the Newton stop; KRYLOV_TOL bounds
-    the result from below.
-    """
-    eta = ETA_MAX
-    if norm_prev is not None:
-        eta = min(0.9 * (res_norm / norm_prev) ** 2, ETA_MAX)
-    return max(eta, 0.5 * tol_residual / res_norm, KRYLOV_TOL)
 
 
 @dataclass(frozen=True)
@@ -163,75 +135,6 @@ def check_maximum_principle(
     return BoundsReport(f_min, f_max, g_min, g_max, passed)
 
 
-def gmres(
-    apply: Callable[[np.ndarray], np.ndarray],
-    precondition: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    tol: float,
-    basis: np.ndarray,
-    search: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Solve apply(x) = rhs by right-preconditioned GMRES from zero, without restart.
-
-    basis and search are the workspace, len(search) + 1 and len(search) rows
-    of rhs.size: GMRES overwrites them with the Krylov basis v and with
-    precondition(v), whatever they held, and gives up after len(search)
-    iterations.  Returns a new array x with |rhs - apply(x)| <= tol*|rhs| in
-    the 2-norm and the number of iterations; x is a combination of the rows
-    of search.  The Givens rotations make the Hessenberg matrix upper
-    triangular, kept column by column, and the combination's weights are its
-    back substitution (Saad, Iterative Methods for Sparse Linear Systems,
-    2nd ed., Alg. 6.9).  The Givens estimate of the residual only triggers
-    the check; the residual checked is recomputed from x.  Raises
-    NewtonDivergedError when the iterations run out without meeting tol.
-    """
-    max_iterations = len(search)
-    beta = math.sqrt(rhs @ rhs)
-    if beta == 0.0:
-        return np.zeros_like(rhs), 0
-    columns: list[list[float]] = []
-    cos: list[float] = []
-    sin: list[float] = []
-    g = [beta]
-    basis[0] = rhs / beta
-    for k in range(max_iterations):
-        search[k] = precondition(basis[k])
-        w = apply(search[k])
-        # Classical Gram-Schmidt, repeated to stay orthogonal.
-        h = basis[: k + 1] @ w
-        w -= h @ basis[: k + 1]
-        h2 = basis[: k + 1] @ w
-        w -= h2 @ basis[: k + 1]
-        column = (h + h2).tolist()
-        h_next = math.sqrt(w @ w)
-        for j in range(k):
-            column[j], column[j + 1] = (
-                cos[j] * column[j] + sin[j] * column[j + 1],
-                cos[j] * column[j + 1] - sin[j] * column[j],
-            )
-        r = math.hypot(column[k], h_next)
-        cos.append(column[k] / r)
-        sin.append(h_next / r)
-        column[k] = r
-        columns.append(column)
-        g.append(-sin[k] * g[k])
-        g[k] *= cos[k]
-        if abs(g[k + 1]) <= tol * beta:
-            y = g[: k + 1]
-            for j in range(k, -1, -1):
-                y[j] /= columns[j][j]
-                for i in range(j):
-                    y[i] -= columns[j][i] * y[j]
-            x = np.array(y) @ search[: k + 1]
-            residual = rhs - apply(x)
-            if math.sqrt(residual @ residual) <= tol * beta:
-                return x, k + 1
-        basis[k + 1] = w / h_next
-    raise NewtonDivergedError(
-        f"GMRES missed relative residual {tol:.1e} in {max_iterations} iterations"
-    )
-
-
 def _defect(
     u: np.ndarray, u_prev: np.ndarray, dt: float, transport: np.ndarray, reaction: np.ndarray
 ) -> np.ndarray:
@@ -243,9 +146,11 @@ def _defect(
 class _Evaluation:
     """The residual's parts at a raveled state u.
 
-    Its transport and reaction, and the state eff the reaction is evaluated
-    at with eff's partner site densities dv*sum_m eff (species swapped),
-    which the Jacobian product at u reuses.
+    Its transport and reaction, the state eff the reaction is evaluated at
+    with eff's partner site densities dv*sum_m eff (species swapped), and the
+    clamp's mask: 1 where the clamp leaves a cell as it is and 0 where it
+    moves it, or None when it moves none (and without an envelope).  The
+    Newton update at u reuses eff, partner and mask.
     """
 
     u: np.ndarray
@@ -253,6 +158,7 @@ class _Evaluation:
     reaction: np.ndarray
     eff: np.ndarray
     partner: np.ndarray
+    mask: np.ndarray | None
 
 
 class NonlinearStepper:
@@ -260,18 +166,16 @@ class NonlinearStepper:
 
     newton takes and returns states; the residual and the Jacobian work on
     their ravel().  The transport is a periodic three-point stencil, built
-    once here from interface_weights and each unknown's neighbours in x.
-    Each Newton update is solved by GMRES; its products with the Jacobian
-    are that transport, folded into a diagonal (a - b)/dx and neighbour
-    weights (b, -a)/dx, plus the reaction's derivative: a diagonal and, per
-    site, a rank-one sum over velocities.  The preconditioner is the linear
-    step at the uniform steady state of rho, solved per Fourier mode.
-    krylov_iterations lists the GMRES iterations of every Newton update.
+    once here from interface_weights and each unknown's neighbours in x,
+    with its per-mode symbol for the Newton updates.  The Jacobian J is
+    that transport plus the reaction's derivative: a diagonal and, per site,
+    a rank-one sum over velocities.  Only the reaction's coefficients vary in
+    x, and each Newton update solves per Fourier mode with their x-averages
+    instead (newton_update).
 
     The stepper carries the evaluation of the last state newton returned
     into the next call from that state, so each accepted state is evaluated
-    once (see newton).  It makes GMRES's workspace once, and every Newton
-    update writes into it.
+    once (see newton).
 
     rho is the run's equilibrium level, fixed by its conserved mass
     difference; the truncated collision clamps into the envelope around it.
@@ -289,7 +193,6 @@ class NonlinearStepper:
         self.grid = grid
         self.chi1 = chi1
         self.chi2 = chi2
-        self.flux = flux
         self.rho = rho
         self.envelope = envelope
         self._cells = (2, grid.nx, grid.n_vel)
@@ -300,21 +203,12 @@ class NonlinearStepper:
         self._a, self._b = (np.broadcast_to(w, self._cells).ravel() for w in (a, b))
         self._stencil_diagonal = (a - b) / grid.dx
         self._neighbour_weights = np.stack([self._b, -self._a]) / grid.dx
-        self._preconditioner: tuple[float, ImplicitLinearOperator] | None = None
-        self.krylov_iterations: list[int] = []
-        self._basis = np.empty((KRYLOV_MAX_ITERATIONS + 1, index.size))
-        self._search = np.empty((KRYLOV_MAX_ITERATIONS, index.size))
+        self._tau = transport_symbol(flux, grid)
         # The evaluation of the last residual call, or the carried one that
         # newton started from.
         self._evaluated: _Evaluation | None = None
         # The state newton last returned, its evaluation and mass difference.
         self._carried: tuple[np.ndarray, _Evaluation, float] | None = None
-
-    def _reaction_state(self, cells: np.ndarray) -> np.ndarray:
-        """The state the reaction is evaluated at: clamped if truncated."""
-        if self.envelope is None:
-            return cells
-        return truncate_state(cells, self.envelope, self.rho, self.chi1, self.chi2)
 
     def transport(self, u: np.ndarray) -> np.ndarray:
         """The residual's transport of a raveled state: flux_divergence, bit for bit."""
@@ -339,10 +233,16 @@ class NonlinearStepper:
         return _defect(u, u_prev, dt, evaluation.transport, evaluation.reaction)
 
     def _evaluate(self, u: np.ndarray) -> _Evaluation:
-        eff = self._reaction_state(u.reshape(self._cells))
+        cells = u.reshape(self._cells)
+        eff, mask = cells, None
+        if self.envelope is not None:
+            eff = truncate_state(cells, self.envelope, self.rho, self.chi1, self.chi2)
+            kept = eff == cells
+            if not kept.all():
+                mask = kept.astype(float)
         partner = self.grid.dv * eff.sum(axis=2)[::-1, :, None]
         reaction = (self._sources - partner * eff).ravel()
-        return _Evaluation(u, self.transport(u), reaction, eff, partner)
+        return _Evaluation(u, self.transport(u), reaction, eff, partner, mask)
 
     def _jacobian_product(
         self, evaluation: _Evaluation, dt: float
@@ -351,16 +251,12 @@ class NonlinearStepper:
 
         J v = (1/dt + rho_partner*mask + (a-b)/dx) v + (b/dx) v_up - (a/dx) v_down
               + eff * (dv sum_m mask*v)_partner, with v_up, v_down v's stencil
-        neighbours, eff the state the reaction is evaluated at and rho its site
-        densities.  With an envelope, eff is the clamped state and mask is 1
-        where the clamp leaves a cell as it is and 0 where it moves it (no
-        derivative through the clamp); with none, eff is the state, mask 1.
+        neighbours, eff the state the reaction is evaluated at, rho its site
+        densities and mask the evaluation's (no derivative through the
+        clamp), 1 when None.
         """
         dv = self.grid.dv
-        eff, partner = evaluation.eff, evaluation.partner
-        mask = None
-        if self.envelope is not None:
-            mask = (eff == evaluation.u.reshape(self._cells)).astype(float)
+        eff, partner, mask = evaluation.eff, evaluation.partner, evaluation.mask
         diagonal = 1.0 / dt + (partner if mask is None else partner * mask) + self._stencil_diagonal
 
         def apply(v: np.ndarray) -> np.ndarray:
@@ -372,49 +268,45 @@ class NonlinearStepper:
         return apply
 
     def jacobian(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Dense Jacobian, read column by column from the product GMRES uses.
+        """Dense Jacobian, read column by column from its product.
 
         For small grids.  At the steady state, dt times it is the linear step
-        of ImplicitLinearOperator.
+        of assemble_linear_operator.
         """
         apply = self._jacobian_product(self._evaluate(u), dt)
         return np.column_stack([apply(e) for e in np.eye(u.size)])
 
-    def steady_step(self, dt: float) -> ImplicitLinearOperator:
-        """Linear step at the steady state of rho, kept per dt.
+    def newton_update(self, res: np.ndarray, dt: float) -> np.ndarray:
+        """Newton increment delta = -dt*(dt*A)^{-1} res, solved per Fourier mode.
 
-        It is dt times the Jacobian at that steady state, so dt times its
-        solve approximates J^{-1} while the state stays near equilibrium.
+        A is the x-average of the Jacobian J at the state whose residual res
+        is (that of the last residual call, or the carried state newton
+        started from): its diagonal partner.mean(axis=1) and its rank-one
+        coupling eff.mean(axis=1).  With clamped cells, the diagonal averages
+        partner*mask and the site sums take the weights mask.mean(axis=1).
+        A is the circulant nearest to J (T. Chan, SIAM J. Sci. Stat. Comput.
+        9, 1988), equal to J at the uniform steady state; using it for
+        J^{-1} makes Newton converge linearly, at a rate that shrinks with
+        dt (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+        SIAM 1995, sec. 5.4).  Without clamped cells the update keeps the
+        mass difference of res: in mode 0, where the transport vanishes,
+        the diagonal d_s of each species is the site density of the other's
+        mean eff, so the site densities of the solution meet
+        sigma_s + dt*(d_s*sigma_s + d_s'*sigma_s') = those of the
+        right-hand side, and sigma_f - sigma_g is the right-hand side's.
         """
-        if self._preconditioner is None or self._preconditioner[0] != dt:
-            op = ImplicitLinearOperator(self.grid, self.chi1, self.chi2, self.rho, dt, self.flux)
-            self._preconditioner = (dt, op)
-        return self._preconditioner[1]
-
-    def newton_update(
-        self,
-        res: np.ndarray,
-        dt: float,
-        preconditioner: ImplicitLinearOperator,
-        tol: float,
-    ) -> np.ndarray:
-        """Newton increment delta ~ -J^{-1} res, by GMRES preconditioned with dt*solve.
-
-        J is the Jacobian at the state whose residual res is: that of the
-        last residual call, or the carried state newton started from.
-        |res + J delta| <= tol*|res| in the 2-norm.  Raises
-        NewtonDivergedError when GMRES misses tol within KRYLOV_MAX_ITERATIONS.
-        """
-        delta, iterations = gmres(
-            self._jacobian_product(self._evaluated, dt),
-            lambda v: dt * preconditioner.solve(v),
-            -res,
-            tol,
-            self._basis,
-            self._search,
+        evaluation = self._evaluated
+        partner, mask = evaluation.partner, evaluation.mask
+        nx = self.grid.nx
+        # x-means as sum/nx: the bits of ndarray.mean, without its overhead.
+        if mask is None:
+            diagonal, weights = partner.sum(axis=1) / nx, None
+        else:
+            diagonal, weights = (partner * mask).sum(axis=1) / nx, mask.sum(axis=1) / nx
+        step = ImplicitLinearOperator(
+            self.grid, self._tau, dt, diagonal, evaluation.eff.sum(axis=1) / nx, weights
         )
-        self.krylov_iterations.append(iterations)
-        return delta
+        return step.solve(-dt * res)
 
     def newton(
         self, state_prev: np.ndarray, dt: float, cfg: NewtonConfig
@@ -422,24 +314,21 @@ class NonlinearStepper:
         """Solve the implicit step; returns the new state and iteration count.
 
         Starts from the previous state and stops once the residual's max norm
-        is within cfg.tol_residual.  Each update is solved only to the
-        relative tolerance forcing_term picks (inexact Newton).  Any
-        tolerance keeps the mass difference: the first residual has none,
-        and J and dt*solve map vectors without one to vectors without one,
-        so no Krylov vector or update has one.  Raises NewtonDivergedError when
-        the iteration budget is exhausted or when the converged state moved
-        the conserved mass difference too far.  A step that needs no
-        iteration returns a view of state_prev, so states are never written
-        to; the returned array is read-only.
+        is within cfg.tol_residual.  Raises NewtonDivergedError when the
+        iteration budget is exhausted, on which adaptive_advance shrinks dt,
+        or when the converged state moved the conserved mass difference too
+        far: with clamped cells an update may move it, and only the
+        converged residual bounds that move.  A step that needs no iteration
+        returns a view of state_prev, so states are never written to; the
+        returned array is read-only.
 
         When state_prev is the array the previous call returned, that call
         already computed its evaluation and mass difference, neither of
         which depends on dt.  The first residual is formed from them with
-        residual's arithmetic, the first update's Jacobian product reuses the
-        evaluation, and a step without iteration reads that mass for both
-        ends of the drift check, so the result has the bits a new stepper
-        would give.  A failed attempt carries nothing, so its retry
-        at a smaller dt reuses them too.
+        residual's arithmetic, the first update reuses the evaluation, and a
+        step without iteration reads that mass for both ends of the drift
+        check, so the result has the bits a new stepper would give.  A failed
+        attempt carries nothing, so its retry at a smaller dt reuses them too.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -454,18 +343,13 @@ class NonlinearStepper:
             m_prev = mass_difference(state_prev, self.grid)
         res_norm = abs(res).max()
         iterations = 0
-        preconditioner = self.steady_step(dt)
-        res_norm_prev: float | None = None
         while res_norm > cfg.tol_residual:
             if iterations >= cfg.max_iterations:
                 raise NewtonDivergedError(
                     f"residual {res_norm:.3e} after {iterations} iterations "
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
-            res_norm2 = math.sqrt(res @ res)
-            eta = forcing_term(res_norm2, cfg.tol_residual, res_norm_prev)
-            res_norm_prev = res_norm2
-            delta = self.newton_update(res, dt, preconditioner, eta)
+            delta = self.newton_update(res, dt)
             if not np.isfinite(delta).all():
                 raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
             u = u + delta

@@ -266,9 +266,7 @@ class DiagnosticsRecorder:
         self._series: dict[str, list] = {column: [] for column in TIMESERIES_COLUMNS}
         self.snapshots: list[Snapshot] = []
         self._pending = list(setup.cfg.snapshot_times)
-        # GMRES iterations of every Newton update and the Newton failures
-        # retried with a smaller dt, nonlinear runs only.
-        self.krylov_iterations: list[int] | None = None
+        # The Newton failures retried with a smaller dt, nonlinear runs only.
         self.rejected_attempts: int | None = None
 
     @property
@@ -392,8 +390,6 @@ class RunSummary:
     newton_iterations: int | None
     stalled_steps: int | None
     rejected_attempts: int | None
-    krylov_iterations: int | None
-    krylov_iterations_max: int | None
     wall_clock_s: float
 
 
@@ -441,7 +437,6 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         envelope=setup.envelope if cfg.truncated else None,
         rho=setup.rho,
     )
-    recorder.krylov_iterations = stepper.krylov_iterations  # grows as the march runs
     recorder.rejected_attempts = 0
     newton_cfg = NewtonConfig(
         tol_residual=cfg.newton_tol, max_iterations=cfg.newton_max_iterations
@@ -480,7 +475,6 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     drift = max(abs(m - mass0) for m in mass)
     scale = max(1.0, abs(mass0))
 
-    krylov = recorder.krylov_iterations
     newton = series["newton_iters"][1:] if cfg.model == "nonlinear" else None
     ratios: dict[str, float | None] = {k: None for k in ("f_min", "f_max", "g_min", "g_max")}
     if cfg.model == "nonlinear":
@@ -514,8 +508,6 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         newton_iterations=None if newton is None else sum(newton),
         stalled_steps=None if newton is None else newton.count(0),
         rejected_attempts=recorder.rejected_attempts,
-        krylov_iterations=None if krylov is None else sum(krylov),
-        krylov_iterations_max=None if krylov is None else max(krylov, default=0),
         wall_clock_s=time.perf_counter() - start,
     )
     return RunData(setup=setup, series=series, snapshots=recorder.snapshots, summary=summary)
@@ -626,8 +618,6 @@ def summary_text(data: RunData) -> str:
         ("newton_iterations", _count(s.newton_iterations)),
         ("stalled_steps", _count(s.stalled_steps)),
         ("rejected_attempts", _count(s.rejected_attempts)),
-        ("krylov_iterations", _count(s.krylov_iterations)),
-        ("krylov_iterations_max", _count(s.krylov_iterations_max)),
         ("wall_clock_s", _fmt(s.wall_clock_s)),
     ]
     return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"

@@ -2,7 +2,7 @@
 
 A state of the pair (f, g) is one float array of shape (2, nx, 2*nv):
 species, then cell, then velocity, in C order.  Its ravel() is the vector
-Newton and GMRES work on, with cell (i, m) of species s at
+Newton works on, with cell (i, m) of species s at
 (s*nx + i)*2*nv + m.
 """
 

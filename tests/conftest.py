@@ -305,7 +305,7 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     """Dense matrix of the linear backward-Euler step, as the solver states it.
 
     dt times the nonlinear Newton Jacobian at the uniform steady state, read
-    column by column from the product Newton's GMRES uses, for comparison
+    column by column from the Jacobian's product, for comparison
     with the per-mode solve and with dense_reference_operator.
     """
     equilibrium = build_equilibrium(rho, chi1, chi2, grid).state.ravel()
