@@ -28,7 +28,16 @@ from kinrec.linear import (
     flux_divergence,
 )
 from kinrec.nonlinear import NonlinearStepper
-from kinrec.runner import TIMESERIES_COLUMNS, TIMESERIES_HEADER, Snapshot, _count, _fmt
+from kinrec.runner import (
+    TIMESERIES_COLUMNS,
+    TIMESERIES_HEADER,
+    DiagnosticsRecorder,
+    Snapshot,
+    _count,
+    _fmt,
+    snapshot_chunks,
+    snapshot_templates,
+)
 from kinrec.state import (
     EquilibriumData,
     build_equilibrium,
@@ -36,6 +45,7 @@ from kinrec.state import (
     macroscopic_densities,
     mass_difference,
     moments_ujs,
+    rfft_pair,
     weighted_inner,
     weighted_norm,
 )
@@ -374,6 +384,30 @@ def physical_linear_march(setup):
         while pending and t >= pending[0] - 1e-9:
             snapshots.append(Snapshot(pending.pop(0), t, deviation.copy()))
     return series, snapshots
+
+
+def unflushed_linear_march(setup):
+    """The runner's linear march without its underflow flush, the reference for it.
+
+    Steps the deviation's modes with solve_modes alone and records them with
+    a DiagnosticsRecorder; returns the time-series columns and the snapshots.
+    """
+    cfg = setup.cfg
+    op = assemble_linear_operator(
+        setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
+    )
+    recorder = DiagnosticsRecorder(setup)
+    modes = rfft_pair(setup.data0 - setup.equilibrium.state)
+    recorder.observe(0.0, modes, None, None)
+    for n in range(1, round(cfg.t_final / cfg.dt) + 1):
+        op.solve_modes(modes)
+        recorder.observe(n * cfg.dt, modes, cfg.dt, None)
+    return recorder.series, recorder.snapshots
+
+
+def snapshot_csv(snapshot, grid) -> str:
+    """The text write_outputs gives a snapshot file."""
+    return "".join(snapshot_chunks(snapshot, grid, snapshot_templates(grid)))
 
 
 def cellwise_timeseries_csv(series) -> str:

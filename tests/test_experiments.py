@@ -20,6 +20,8 @@ from conftest import (
     norm2,
     physical_diagnostics,
     physical_linear_march,
+    snapshot_csv,
+    unflushed_linear_march,
 )
 import kinrec
 from kinrec import linear, nonlinear, runner
@@ -34,6 +36,7 @@ from kinrec.runner import (
     REPORT_ENVELOPE_FRACTION,
     TIMESERIES_COLUMNS,
     TIMESERIES_HEADER,
+    UNDERFLOW,
     DiagnosticsRecorder,
     ExperimentAbortedError,
     Snapshot,
@@ -43,7 +46,6 @@ from kinrec.runner import (
     resolve_lambda,
     resolve_profile,
     run_experiment,
-    snapshot_csv,
     summary_text,
     timeseries_csv,
     write_outputs,
@@ -300,6 +302,49 @@ class TestMarches:
             np.testing.assert_allclose(got.state[0], want.state[0], rtol=0.0, atol=1e-12 * scale)
             np.testing.assert_allclose(got.state[1], want.state[1], rtol=0.0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize(
+        "flux, t_final, first",
+        [("lax-friedrichs", 50.0, 288), ("upwind", 50.0, 284), ("centered", 100.0, 874)],
+    )
+    def test_underflow_flush_changes_no_output_and_engages(self, flux, t_final, first, monkeypatch):
+        # The high modes of test 2 decay below UNDERFLOW from step `first`
+        # on; centered transport damps them least, so it runs longer.  The
+        # march zeroes those entries, and its every column and snapshot keeps
+        # the bits of the march that does not.
+        below = []  # per step, the entries solve_modes leaves in (0, UNDERFLOW)
+        left = []  # per observed step, those the recorder sees
+
+        def in_gap(modes):
+            entries = np.abs(modes.view(float))
+            return int(np.count_nonzero((entries > 0.0) & (entries < UNDERFLOW)))
+
+        solve_modes, observe = ImplicitLinearOperator.solve_modes, DiagnosticsRecorder.observe
+
+        def counting_solve(self, modes):
+            solve_modes(self, modes)
+            below.append(in_gap(modes))
+
+        def counting_observe(self, t, modes, *args):
+            left.append(in_gap(modes))
+            observe(self, t, modes, *args)
+
+        monkeypatch.setattr(ImplicitLinearOperator, "solve_modes", counting_solve)
+        monkeypatch.setattr(DiagnosticsRecorder, "observe", counting_observe)
+        cfg = load_config(None, dict(test=2, nx=21, nv=4, t_final=t_final, flux=flux))
+        data = execute_run(cfg)
+        monkeypatch.undo()
+        n_steps = round(t_final / cfg.dt)
+        assert len(below) == data.summary.n_steps == n_steps
+        assert left == [0] * (n_steps + 1)
+        assert next(n for n, count in enumerate(below, 1) if count) == first
+        series, snapshots = unflushed_linear_march(data.setup)
+        for column in TIMESERIES_COLUMNS:
+            assert list(map(repr, data.series[column])) == list(map(repr, series[column]))
+        assert len(data.snapshots) == len(snapshots) > 1
+        for got, want in zip(data.snapshots, snapshots):
+            assert (got.requested_t, got.actual_t) == (want.requested_t, want.actual_t)
+            assert got.state.tobytes() == want.state.tobytes()
+
     def test_nonlinear_march_factorizes_nothing(self, monkeypatch):
         # Each Newton update is one per-mode solve with the x-averaged
         # Jacobian, so a nonlinear run never factorizes.
@@ -388,25 +433,30 @@ class TestMarches:
         assert built == expected and len(set(built)) > 1
 
     @pytest.mark.parametrize(
-        "overrides, steps, iterations, stalled",
-        [({"test": 3, "nx": 21}, 341, 324, 81)]
+        "overrides, steps, iterations, stalled, bounds",
+        [({"test": 3, "nx": 21}, 341, 324, 81, (115, 227))]
         + [
-            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, iterations, 0)
+            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, iterations, 0, (None, 0))
             for seed, iterations in enumerate([134, 133, 136, 132, 135, 132, 131, 135, 134, 132])
         ],
         ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)],
     )
-    def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled):
+    def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled, bounds):
         # The adaptive march of the benchmark's two nonlinear runs.  Newton
         # converges linearly with the x-averaged Jacobian, so any change to
         # its coefficients, the per-mode solve or the transforms that moves a
         # Newton count, a step or a stall shows here and must re-pin them.
+        # bounds is the first row inside the reporting envelope and the
+        # number of such rows, which also pins REPORT_ENVELOPE_FRACTION.
         data = execute_run(load_config(None, dict(nv=8, **overrides)))
         counts = data.series["newton_iters"][1:]
         values = dict(line.split(" = ") for line in summary_text(data).splitlines())
         stalls = int(values["stalled_steps"])
         assert (len(counts), sum(counts), stalls) == (steps, iterations, stalled)
         assert counts.count(0) == stalled and values["rejected_attempts"] == "0"
+        passing = data.series["bounds_pass"]
+        first = next((row for row, inside in enumerate(passing) if inside), None)
+        assert (first, sum(passing)) == bounds
 
     def test_nonlinear_march_reaches_the_horizon(self):
         cfg = tiny_config(
