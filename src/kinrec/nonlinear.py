@@ -58,53 +58,44 @@ class AdaptiveController:
             )
 
 
-@dataclass(frozen=True)
-class BoundsEnvelope:
-    """Two-sided control band around the uniform steady state.
+# Relative slack of the bounds check, so that the rounding of a state's
+# division by the profiles never fails a state on the band's edge.
+BOUNDS_RTOL = 1e-11
 
-    Species one is confined to [(rho-gamma1)*chi1, (rho+gamma2)*chi1] and
-    species two to the reciprocal band [chi2/(rho+gamma2), chi2/(rho-gamma1)].
+
+class BoundsEnvelope:
+    """Two-sided control band around the uniform steady state rho, built once per run.
+
+    Species one is confined to [(rho-gamma)*chi1, (rho+gamma)*chi1] and
+    species two to the reciprocal band [chi2/(rho+gamma), chi2/(rho-gamma)].
     A monotone flux (LF with lam >= v_star/2, or upwind) propagates the band.
+    It holds the band per cell, for the truncated scheme's clamp, and the
+    check's limits of a state's profile-relative ratios: the levels of each
+    species widened by the slack BOUNDS_RTOL*max(1, |low|, |high|).
     """
 
-    gamma1: float
-    gamma2: float
+    def __init__(
+        self, rho: float, gamma: float, chi1: VelocityProfile, chi2: VelocityProfile
+    ) -> None:
+        if not 0.0 < gamma < rho:
+            raise ValueError(f"need 0 < gamma < rho, got gamma={gamma}, rho={rho}")
+        self.gamma = gamma
+        self.profiles = species_profiles(chi1, chi2)
+        # The (low, high) multipliers of the two profiles, shape (2, 1, 1): f's, then g's.
+        low = np.array([rho - gamma, 1.0 / (rho + gamma)])[:, None, None]
+        high = np.array([rho + gamma, 1.0 / (rho - gamma)])[:, None, None]
+        self.floor, self.ceiling = low * self.profiles, high * self.profiles
+        slack = BOUNDS_RTOL * np.maximum(1.0, np.maximum(abs(low), abs(high)))
+        self.lower, self.upper = low - slack, high + slack
 
-    def __post_init__(self) -> None:
-        if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
-            raise ValueError(f"gammas must be positive, got {self.gamma1}, {self.gamma2}")
+    def clamp(self, cells: np.ndarray) -> np.ndarray:
+        """The state clamped into the band, cell by cell."""
+        return np.clip(cells, self.floor, self.ceiling)
 
-    def levels(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        """(low, high) multipliers of the two profiles, shape (2, 1, 1): f's, then g's."""
-        if self.gamma1 >= rho:
-            raise ValueError(f"gamma1={self.gamma1} must stay below rho={rho}")
-        low = np.array([rho - self.gamma1, 1.0 / (rho + self.gamma2)])
-        high = np.array([rho + self.gamma2, 1.0 / (rho - self.gamma1)])
-        return low[:, None, None], high[:, None, None]
-
-    def limits(self, rho: float, rtol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) bounds of a state's profile-relative ratios, shape (2, 1, 1).
-
-        The levels widened by the slack rtol*max(1, |low|, |high|) of each
-        species: a state is within the band when every ratio lies in
-        [lower, upper].
-        """
-        low, high = self.levels(rho)
-        slack = rtol * np.maximum(1.0, np.maximum(abs(low), abs(high)))
-        return low - slack, high + slack
-
-
-def truncate_state(
-    cells: np.ndarray,
-    envelope: BoundsEnvelope,
-    rho: float,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-) -> np.ndarray:
-    """Clamp a state into the envelope, cell by cell."""
-    low, high = envelope.levels(rho)
-    profiles = species_profiles(chi1, chi2)
-    return np.clip(cells, low * profiles, high * profiles)
+    def passes(self, state: np.ndarray) -> bool:
+        """Whether every profile-relative ratio of state lies within the limits; a NaN fails."""
+        ratios = state / self.profiles
+        return bool((ratios >= self.lower).all() and (ratios <= self.upper).all())
 
 
 @dataclass(frozen=True)
@@ -118,21 +109,12 @@ class BoundsReport:
     passed: bool
 
 
-def check_maximum_principle(
-    state: np.ndarray,
-    envelope: BoundsEnvelope,
-    rho: float,
-    chi1: VelocityProfile,
-    chi2: VelocityProfile,
-    rtol: float = 1e-11,
-) -> BoundsReport:
-    lower, upper = envelope.limits(rho, rtol)
-    ratios = state / species_profiles(chi1, chi2)
-    lowest = ratios.min(axis=(1, 2), keepdims=True)
-    highest = ratios.max(axis=(1, 2), keepdims=True)
-    passed = bool(np.all(lowest >= lower) and np.all(highest <= upper))
-    (f_min, g_min), (f_max, g_max) = lowest.ravel().tolist(), highest.ravel().tolist()
-    return BoundsReport(f_min, f_max, g_min, g_max, passed)
+def check_maximum_principle(state: np.ndarray, envelope: BoundsEnvelope) -> BoundsReport:
+    """The extreme profile-relative levels of state per species, and the envelope's verdict."""
+    ratios = state / envelope.profiles
+    f_min, g_min = ratios.min(axis=(1, 2)).tolist()
+    f_max, g_max = ratios.max(axis=(1, 2)).tolist()
+    return BoundsReport(f_min, f_max, g_min, g_max, envelope.passes(state))
 
 
 def _defect(
@@ -177,8 +159,8 @@ class NonlinearStepper:
     into the next call from that state, so each accepted state is evaluated
     once (see newton).
 
-    rho is the run's equilibrium level, fixed by its conserved mass
-    difference; the truncated collision clamps into the envelope around it.
+    With an envelope, the run's band around its equilibrium level, the
+    truncated collision clamps into it.
     """
 
     def __init__(
@@ -187,13 +169,9 @@ class NonlinearStepper:
         chi1: VelocityProfile,
         chi2: VelocityProfile,
         flux: Flux,
-        rho: float,
         envelope: BoundsEnvelope | None = None,
     ) -> None:
         self.grid = grid
-        self.chi1 = chi1
-        self.chi2 = chi2
-        self.rho = rho
         self.envelope = envelope
         self._cells = (2, grid.nx, grid.n_vel)
         self._sources = species_profiles(chi1, chi2)
@@ -201,8 +179,6 @@ class NonlinearStepper:
         index = np.arange(2 * grid.n_unknowns).reshape(self._cells)
         self._neighbours = np.stack([np.roll(index, s, axis=1).ravel() for s in (-1, 1)])
         self._a, self._b = (np.broadcast_to(w, self._cells).ravel() for w in (a, b))
-        self._stencil_diagonal = (a - b) / grid.dx
-        self._neighbour_weights = np.stack([self._b, -self._a]) / grid.dx
         self._tau = transport_symbol(flux, grid)
         # The evaluation of the last residual call, or the carried one that
         # newton started from.
@@ -236,7 +212,7 @@ class NonlinearStepper:
         cells = u.reshape(self._cells)
         eff, mask = cells, None
         if self.envelope is not None:
-            eff = truncate_state(cells, self.envelope, self.rho, self.chi1, self.chi2)
+            eff = self.envelope.clamp(cells)
             kept = eff == cells
             if not kept.all():
                 mask = kept.astype(float)
@@ -249,21 +225,19 @@ class NonlinearStepper:
     ) -> Callable[[np.ndarray], np.ndarray]:
         """v -> J v, the exact derivative of the residual at the evaluation's state u.
 
-        J v = (1/dt + rho_partner*mask + (a-b)/dx) v + (b/dx) v_up - (a/dx) v_down
-              + eff * (dv sum_m mask*v)_partner, with v_up, v_down v's stencil
-        neighbours, eff the state the reaction is evaluated at, rho its site
-        densities and mask the evaluation's (no derivative through the
-        clamp), 1 when None.
+        J v = (1/dt + rho_partner*mask) v + eff * (dv sum_m mask*v)_partner
+              + transport(v), with eff the state the reaction is evaluated at,
+        rho its site densities and mask the evaluation's (no derivative
+        through the clamp), 1 when None.
         """
         dv = self.grid.dv
         eff, partner, mask = evaluation.eff, evaluation.partner, evaluation.mask
-        diagonal = 1.0 / dt + (partner if mask is None else partner * mask) + self._stencil_diagonal
+        diagonal = 1.0 / dt + (partner if mask is None else partner * mask)
 
         def apply(v: np.ndarray) -> np.ndarray:
             cells = v.reshape(self._cells)
             site = dv * (cells if mask is None else mask * cells).sum(axis=2)
-            local = (diagonal * cells + eff * site[::-1, :, None]).ravel()
-            return local + (self._neighbour_weights * v[self._neighbours]).sum(axis=0)
+            return (diagonal * cells + eff * site[::-1, :, None]).ravel() + self.transport(v)
 
         return apply
 

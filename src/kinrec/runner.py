@@ -56,7 +56,6 @@ from .state import (
     irfft_pair,
     mass_difference,
     rfft_pair,
-    species_profiles,
 )
 
 # Physical-space diagnostics the runner no longer calls.  The benchmark's
@@ -73,8 +72,8 @@ TIMESERIES_COLUMNS = (
 TIMESERIES_HEADER = ",".join(TIMESERIES_COLUMNS)
 
 # Width of the reporting envelope around the equilibrium amplitudes, as a
-# fraction of rho.  Bounds columns in the output always use this envelope;
-# it is a diagnostic, not a constraint on the solver.
+# fraction of rho.  Bounds columns in the output always use this envelope,
+# and the truncated scheme clamps its reaction into it.
 REPORT_ENVELOPE_FRACTION = 0.2
 
 # Steps a DiagnosticsRecorder buffers before finishing their rows; each
@@ -161,7 +160,8 @@ class RunSetup:
     rho: float
     equilibrium: EquilibriumData
     ledger: ConstantsLedger
-    envelope: BoundsEnvelope
+    # The reporting envelope of a nonlinear run; linear runs have none.
+    envelope: BoundsEnvelope | None
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
@@ -182,10 +182,9 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     flux = Flux(kind=cfg.flux, lam=lam)
     dt_cap = cfg.dt if cfg.model == "linear" else cfg.dt_max
     ledger = constants_ledger(chi1, chi2, rho, grid, lam, dt_cap)
-    envelope = BoundsEnvelope(
-        gamma1=REPORT_ENVELOPE_FRACTION * rho,
-        gamma2=REPORT_ENVELOPE_FRACTION * rho,
-    )
+    envelope = None
+    if cfg.model == "nonlinear":
+        envelope = BoundsEnvelope(rho, REPORT_ENVELOPE_FRACTION * rho, chi1, chi2)
     return RunSetup(
         cfg=cfg,
         grid=grid,
@@ -236,10 +235,7 @@ class DiagnosticsRecorder:
     steps before it, drop the snapshots of that step and later ones (step
     times strictly increase), and raise NotMeanFreeError.
 
-    The bounds check of a nonlinear run divides the state by the species
-    profiles and compares the ratios with the envelope's limits, both made
-    once here.  That gives check_maximum_principle's verdict: a minimum is
-    at least a limit exactly when every element is, and a NaN fails both.
+    The bounds verdict of a nonlinear run is its envelope's passes.
     """
 
     def __init__(self, setup: RunSetup) -> None:
@@ -265,8 +261,6 @@ class DiagnosticsRecorder:
         self._poisson = wide_stencil_symbol(grid)
         self._gradient = 1j * np.sin(theta) / grid.dx
         self._equilibrium_mass = mass_difference(setup.equilibrium.state, grid)
-        self._profiles = species_profiles(setup.chi1, setup.chi2)
-        self._lower, self._upper = setup.envelope.limits(setup.rho)
         # The buffered rows: the density and the current per mode and
         # species, and the weighted power per mode; squares is observe's scratch.
         self._sums = np.empty((DIAGNOSTICS_BLOCK, 2, 2 * n_modes), dtype=complex)
@@ -318,10 +312,7 @@ class DiagnosticsRecorder:
         # |mode|^2 as the squares of the interleaved real and imaginary parts.
         np.square(modes.view(float).reshape(self._squares.shape), out=self._squares)
         np.matmul(self._squares, self._weights, out=self._power[row])
-        bounds_pass: bool | None = None
-        if state is not None:
-            ratios = state / self._profiles
-            bounds_pass = bool((ratios >= self._lower).all() and (ratios <= self._upper).all())
+        bounds_pass = None if state is None else self._setup.envelope.passes(state)
         series["t"].append(t)
         series["dt_used"].append(dt_used)
         series["newton_iters"].append(newton_iterations)
@@ -447,7 +438,6 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         setup.chi2,
         setup.flux,
         envelope=setup.envelope if cfg.truncated else None,
-        rho=setup.rho,
     )
     recorder.rejected_attempts = 0
     newton_cfg = NewtonConfig(
@@ -491,10 +481,7 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     ratios: dict[str, float | None] = {k: None for k in ("f_min", "f_max", "g_min", "g_max")}
     if cfg.model == "nonlinear":
         bounds_states = [setup.data0] + [s.state for s in recorder.snapshots]
-        reports = [
-            check_maximum_principle(s, setup.envelope, setup.rho, setup.chi1, setup.chi2)
-            for s in bounds_states
-        ]
+        reports = [check_maximum_principle(s, setup.envelope) for s in bounds_states]
         ratios = {
             "f_min": min(r.f_ratio_min for r in reports),
             "f_max": max(r.f_ratio_max for r in reports),

@@ -78,6 +78,17 @@ def equilibrium_rho_from_state(state: np.ndarray, grid: GridSpec) -> float:
     return equilibrium_rho(mass_difference(state, grid), grid.torus_length)
 
 
+def band_levels(rho: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum principle's band as (low, high) multipliers of the two profiles.
+
+    Shape (2, 1, 1), f's then g's: [rho - gamma, rho + gamma] and the
+    reciprocal [1/(rho + gamma), 1/(rho - gamma)].
+    """
+    low = np.array([rho - gamma, 1.0 / (rho + gamma)])[:, None, None]
+    high = np.array([rho + gamma, 1.0 / (rho - gamma)])[:, None, None]
+    return low, high
+
+
 def project_pi(
     state: np.ndarray,
     rho: float,
@@ -319,12 +330,7 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     with the per-mode solve and with dense_reference_operator.
     """
     equilibrium = build_equilibrium(rho, chi1, chi2, grid).state.ravel()
-    return dt * NonlinearStepper(grid, chi1, chi2, flux, rho).jacobian(equilibrium, dt)
-
-
-def make_stepper(grid, chi1, chi2, flux, state) -> NonlinearStepper:
-    """Newton stepper at the equilibrium level of state's mass difference."""
-    return NonlinearStepper(grid, chi1, chi2, flux, equilibrium_rho_from_state(state, grid))
+    return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt)
 
 
 def physical_diagnostics(deviation, pot, dt, setup):

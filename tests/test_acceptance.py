@@ -93,14 +93,14 @@ ENVELOPE_GRID = {
 }
 
 
-def envelope_march(setup, flux, state, envelope, rho_hat, t_final):
+def envelope_march(setup, flux, state, envelope, t_final):
     """Adaptive nonlinear march from dt=1e-3, checking the envelope every step.
 
     Returns (accepted steps, steps outside the envelope, first such step or
     None, smallest and largest f/chi1 ratio seen).
     """
     cfg = setup.cfg
-    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, flux, rho_hat)
+    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, flux)
     newton_cfg = NewtonConfig(tol_residual=cfg.newton_tol,
                               max_iterations=cfg.newton_max_iterations)
     controller = AdaptiveController(dt_min=1e-8, dt_max=0.3)
@@ -111,8 +111,7 @@ def envelope_march(setup, flux, state, envelope, rho_hat, t_final):
         state, dt = result.state, result.next_dt
         t += result.dt_used
         steps += 1
-        report = check_maximum_principle(state, envelope, rho_hat,
-                                         setup.chi1, setup.chi2)
+        report = check_maximum_principle(state, envelope)
         f_min, f_max = min(f_min, report.f_ratio_min), max(f_max, report.f_ratio_max)
         if not report.passed:
             violations += 1
@@ -299,15 +298,15 @@ def test_criterion_06_maximum_principle_propagation():
         np.outer(1.0 - 0.05 * np.sin(2.0 * x), setup.chi2.values),
     ])
     rho_hat = equilibrium_rho_from_state(state, grid)
-    envelope = BoundsEnvelope(gamma1=0.2 * rho_hat, gamma2=0.2 * rho_hat)
-    report = check_maximum_principle(state, envelope, rho_hat, setup.chi1, setup.chi2)
+    envelope = BoundsEnvelope(rho_hat, 0.2 * rho_hat, setup.chi1, setup.chi2)
+    report = check_maximum_principle(state, envelope)
     assert report.passed  # data starts strictly inside the band
 
     steps, violations, _, _, _ = envelope_march(setup, setup.flux, state,
-                                                envelope, rho_hat, 20.0)
+                                                envelope, 20.0)
     assert violations == 0
     print(f"criterion 6: lam=6=v*/2, {steps} accepted steps to t=20, "
-          f"0 envelope violations (gamma={envelope.gamma1})")
+          f"0 envelope violations (gamma={envelope.gamma})")
 
 
 def test_criterion_07_nonlinear_flux_dichotomy(dichotomy_runs):
@@ -355,14 +354,13 @@ def test_criterion_07_nonlinear_flux_dichotomy(dichotomy_runs):
     state = np.stack([np.outer(1.0 + jump, setup.chi1.values),
                       np.outer(1.0 - jump, setup.chi2.values)])
     rho_hat = equilibrium_rho_from_state(state, setup.grid)
-    envelope = BoundsEnvelope(gamma1=0.2 * rho_hat, gamma2=0.2 * rho_hat)
-    assert check_maximum_principle(state, envelope, rho_hat,
-                                   setup.chi1, setup.chi2).passed
-    f_lo, f_hi = (level.flat[0] for level in envelope.levels(rho_hat))
+    envelope = BoundsEnvelope(rho_hat, 0.2 * rho_hat, setup.chi1, setup.chi2)
+    assert check_maximum_principle(state, envelope).passed
+    f_lo, f_hi = rho_hat - envelope.gamma, rho_hat + envelope.gamma
     violations = {}
     for flux in (Flux("lax-friedrichs", 6.0), Flux("upwind"), Flux("centered")):
         steps, bad, first, r_min, r_max = envelope_march(
-            setup, flux, state, envelope, rho_hat, 1.0)
+            setup, flux, state, envelope, 1.0)
         violations[flux.kind] = bad
         print(f"criterion 7: envelope march {flux.kind} (lam={flux.lam:g}): "
               f"{bad} of {steps} steps outside (first: {first or 'none'}); f ratio "
@@ -385,8 +383,7 @@ def test_criterion_08_newton_jacobian_exactness():
     for _ in range(3):
         base = random_positive_pair(grid, rng).ravel()
         prev = random_positive_pair(grid, rng)
-        stepper = NonlinearStepper(grid, chi1, chi2, flux,
-                                   equilibrium_rho_from_state(prev, grid))
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
         exact = stepper.jacobian(base, dt)
         fd = np.empty((2 * n, 2 * n))
         for col in range(2 * n):
@@ -403,7 +400,7 @@ def test_criterion_08_newton_jacobian_exactness():
     setup = build_setup(load_config(None, {"test": 3}))
     eq = setup.equilibrium.state
     newton_cfg = NewtonConfig(tol_residual=1e-11, max_iterations=25)
-    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux, setup.rho)
+    stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux)
     result, iterations = stepper.newton(eq, 0.1, newton_cfg)
     assert iterations <= 1
     drift = np.max(np.abs(result - eq))
@@ -431,7 +428,7 @@ def test_criterion_09_moment_scheme_consistency():
 
     cfg3 = load_config(None, {"test": 3})
     s3 = build_setup(cfg3)
-    stepper = NonlinearStepper(s3.grid, s3.chi1, s3.chi2, s3.flux, s3.rho)
+    stepper = NonlinearStepper(s3.grid, s3.chi1, s3.chi2, s3.flux)
     newton_cfg = NewtonConfig(tol_residual=cfg3.newton_tol,
                               max_iterations=cfg3.newton_max_iterations)
     controller = AdaptiveController(dt_min=cfg3.dt_min, dt_max=cfg3.dt_max)

@@ -15,6 +15,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    band_levels,
     cellwise_snapshot_csv,
     cellwise_timeseries_csv,
     norm2,
@@ -170,9 +171,11 @@ class TestBuildSetup:
         np.testing.assert_array_equal(setup.equilibrium.state[0], eq.state[0])
 
     def test_envelope_and_ledger_wiring(self):
+        nonlinear_setup = build_setup(tiny_config(model="nonlinear"))
+        assert nonlinear_setup.envelope.gamma == REPORT_ENVELOPE_FRACTION * nonlinear_setup.rho
+        # Linear runs never read the band.
         setup = build_setup(tiny_config())
-        assert setup.envelope.gamma1 == pytest.approx(REPORT_ENVELOPE_FRACTION * setup.rho)
-        assert setup.envelope.gamma2 == setup.envelope.gamma1
+        assert setup.envelope is None
         assert setup.ledger.lam == setup.flux.lam
         assert setup.ledger.rho == setup.rho
         # Linear runs bound the entropy constants by the fixed step size.
@@ -438,8 +441,16 @@ class TestMarches:
         + [
             ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, iterations, 0, (None, 0))
             for seed, iterations in enumerate([134, 133, 136, 132, 135, 132, 131, 135, 134, 132])
+        ]
+        # The truncated scheme: the clamp of the reaction into the reporting
+        # envelope, from build_setup through the march.
+        + [
+            ({"test": 3, "nx": 21, "truncated": True}, 341, 564, 0, (None, 0)),
+            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": 0, "truncated": True},
+             41, 120, 0, (None, 0)),
         ],
-        ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)],
+        ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)]
+        + ["test3-truncated", "test4-seed0-truncated"],
     )
     def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled, bounds):
         # The adaptive march of the benchmark's two nonlinear runs.  Newton
@@ -899,7 +910,7 @@ class TestPerStepBounds:
     ):
         setup = build_setup(tiny_config(nx=nx, nv=nv, model="nonlinear"))
         grid, envelope, rho = setup.grid, setup.envelope, setup.rho
-        lows, highs = envelope.levels(rho)
+        lows, highs = band_levels(rho, envelope.gamma)
         low, high = lows[species, 0, 0], highs[species, 0, 0]
         slack = 1e-11 * max(1.0, abs(low), abs(high))
         rng = np.random.default_rng(seed)
@@ -914,7 +925,7 @@ class TestPerStepBounds:
         recorder = DiagnosticsRecorder(setup)
         recorder.observe(0.0, np.zeros((n_modes, 2, grid.n_vel), complex), None, None, state)
         (bounds_pass,) = recorder.series["bounds_pass"]
-        report = check_maximum_principle(state, envelope, rho, setup.chi1, setup.chi2)
+        report = check_maximum_principle(state, envelope)
         assert bounds_pass is report.passed
         # Division by the profile moves a ratio by a rounding only.
         assert report.passed is (not nan and offset <= 0.5)

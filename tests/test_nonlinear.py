@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from conftest import (
-    equilibrium_rho_from_state,
+    band_levels,
     make_grid,
     make_profiles,
-    make_stepper,
     random_pair,
     random_positive_pair,
     residual_linear,
@@ -23,7 +22,6 @@ from kinrec.linear import (
     Flux,
     ImplicitLinearOperator,
     flux_divergence,
-    interface_weights,
 )
 from kinrec.nonlinear import (
     DT_SHRINK,
@@ -36,7 +34,6 @@ from kinrec.nonlinear import (
     StepFailedError,
     adaptive_advance,
     check_maximum_principle,
-    truncate_state,
 )
 from kinrec.runner import REPORT_ENVELOPE_FRACTION, build_setup
 from kinrec.state import (
@@ -89,7 +86,7 @@ class TestResidual:
         grid, chi1, chi2 = setting
         for rho in (0.5, 1.0, 2.0):
             u = build_equilibrium(rho, chi1, chi2, grid).state.ravel()
-            stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), rho)
+            stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
             assert float(np.max(np.abs(stepper.residual(u, u, 0.2)))) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -101,7 +98,7 @@ class TestResidual:
         grid, chi1, chi2 = setting
         rng = np.random.default_rng(1)
         nxt, prev = random_positive_pair(grid, rng), random_positive_pair(grid, rng)
-        stepper = make_stepper(grid, chi1, chi2, flux, prev)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
         got = stepper.residual(nxt.ravel(), prev.ravel(), 0.1).reshape(nxt.shape)
         want = naive_residual(nxt, prev, 0.1, flux, chi1, chi2, grid)
         np.testing.assert_allclose(got[0], want[0], atol=1e-12)
@@ -118,7 +115,7 @@ class TestResidual:
         rng = np.random.default_rng(2)
         a, b = random_pair(grid, rng), random_pair(grid, rng)
         dt = 0.2
-        stepper = NonlinearStepper(grid, chi1, chi2, flux, rho)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
         errs = []
         eps_values = (1e-2, 1e-3, 1e-4)
         for eps in eps_values:
@@ -134,7 +131,7 @@ class TestResidual:
         state = random_positive_pair(grid, np.random.default_rng(3))
         u = state.ravel()
         with pytest.raises(ValueError, match="dt"):
-            make_stepper(grid, chi1, chi2, Flux.centered(), state).residual(u, u, 0.0)
+            NonlinearStepper(grid, chi1, chi2, Flux.centered()).residual(u, u, 0.0)
 
 
 class TestTransportStencil:
@@ -149,19 +146,15 @@ class TestTransportStencil:
     def test_residual_and_product_apply_the_same_transport(self, nx, nv, kind, lam, seed):
         # The stencil's transport is flux_divergence bit for bit, and the
         # residual at u_prev = u is that transport minus the reaction.  At the
-        # zero state with dt = inf, J v has no reaction or time term left: it
-        # is the transport with the weights folded into (a - b, b, -a)/dx, so
-        # it rounds differently.  With scale = max(|a| + |b|)/dx * max|v|,
-        # a first-order count of the roundings of weights, products, sums and
-        # the division puts each side within 8 ulps of scale of the exact
-        # transport, so the two differ by at most 16.
+        # zero state with dt = inf, J v has no reaction or time term left and
+        # adds the same transport to zeros, so it is flux_divergence too.
         flux = Flux.lax_friedrichs(lam) if kind == "lax-friedrichs" else Flux(kind)
         grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
         chi1, chi2 = make_profiles(grid)
         state = random_pair(grid, np.random.default_rng(seed))
         u = state.ravel()
         divergence = flux_divergence(state, flux, grid).ravel()
-        stepper = NonlinearStepper(grid, chi1, chi2, flux, 1.0)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
         assert np.array_equal(stepper.transport(u), divergence)
 
         cells = u.reshape(2, grid.nx, grid.n_vel)
@@ -169,12 +162,8 @@ class TestTransportStencil:
         reaction = sources - grid.dv * cells.sum(axis=2)[::-1, :, None] * cells
         assert np.array_equal(stepper.residual(u, u, 0.1), divergence - reaction.ravel())
 
-        a, b = interface_weights(flux, grid)
-        scale = np.max(np.abs(a) + np.abs(b)) / grid.dx * np.max(np.abs(u))
         transport = stepper._jacobian_product(stepper._evaluate(np.zeros_like(u)), math.inf)
-        np.testing.assert_allclose(
-            transport(u), divergence, rtol=0.0, atol=16 * np.finfo(float).eps * scale
-        )
+        assert np.array_equal(transport(u), divergence)
 
 
 class TestJacobian:
@@ -210,7 +199,7 @@ class TestJacobian:
         chi1, chi2 = make_profiles(grid)
         state = random_positive_pair(grid, np.random.default_rng(4))
         dt = 0.15
-        stepper = make_stepper(grid, chi1, chi2, flux, state)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
         exact = stepper.jacobian(state.ravel(), dt)
         approx = self.fd_jacobian(stepper, state.ravel(), dt)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
@@ -224,14 +213,14 @@ class TestJacobian:
         grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
         chi1, chi2 = make_profiles(grid)
         rho = 1.0
-        envelope = BoundsEnvelope(gamma1=0.3, gamma2=0.3)
+        envelope = BoundsEnvelope(rho, 0.3, chi1, chi2)
         f = np.tile(rho * chi1.values, (grid.nx, 1))
         g = np.tile(chi2.values / rho, (grid.nx, 1))
         f[0] = 2.0 * chi1.values       # clamped from above
         g[1] = 0.2 * chi2.values       # clamped from below
         u = np.stack([f, g]).ravel()
         dt = 0.15
-        stepper = NonlinearStepper(grid, chi1, chi2, flux, rho, envelope)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux, envelope)
         exact = stepper.jacobian(u, dt)
         approx = self.fd_jacobian(stepper, u, dt)
         np.testing.assert_allclose(exact, approx, atol=1e-6)
@@ -270,9 +259,8 @@ def newton_setting(nx, nv, flux, truncated, rho, seed):
         )
 
     state, prev = positive_state(), positive_state()
-    envelope = BoundsEnvelope(0.3 * rho, 0.3 * rho) if truncated else None
-    level = rho if truncated else equilibrium_rho_from_state(prev, grid)
-    return grid, NonlinearStepper(grid, chi1, chi2, flux, level, envelope), state, prev
+    envelope = BoundsEnvelope(rho, 0.3 * rho, chi1, chi2) if truncated else None
+    return grid, NonlinearStepper(grid, chi1, chi2, flux, envelope), state, prev
 
 
 def mass_drift(state, prev, grid):
@@ -405,7 +393,7 @@ class TestAveragedJacobian:
         # times the mean of mask.  Every other entry of A is the circulant
         # average of J: the transport and the diagonal mean(partner*mask).
         grid, stepper, state, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
-        eff = truncate_state(state, stepper.envelope, stepper.rho, stepper.chi1, stepper.chi2)
+        eff = stepper.envelope.clamp(state)
         mask = (eff == state).astype(float)
         assume(not mask.all())
         u = state.ravel()
@@ -437,7 +425,7 @@ class TestAveragedJacobian:
         grid, chi1, chi2 = setting
         rho, dt = 1.4, 0.2
         u = build_equilibrium(rho, chi1, chi2, grid).state.ravel()
-        stepper = NonlinearStepper(grid, chi1, chi2, flux, rho)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
         jac = stepper.jacobian(u, dt)
         product = averaged_inverse(stepper, u, u, dt) @ jac
         assert np.max(np.abs(product - np.eye(u.size))) <= 1e-13 * np.max(np.abs(jac)) * dt
@@ -478,7 +466,7 @@ class TestCarriedEvaluation:
         # input, so the caller's own array is left writable.
         grid, chi1, chi2 = setting
         eq = build_equilibrium(1.4, chi1, chi2, grid)
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), 1.4)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         state, _ = stepper.newton(eq.state, 0.2, NewtonConfig())
         stalled, iterations = stepper.newton(state, 0.2, NewtonConfig())
         assert iterations == 0 and np.shares_memory(stalled, state)
@@ -492,7 +480,7 @@ class TestNewton:
         eq = build_equilibrium(1.4, chi1, chi2, grid)
         cfg = NewtonConfig()
         state, iterations = NonlinearStepper(
-            grid, chi1, chi2, Flux.lax_friedrichs(1.5), 1.4
+            grid, chi1, chi2, Flux.lax_friedrichs(1.5)
         ).newton(eq.state, 0.2, cfg)
         assert iterations <= 1
         np.testing.assert_allclose(state[0], eq.state[0], atol=1e-10)
@@ -508,7 +496,7 @@ class TestNewton:
         prev = np.stack([np.tile(row_f, (grid.nx, 1)), np.tile(row_g, (grid.nx, 1))])
         dt = 0.25
         cfg = NewtonConfig(tol_residual=1e-13)
-        state, _ = make_stepper(grid, chi1, chi2, Flux.upwind(), prev).newton(prev, dt, cfg)
+        state, _ = NonlinearStepper(grid, chi1, chi2, Flux.upwind()).newton(prev, dt, cfg)
 
         def cell_residual(z):
             zf, zg = z[:nvel], z[nvel:]
@@ -526,7 +514,7 @@ class TestNewton:
         grid, chi1, chi2 = setting
         prev = random_positive_pair(grid, np.random.default_rng(6))
         cfg = NewtonConfig(tol_residual=1e-12)
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         state, iterations = stepper.newton(prev, 0.1, cfg)
         res = stepper.residual(state.ravel(), prev.ravel(), 0.1)
         assert np.max(np.abs(res)) <= 1e-12
@@ -537,7 +525,7 @@ class TestNewton:
         prev = random_positive_pair(grid, np.random.default_rng(7))
         cfg = NewtonConfig(tol_residual=1e-30, max_iterations=2)
         with pytest.raises(NewtonDivergedError, match="iterations"):
-            make_stepper(grid, chi1, chi2, Flux.centered(), prev).newton(prev, 0.1, cfg)
+            NonlinearStepper(grid, chi1, chi2, Flux.centered()).newton(prev, 0.1, cfg)
 
     def test_newton_builds_one_averaged_step_per_iteration(self, setting, monkeypatch):
         # Each update solves with the average of the Jacobian at its own
@@ -559,7 +547,7 @@ class TestNewton:
         monkeypatch.setattr(nonlinear, "ImplicitLinearOperator", Counting)
         monkeypatch.setattr(nonlinear, "transport_symbol", recording_symbol)
         prev = random_positive_pair(grid, np.random.default_rng(11))
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         _, iterations = stepper.newton(prev, 0.5, NewtonConfig(tol_residual=1e-12))
         assert iterations >= 2 and len(built) == iterations and len(symbols) == 1
         assert all(tau is symbols[0] and dt == 0.5 for tau, dt in built)
@@ -574,12 +562,12 @@ class TestNewton:
         prev = random_positive_pair(grid, np.random.default_rng(0))
         cfg = NewtonConfig(max_iterations=16)
         with pytest.raises(NewtonDivergedError, match="after 16 iterations"):
-            make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev).newton(prev, 0.5, cfg)
+            NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5)).newton(prev, 0.5, cfg)
         controller = AdaptiveController(dt_min=1e-3, dt_max=1.0)
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         result = adaptive_advance(prev, 0.5, controller, cfg, stepper)
         assert result.rejected_attempts == 1 and result.dt_used == 0.5 * DT_SHRINK
-        fresh = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev)
+        fresh = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         state, iterations = fresh.newton(prev, 0.5 * DT_SHRINK, cfg)
         assert np.array_equal(result.state, state) and result.newton_iterations == iterations == 16
 
@@ -592,7 +580,7 @@ class TestNewton:
         # or of a basis of states is allocated.
         setup = build_setup(load_config(None, dict(test=3, nx=21, nv=8)))
         cfg = NewtonConfig(setup.cfg.newton_tol, setup.cfg.newton_max_iterations)
-        stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux, setup.rho)
+        stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux)
         state, _ = stepper.newton(setup.data0, setup.cfg.dt, cfg)
         tracemalloc.start()
         try:
@@ -612,13 +600,13 @@ class TestNewton:
         monkeypatch.setattr(nonlinear, "MASS_DIFF_DRIFT_TOL", 1e-18)
         cfg = NewtonConfig(tol_residual=1e-9)
         with pytest.raises(NewtonDivergedError, match="drift"):
-            make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), prev).newton(prev, 0.2, cfg)
+            NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5)).newton(prev, 0.2, cfg)
 
     def test_mass_conserved_over_steps(self, setting):
         grid, chi1, chi2 = setting
         state = random_positive_pair(grid, np.random.default_rng(9))
         before = mass_difference(state, grid)
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), state)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         cfg = NewtonConfig(tol_residual=1e-13)
         for _ in range(10):
             state, _ = stepper.newton(state, 0.1, cfg)
@@ -640,57 +628,93 @@ class TestNewton:
 
 
 class TestEnvelope:
-    def test_levels(self):
-        env = BoundsEnvelope(gamma1=0.2, gamma2=0.4)
-        low, high = env.levels(2.0)
-        assert low.shape == high.shape == (2, 1, 1)
-        (f_lo, g_lo), (f_hi, g_hi) = low.ravel(), high.ravel()
-        assert (f_lo, f_hi) == (1.8, 2.4)
-        assert g_lo == pytest.approx(1.0 / 2.4)
-        assert g_hi == pytest.approx(1.0 / 1.8)
-
-    def test_gamma_must_stay_below_rho(self):
-        with pytest.raises(ValueError, match="rho"):
-            BoundsEnvelope(gamma1=1.5, gamma2=0.1).levels(1.0)
-        with pytest.raises(ValueError, match="positive"):
-            BoundsEnvelope(gamma1=0.0, gamma2=0.1)
+    def test_gamma_must_stay_below_rho(self, setting):
+        _, chi1, chi2 = setting
+        for gamma in (1.5, 1.0, 0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                BoundsEnvelope(1.0, gamma, chi1, chi2)
 
     def test_truncation_clamps_and_is_idempotent(self, setting):
         grid, chi1, chi2 = setting
-        rho = 1.0
-        env = BoundsEnvelope(gamma1=0.2, gamma2=0.2)
+        env = BoundsEnvelope(1.0, 0.2, chi1, chi2)
         state = random_positive_pair(grid, np.random.default_rng(11))
-        once = truncate_state(state, env, rho, chi1, chi2)
-        twice = truncate_state(once, env, rho, chi1, chi2)
-        np.testing.assert_array_equal(once, twice)
-        report = check_maximum_principle(once, env, rho, chi1, chi2)
+        once = env.clamp(state)
+        np.testing.assert_array_equal(once, env.clamp(once))
+        report = check_maximum_principle(once, env)
         assert report.passed
 
     def test_truncation_is_identity_inside_the_band(self, setting):
         grid, chi1, chi2 = setting
         rho = 1.5
-        env = BoundsEnvelope(gamma1=0.3, gamma2=0.3)
+        env = BoundsEnvelope(rho, 0.3, chi1, chi2)
         cells = np.stack(
             [
                 np.tile((rho + 0.1) * chi1.values, (grid.nx, 1)),
                 np.tile(chi2.values / (rho + 0.1), (grid.nx, 1)),
             ]
         )
-        np.testing.assert_array_equal(truncate_state(cells, env, rho, chi1, chi2), cells)
+        np.testing.assert_array_equal(env.clamp(cells), cells)
 
     def test_report_flags_violations(self, setting):
         grid, chi1, chi2 = setting
         rho = 1.0
-        env = BoundsEnvelope(gamma1=0.2, gamma2=0.2)
+        env = BoundsEnvelope(rho, 0.2, chi1, chi2)
         eq = build_equilibrium(rho, chi1, chi2, grid)
-        good = check_maximum_principle(eq.state, env, rho, chi1, chi2)
+        good = check_maximum_principle(eq.state, env)
         assert good.passed
         assert good.f_ratio_min == pytest.approx(rho, rel=1e-12)
         bad_state = eq.state.copy()
         bad_state[0] *= 1.5
-        bad = check_maximum_principle(bad_state, env, rho, chi1, chi2)
+        bad = check_maximum_principle(bad_state, env)
         assert not bad.passed
         assert bad.f_ratio_max == pytest.approx(1.5 * rho, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        nx=st.integers(min_value=1, max_value=7).map(lambda half: 2 * half + 1),
+        nv=st.integers(min_value=1, max_value=4),
+        rho=st.floats(min_value=0.2, max_value=5.0),
+        fraction=st.floats(min_value=0.01, max_value=0.99),
+        # Shares of the cells pushed out of the band and of the cells set to NaN.
+        outside=st.sampled_from([0.0, 0.1, 1.0]),
+        nans=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_clamp_and_check_share_the_band(self, nx, nv, rho, fraction, outside, nans, seed):
+        # Levels drawn inside the band, some pushed out past an edge by 1% to
+        # 50% of its width, some NaN.  The slack is far below 1% of any
+        # width here, so a state passes exactly when no cell was pushed or
+        # set to NaN.  The clamp lands every number in the band, keeps it
+        # there, and gives a state inside the band back with its bits.
+        grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
+        chi1, chi2 = make_profiles(grid)
+        gamma = fraction * rho
+        env = BoundsEnvelope(rho, gamma, chi1, chi2)
+        rng = np.random.default_rng(seed)
+        shape = (2, grid.nx, grid.n_vel)
+        low, high = band_levels(rho, gamma)
+        width = np.broadcast_to(high - low, shape)
+        levels = low + width * rng.uniform(0.0, 1.0, shape)
+        pushed = rng.uniform(0.0, 1.0, shape) < outside
+        beyond = width[pushed] * rng.uniform(0.01, 0.5, pushed.sum())
+        levels[pushed] = np.where(
+            rng.random(pushed.sum()) < 0.5,
+            np.broadcast_to(low, shape)[pushed] - beyond,
+            np.broadcast_to(high, shape)[pushed] + beyond,
+        )
+        nan = rng.uniform(0.0, 1.0, shape) < nans
+        levels[nan] = np.nan
+        state = levels * species_profiles(chi1, chi2)
+
+        passed = env.passes(state)
+        assert passed is check_maximum_principle(state, env).passed
+        assert passed is not (pushed.any() or nan.any())
+        clamped = env.clamp(state)
+        assert env.passes(clamped) is not nan.any()
+        assert env.passes(np.where(nan, env.floor, clamped))
+        assert np.array_equal(env.clamp(clamped), clamped, equal_nan=True)
+        if passed:
+            assert np.array_equal(clamped, state)
 
 
 class TestAdaptiveControl:
@@ -767,7 +791,7 @@ class TestAdaptiveControl:
                         chi1.values)
         state = eq.state.copy()
         state[0] += bump
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5), state)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(1.5))
         controller = AdaptiveController(dt_min=1e-8, dt_max=0.3)
         cfg = NewtonConfig()
         dt = 1e-3
@@ -797,7 +821,7 @@ class TestMaximumPrinciplePropagation:
         # under LF with lam >= v_star/2 for every accepted step.
         grid, chi1, chi2 = setting
         rho = 1.0
-        env = BoundsEnvelope(gamma1=0.2 * rho, gamma2=0.2 * rho)
+        env = BoundsEnvelope(rho, 0.2 * rho, chi1, chi2)
         wave = 0.05 * np.cos(2.0 * np.pi * grid.x_centers / grid.torus_length)
         state = np.stack(
             [
@@ -806,12 +830,12 @@ class TestMaximumPrinciplePropagation:
             ]
         )
         lam = grid.v_star / 2.0
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), state)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam))
         cfg = NewtonConfig()
         dt = 0.05
         for _ in range(40):
             state, _ = stepper.newton(state, dt, cfg)
-            assert check_maximum_principle(state, env, rho, chi1, chi2).passed
+            assert check_maximum_principle(state, env).passed
 
 
 def in_band_case(flux, nx, nv, torus_length, v_star, rho, seed):
@@ -824,14 +848,14 @@ def in_band_case(flux, nx, nv, torus_length, v_star, rho, seed):
     grid = make_grid(torus_length=torus_length, nx=nx, nv=nv, v_star=v_star)
     chi1, chi2 = make_profiles(grid)
     gamma = REPORT_ENVELOPE_FRACTION * rho
-    envelope = BoundsEnvelope(gamma, gamma)
-    low, high = envelope.levels(rho)
+    envelope = BoundsEnvelope(rho, gamma, chi1, chi2)
+    low, high = band_levels(rho, gamma)
     rng = np.random.default_rng(seed)
     levels = (low + high) / 2.0 + 0.9 * (high - low) / 2.0 * rng.uniform(-1.0, 1.0, (2, nx, 1))
     state = levels * species_profiles(chi1, chi2)
-    assert check_maximum_principle(state, envelope, rho, chi1, chi2).passed
-    plain = NonlinearStepper(grid, chi1, chi2, flux, rho)
-    truncated = NonlinearStepper(grid, chi1, chi2, flux, rho, envelope)
+    assert check_maximum_principle(state, envelope).passed
+    plain = NonlinearStepper(grid, chi1, chi2, flux)
+    truncated = NonlinearStepper(grid, chi1, chi2, flux, envelope)
     return plain, truncated, envelope, state
 
 
@@ -886,8 +910,7 @@ class TestTruncatedScheme:
         marches = fixed_step_marches(plain, truncated, state, dt, 30)
         for (got, got_iterations), (want, want_iterations) in zip(*reversed(marches)):
             assert np.array_equal(got, want) and got_iterations == want_iterations
-            report = check_maximum_principle(got, envelope, rho, plain.chi1, plain.chi2)
-            assert report.passed
+            assert check_maximum_principle(got, envelope).passed
 
     def test_adaptive_marches_are_identical(self):
         # The step-size controller sees the same iteration counts, so the two
@@ -909,7 +932,7 @@ class TestTruncatedScheme:
         for got, want in zip(marches[1], marches[0]):
             assert np.array_equal(got.state, want.state)
             assert (got.dt_used, got.newton_iterations) == (want.dt_used, want.newton_iterations)
-            assert check_maximum_principle(got.state, envelope, 1.2, plain.chi1, plain.chi2).passed
+            assert check_maximum_principle(got.state, envelope).passed
 
     def test_centered_marches_can_differ(self):
         # The property is not vacuous: the centered flux is not monotone and
@@ -921,7 +944,7 @@ class TestTruncatedScheme:
         marches = fixed_step_marches(plain, truncated, state, 0.3, 30)
         differ = [not np.array_equal(got, want) for (got, _), (want, _) in zip(*marches)]
         outside = [
-            not check_maximum_principle(got, envelope, 0.5, plain.chi1, plain.chi2).passed
+            not check_maximum_principle(got, envelope).passed
             for got, _ in marches[0]
         ]
         assert any(differ) and any(outside)
@@ -949,7 +972,7 @@ class TestNonlinearMomentSchemes:
         eq = build_equilibrium(rho, chi1, chi2, grid)
         lam = 1.5
         dt = 0.1
-        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), rho)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam))
         cfg = NewtonConfig(tol_residual=1e-13)
         for _ in range(5):
             nxt, _ = stepper.newton(state, dt, cfg)
@@ -963,7 +986,7 @@ class TestNonlinearMomentSchemes:
         state = random_positive_pair(grid, np.random.default_rng(15))
         eq = build_equilibrium(1.0, chi1, chi2, grid)
         lam, dt = 1.5, 0.1
-        stepper = make_stepper(grid, chi1, chi2, Flux.lax_friedrichs(lam), state)
+        stepper = NonlinearStepper(grid, chi1, chi2, Flux.lax_friedrichs(lam))
         nxt, _ = stepper.newton(state, dt, NewtonConfig(tol_residual=1e-13))
         bad = nxt.copy()
         bad[0, 1, 0] += 1e-3
