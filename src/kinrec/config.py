@@ -235,7 +235,7 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.model == "linear" and cfg.t_final is not None:
         # The linear march takes fixed steps of dt and must land on t_final.
         steps = round(cfg.t_final / cfg.dt)
-        if abs(steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
+        if abs(steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise bad("t_final", f"must be a whole number of dt={cfg.dt} steps, got {cfg.t_final}")
     if cfg.newton_tol <= 0:
         raise bad("newton_tol", f"must be positive, got {cfg.newton_tol}")

@@ -65,20 +65,10 @@ def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.irfft(poisson_modes(np.fft.rfft(u), wide_stencil_symbol(grid), grid), grid.nx)
 
 
-@dataclass(frozen=True)
-class PotentialState:
-    """Current potential and, once available, the one from the previous step."""
-
-    phi: np.ndarray
-    phi_prev: np.ndarray | None = None
-
-    def advanced(self, phi_new: np.ndarray) -> "PotentialState":
-        return PotentialState(phi_new, self.phi)
-
-
 def modified_entropy(
     state: np.ndarray,
-    pot: PotentialState,
+    phi: np.ndarray,
+    phi_prev: np.ndarray | None,
     dt: float,
     ledger: ConstantsLedger,
     chi1: VelocityProfile,
@@ -91,10 +81,10 @@ def modified_entropy(
 
     H = 1/2 ||F||^2 + delta <j_h, Dc phi> + delta/(2 dt) ||Dc phi - Dc phi_prev||^2,
     where j_h is the first velocity moment of f - g and phi solves the wide
-    Poisson problem for the density difference.  Without a previous potential
-    the last term is omitted (partial value, first record of a run).  delta
-    defaults to the ledger's choice and must stay below the admissible
-    ceiling min(delta1..3).
+    Poisson problem for the density difference.  phi_prev is the previous
+    step's potential, or None on the first record of a run, where the last
+    term is omitted (partial value).  delta defaults to the ledger's choice
+    and must stay below the admissible ceiling min(delta1..3).
     """
     if delta is None:
         delta = ledger.delta
@@ -106,11 +96,11 @@ def modified_entropy(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     _, j_h, _ = moments_ujs(state[0] - state[1], grid, d0)
-    dphi = centered_gradient(pot.phi, grid)
+    dphi = centered_gradient(phi, grid)
     h = 0.5 * weighted_norm(state, chi1, chi2, ledger.rho, grid) ** 2
     h += delta * grid.dx * float(np.sum(j_h * dphi))
-    if pot.phi_prev is not None:
-        incr = dphi - centered_gradient(pot.phi_prev, grid)
+    if phi_prev is not None:
+        incr = dphi - centered_gradient(phi_prev, grid)
         h += delta / (2.0 * dt) * grid.dx * float(np.sum(incr**2))
     return h
 

@@ -149,15 +149,10 @@ def profile_from_samples(
 
 
 def discretize_profile(
-    profile: Callable[[np.ndarray], np.ndarray],
-    grid: GridSpec,
-    *,
-    symmetrize: bool = False,
+    profile: Callable[[np.ndarray], np.ndarray], grid: GridSpec
 ) -> VelocityProfile:
     """Sample a velocity density at the cell midpoints and normalize it."""
-    return profile_from_samples(
-        np.asarray(profile(grid.v_centers), dtype=float), grid, symmetrize=symmetrize
-    )
+    return profile_from_samples(np.asarray(profile(grid.v_centers), dtype=float), grid)
 
 
 def gaussian_profile(v: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -126,16 +125,15 @@ def _defect(
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """The residual's parts at a raveled state u.
+    """The residual's parts at a raveled state.
 
     Its transport and reaction, the state eff the reaction is evaluated at
     with eff's partner site densities dv*sum_m eff (species swapped), and the
     clamp's mask: 1 where the clamp leaves a cell as it is and 0 where it
     moves it, or None when it moves none (and without an envelope).  The
-    Newton update at u reuses eff, partner and mask.
+    Newton update at that state reuses eff, partner and mask.
     """
 
-    u: np.ndarray
     transport: np.ndarray
     reaction: np.ndarray
     eff: np.ndarray
@@ -218,37 +216,28 @@ class NonlinearStepper:
                 mask = kept.astype(float)
         partner = self.grid.dv * eff.sum(axis=2)[::-1, :, None]
         reaction = (self._sources - partner * eff).ravel()
-        return _Evaluation(u, self.transport(u), reaction, eff, partner, mask)
-
-    def _jacobian_product(
-        self, evaluation: _Evaluation, dt: float
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> J v, the exact derivative of the residual at the evaluation's state u.
-
-        J v = (1/dt + rho_partner*mask) v + eff * (dv sum_m mask*v)_partner
-              + transport(v), with eff the state the reaction is evaluated at,
-        rho its site densities and mask the evaluation's (no derivative
-        through the clamp), 1 when None.
-        """
-        dv = self.grid.dv
-        eff, partner, mask = evaluation.eff, evaluation.partner, evaluation.mask
-        diagonal = 1.0 / dt + (partner if mask is None else partner * mask)
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            cells = v.reshape(self._cells)
-            site = dv * (cells if mask is None else mask * cells).sum(axis=2)
-            return (diagonal * cells + eff * site[::-1, :, None]).ravel() + self.transport(v)
-
-        return apply
+        return _Evaluation(self.transport(u), reaction, eff, partner, mask)
 
     def jacobian(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Dense Jacobian, read column by column from its product.
+        """Dense Jacobian J of the residual at u, column by column; for small grids.
 
-        For small grids.  At the steady state, dt times it is the linear step
-        of assemble_linear_operator.
+        J e = (1/dt + partner*mask) e + eff * (dv sum_m mask*e)_partner
+              + transport(e), with eff the state the reaction is evaluated at,
+        partner its partner site densities and mask the clamp's (no
+        derivative through the clamp), 1 where no cell is clamped.  At the
+        steady state, dt times it is the linear step of assemble_linear_operator.
         """
-        apply = self._jacobian_product(self._evaluate(u), dt)
-        return np.column_stack([apply(e) for e in np.eye(u.size)])
+        evaluation = self._evaluate(u)
+        eff = evaluation.eff
+        mask = 1.0 if evaluation.mask is None else evaluation.mask
+        diagonal = 1.0 / dt + evaluation.partner * mask
+        columns = []
+        for e in np.eye(u.size):
+            cells = e.reshape(self._cells)
+            site = self.grid.dv * (mask * cells).sum(axis=2)
+            column = diagonal * cells + eff * site[::-1, :, None]
+            columns.append(column.ravel() + self.transport(e))
+        return np.column_stack(columns)
 
     def newton_update(self, res: np.ndarray, dt: float) -> np.ndarray:
         """Newton increment delta = -dt*(dt*A)^{-1} res, solved per Fourier mode.

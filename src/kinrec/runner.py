@@ -317,7 +317,7 @@ class DiagnosticsRecorder:
         series["dt_used"].append(dt_used)
         series["newton_iters"].append(newton_iterations)
         series["bounds_pass"].append(bounds_pass)
-        while self._pending and t >= self._pending[0] - 1e-9:
+        while self._pending and t >= self._pending[0] * (1.0 - 1e-9):
             if state is None:
                 state = irfft_pair(modes, self._setup.grid.nx)
             self.snapshots.append(
@@ -466,7 +466,6 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     cfg = setup.cfg
     series = recorder.series
 
-    fit: DecayFit | None = None
     try:
         fit = fit_decay_rate(series["t"], series["weighted_norm"])
     except ValueError:
@@ -478,16 +477,10 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     scale = max(1.0, abs(mass0))
 
     newton = series["newton_iters"][1:] if cfg.model == "nonlinear" else None
-    ratios: dict[str, float | None] = {k: None for k in ("f_min", "f_max", "g_min", "g_max")}
+    reports = []
     if cfg.model == "nonlinear":
         bounds_states = [setup.data0] + [s.state for s in recorder.snapshots]
         reports = [check_maximum_principle(s, setup.envelope) for s in bounds_states]
-        ratios = {
-            "f_min": min(r.f_ratio_min for r in reports),
-            "f_max": max(r.f_ratio_max for r in reports),
-            "g_min": min(r.g_ratio_min for r in reports),
-            "g_max": max(r.g_ratio_max for r in reports),
-        }
 
     summary = RunSummary(
         model=cfg.model,
@@ -499,10 +492,10 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
         final_weighted_norm=series["weighted_norm"][-1],
         max_mass_drift_abs=drift,
         max_mass_drift_rel=drift / scale,
-        f_ratio_min=ratios["f_min"],
-        f_ratio_max=ratios["f_max"],
-        g_ratio_min=ratios["g_min"],
-        g_ratio_max=ratios["g_max"],
+        f_ratio_min=min((r.f_ratio_min for r in reports), default=None),
+        f_ratio_max=max((r.f_ratio_max for r in reports), default=None),
+        g_ratio_min=min((r.g_ratio_min for r in reports), default=None),
+        g_ratio_max=max((r.g_ratio_max for r in reports), default=None),
         n_steps=len(series["t"]) - 1,
         newton_iterations=None if newton is None else sum(newton),
         stalled_steps=None if newton is None else newton.count(0),

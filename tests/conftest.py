@@ -14,11 +14,7 @@ from kinrec.grid import (
     heavytail_profile,
     oscillating_profile,
 )
-from kinrec.diagnostics import (
-    PotentialState,
-    modified_entropy,
-    solve_discrete_poisson,
-)
+from kinrec.diagnostics import modified_entropy, solve_discrete_poisson
 from kinrec.linear import (
     CENTERED,
     LAX_FRIEDRICHS,
@@ -333,23 +329,22 @@ def linear_step_matrix(grid, chi1, chi2, rho, dt, flux) -> np.ndarray:
     return dt * NonlinearStepper(grid, chi1, chi2, flux).jacobian(equilibrium, dt)
 
 
-def physical_diagnostics(deviation, pot, dt, setup):
+def physical_diagnostics(deviation, phi_prev, dt, setup):
     """The time-series quantities of a deviation from their physical-space definitions.
 
-    pot is the previous PotentialState or None; returns (norm, rho_f_l2,
-    rho_g_l2, entropy, new PotentialState), with phi from the Poisson solve
-    of the deviation's density difference.
+    phi_prev is the previous step's potential or None; returns (norm,
+    rho_f_l2, rho_g_l2, entropy, phi), with phi from the Poisson solve of
+    the deviation's density difference.
     """
     grid, d0 = setup.grid, setup.equilibrium.d0
     u = moments_ujs(deviation[0] - deviation[1], grid, d0)[0]
     phi = solve_discrete_poisson(u, grid)
-    pot = PotentialState(phi) if pot is None else pot.advanced(phi)
     rho_f, rho_g = macroscopic_densities(deviation, grid)
     entropy = modified_entropy(
-        deviation, pot, dt, setup.ledger, setup.chi1, setup.chi2, grid, d0
+        deviation, phi, phi_prev, dt, setup.ledger, setup.chi1, setup.chi2, grid, d0
     )
     norm = weighted_norm(deviation, setup.chi1, setup.chi2, setup.rho, grid)
-    return norm, norm2(rho_f, grid), norm2(rho_g, grid), entropy, pot
+    return norm, norm2(rho_f, grid), norm2(rho_g, grid), entropy, phi
 
 
 def physical_linear_march(setup):
@@ -366,13 +361,13 @@ def physical_linear_march(setup):
     deviation = setup.data0 - setup.equilibrium.state
     pending = list(cfg.snapshot_times)
     series = {column: [] for column in TIMESERIES_COLUMNS}
-    snapshots, pot = [], None
+    snapshots, phi = [], None
     for n in range(round(cfg.t_final / cfg.dt) + 1):
         if n > 0:
             deviation = op.solve(deviation)
         t = n * cfg.dt
-        norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
-            deviation, pot, cfg.dt, setup
+        norm, rho_f_l2, rho_g_l2, entropy, phi = physical_diagnostics(
+            deviation, phi, cfg.dt, setup
         )
         row = dict(
             t=t,
@@ -387,7 +382,7 @@ def physical_linear_march(setup):
         )
         for column, value in row.items():
             series[column].append(value)
-        while pending and t >= pending[0] - 1e-9:
+        while pending and t >= pending[0] * (1.0 - 1e-9):
             snapshots.append(Snapshot(pending.pop(0), t, deviation.copy()))
     return series, snapshots
 

@@ -33,7 +33,6 @@ from conftest import (
 
 from kinrec.config import load_config
 from kinrec.diagnostics import (
-    PotentialState,
     fit_decay_rate,
     modified_entropy,
     solve_discrete_poisson,
@@ -225,11 +224,11 @@ def test_criterion_03_per_step_dissipation():
     op = assemble_linear_operator(grid, setup.chi1, setup.chi2, setup.rho, dt, setup.flux)
     dev = setup.data0 - eq.state
     u0 = moments_ujs(dev[0] - dev[1], grid, eq.d0)[0]
-    pot = PotentialState(phi=solve_discrete_poisson(u0, grid))
-    entropy = lambda state, p: modified_entropy(
-        state, p, dt, led, setup.chi1, setup.chi2, grid, eq.d0
+    phi = solve_discrete_poisson(u0, grid)
+    entropy = lambda state, phi, phi_prev: modified_entropy(
+        state, phi, phi_prev, dt, led, setup.chi1, setup.chi2, grid, eq.d0
     )
-    h_prev = entropy(dev, pot)
+    h_prev = entropy(dev, phi, None)
     min_coercivity = math.inf
     max_entropy_violation = -math.inf
     n_steps = int(round(setup.cfg.t_final / dt))
@@ -244,8 +243,8 @@ def test_criterion_03_per_step_dissipation():
         min_coercivity = min(min_coercivity, dissipation - led.c_mc * gap_sq)
 
         u = moments_ujs(dev[0] - dev[1], grid, eq.d0)[0]
-        pot = pot.advanced(solve_discrete_poisson(u, grid))
-        h = entropy(dev, pot)
+        phi_prev, phi = phi, solve_discrete_poisson(u, grid)
+        h = entropy(dev, phi, phi_prev)
         norm_sq = weighted_norm(dev, setup.chi1, setup.chi2, setup.rho, grid) ** 2
         max_entropy_violation = max(max_entropy_violation, h - h_prev + dt * led.k_delta * norm_sq)
         h_prev = h

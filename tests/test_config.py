@@ -175,6 +175,8 @@ class TestValidation:
             ({"snapshot_times": (-1.0,)}, "output.snapshots"),
             ({"seed": -1}, "output.seed"),
             ({"flux": "upwind", "lam": 2.5}, "model.lambda"),
+            # Three steps of 3e-10 end at 9e-10: the whole-step slack is relative.
+            ({"dt": 3e-10, "t_final": 1e-9}, "time.t_final"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, path):

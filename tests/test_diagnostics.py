@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_poisson, make_grid, make_profiles, random_pair
 from kinrec.diagnostics import (
-    PotentialState,
     fit_decay_rate,
     modified_entropy,
     solve_discrete_poisson,
@@ -91,16 +90,6 @@ class TestPoissonProperties:
         )
 
 
-class TestPotentialState:
-    def test_advanced_shifts_history(self):
-        a, b = np.arange(3.0), np.arange(3.0) + 1.0
-        pot = PotentialState(a)
-        assert pot.phi_prev is None
-        nxt = pot.advanced(b)
-        np.testing.assert_array_equal(nxt.phi, b)
-        np.testing.assert_array_equal(nxt.phi_prev, a)
-
-
 class TestModifiedEntropy:
     @pytest.fixture
     def setting(self):
@@ -111,9 +100,10 @@ class TestModifiedEntropy:
 
     def test_zero_state_zero_potential(self, setting):
         grid, chi1, chi2, ledger = setting
-        pot = PotentialState(np.zeros(grid.nx))
         zero = np.zeros((2, grid.nx, grid.n_vel))
-        value = modified_entropy(zero, pot, 0.1, ledger, chi1, chi2, grid, d0=1.0)
+        value = modified_entropy(
+            zero, np.zeros(grid.nx), None, 0.1, ledger, chi1, chi2, grid, d0=1.0
+        )
         assert value == 0.0
 
     def test_matches_direct_formula(self, setting):
@@ -122,9 +112,7 @@ class TestModifiedEntropy:
         state = random_pair(grid, rng)
         phi, phi_prev = rng.standard_normal(grid.nx), rng.standard_normal(grid.nx)
         dt, d0 = 0.07, 1.3
-        got = modified_entropy(
-            state, PotentialState(phi, phi_prev), dt, ledger, chi1, chi2, grid, d0
-        )
+        got = modified_entropy(state, phi, phi_prev, dt, ledger, chi1, chi2, grid, d0)
         _, j_h, _ = moments_ujs(state[0] - state[1], grid, d0)
         dphi = centered_gradient(phi, grid)
         incr = dphi - centered_gradient(phi_prev, grid)
@@ -140,57 +128,39 @@ class TestModifiedEntropy:
         rng = np.random.default_rng(3)
         state = random_pair(grid, rng)
         phi = rng.standard_normal(grid.nx)
-        partial = modified_entropy(
-            state, PotentialState(phi), 0.1, ledger, chi1, chi2, grid, d0=1.0
-        )
+        partial = modified_entropy(state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0)
         same_prev = modified_entropy(
-            state, PotentialState(phi, phi.copy()), 0.1, ledger, chi1, chi2, grid, d0=1.0
+            state, phi, phi.copy(), 0.1, ledger, chi1, chi2, grid, d0=1.0
         )
         assert partial == pytest.approx(same_prev, rel=1e-14)
-        moved = modified_entropy(
-            state,
-            PotentialState(phi, phi + 0.5),
-            0.1,
-            ledger,
-            chi1,
-            chi2,
-            grid,
-            d0=1.0,
-        )
+        moved = modified_entropy(state, phi, phi + 0.5, 0.1, ledger, chi1, chi2, grid, d0=1.0)
         # A constant potential shift has no gradient, so even this matches.
         assert moved == pytest.approx(partial, rel=1e-12)
         sheared = modified_entropy(
-            state,
-            PotentialState(phi, phi + np.sin(grid.x_centers)),
-            0.1,
-            ledger,
-            chi1,
-            chi2,
-            grid,
-            d0=1.0,
+            state, phi, phi + np.sin(grid.x_centers), 0.1, ledger, chi1, chi2, grid, d0=1.0
         )
         assert sheared > partial
 
     def test_delta_validation(self, setting):
         grid, chi1, chi2, ledger = setting
         state = random_pair(grid, np.random.default_rng(4))
-        pot = PotentialState(np.zeros(grid.nx))
+        phi = np.zeros(grid.nx)
         ceiling = min(ledger.delta1, ledger.delta2, ledger.delta3)
         for bad in (0.0, -1.0, ceiling, 2.0 * ceiling):
             with pytest.raises(ValueError, match="delta"):
                 modified_entropy(
-                    state, pot, 0.1, ledger, chi1, chi2, grid, d0=1.0, delta=bad
+                    state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0, delta=bad
                 )
         with pytest.raises(ValueError, match="dt"):
-            modified_entropy(state, pot, 0.0, ledger, chi1, chi2, grid, d0=1.0)
+            modified_entropy(state, phi, None, 0.0, ledger, chi1, chi2, grid, d0=1.0)
 
     def test_default_delta_is_ledger_choice(self, setting):
         grid, chi1, chi2, ledger = setting
         state = random_pair(grid, np.random.default_rng(5))
-        pot = PotentialState(np.cos(grid.x_centers))
-        default = modified_entropy(state, pot, 0.1, ledger, chi1, chi2, grid, d0=1.0)
+        phi = np.cos(grid.x_centers)
+        default = modified_entropy(state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0)
         explicit = modified_entropy(
-            state, pot, 0.1, ledger, chi1, chi2, grid, d0=1.0, delta=ledger.delta
+            state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0, delta=ledger.delta
         )
         assert default == explicit
 

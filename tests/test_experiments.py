@@ -204,6 +204,13 @@ class TestMarches:
         assert snap.requested_t == 0.25
         assert snap.actual_t == pytest.approx(0.3)
 
+    def test_snapshot_slack_is_relative_to_the_requested_time(self):
+        # On a time scale of 1e-9 an absolute slack of that size would take
+        # both snapshots from the data at t = 0.
+        cfg = tiny_config(dt=1e-10, t_final=1e-9, snapshot_times=(5e-10, 1e-9))
+        data = execute_run(cfg)
+        assert [s.actual_t for s in data.snapshots] == [5 * 1e-10, 10 * 1e-10]
+
     def test_unsorted_snapshot_times_write_the_sorted_files(self, tmp_path):
         # The recorder takes snapshots in request order, so a run through the
         # Python API, which no INI or CLI parse sorts, must sort them itself.
@@ -817,7 +824,7 @@ class TestModalDiagnostics:
         rng = np.random.default_rng(seed)
         recorder = DiagnosticsRecorder(setup)
         expected = []
-        pot = None
+        phi = None
         for step in range(n_steps):
             # Every step but the first has its own dt.
             dt_used = None if step == 0 else float(rng.uniform(0.01, 2.0))
@@ -832,15 +839,16 @@ class TestModalDiagnostics:
             recorder.observe(0.1 * step, rfft_pair(deviation), dt_used, step, state)
 
             entropy_dt = setup.cfg.dt if dt_used is None else dt_used
-            norm, rho_f_l2, rho_g_l2, entropy, pot = physical_diagnostics(
-                deviation, pot, entropy_dt, setup
+            phi_prev = phi
+            norm, rho_f_l2, rho_g_l2, entropy, phi = physical_diagnostics(
+                deviation, phi_prev, entropy_dt, setup
             )
             # Scale of the entropy: its three terms in absolute value.
             _, j, _ = moments_ujs(f - g, grid, setup.equilibrium.d0)
-            dphi = centered_gradient(pot.phi, grid)
+            dphi = centered_gradient(phi, grid)
             entropy_scale = 0.5 * norm**2 + delta * grid.dx * np.sum(np.abs(j * dphi))
-            if pot.phi_prev is not None:
-                incr = dphi - centered_gradient(pot.phi_prev, grid)
+            if phi_prev is not None:
+                incr = dphi - centered_gradient(phi_prev, grid)
                 entropy_scale += delta / (2.0 * entropy_dt) * grid.dx * np.sum(incr**2)
             evolved = deviation if state is None else state
             expected.append(

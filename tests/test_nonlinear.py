@@ -143,11 +143,9 @@ class TestTransportStencil:
         lam=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_residual_and_product_apply_the_same_transport(self, nx, nv, kind, lam, seed):
+    def test_residual_applies_the_stencil_transport(self, nx, nv, kind, lam, seed):
         # The stencil's transport is flux_divergence bit for bit, and the
-        # residual at u_prev = u is that transport minus the reaction.  At the
-        # zero state with dt = inf, J v has no reaction or time term left and
-        # adds the same transport to zeros, so it is flux_divergence too.
+        # residual at u_prev = u is that transport minus the reaction.
         flux = Flux.lax_friedrichs(lam) if kind == "lax-friedrichs" else Flux(kind)
         grid = make_grid(torus_length=2.0, nx=nx, nv=nv, v_star=3.0)
         chi1, chi2 = make_profiles(grid)
@@ -161,9 +159,6 @@ class TestTransportStencil:
         sources = np.stack([chi1.values, chi2.values])[:, None]
         reaction = sources - grid.dv * cells.sum(axis=2)[::-1, :, None] * cells
         assert np.array_equal(stepper.residual(u, u, 0.1), divergence - reaction.ravel())
-
-        transport = stepper._jacobian_product(stepper._evaluate(np.zeros_like(u)), math.inf)
-        assert np.array_equal(transport(u), divergence)
 
 
 class TestJacobian:
@@ -180,7 +175,7 @@ class TestJacobian:
             jac[:, k] = (plus - minus) / (2.0 * h)
         return jac
 
-    # jacobian() reads the Jacobian's own product, so central differences of the
+    # jacobian() states J's entries by hand, so central differences of the
     # residual are the independent check; over every flux and a few grids.
     GRIDS = pytest.mark.parametrize(
         "nx, nv",
@@ -191,6 +186,18 @@ class TestJacobian:
         [Flux.lax_friedrichs(1.5), Flux.centered(), Flux.upwind()],
         ids=lambda f: f.kind,
     )
+
+    @FLUXES
+    def test_zero_state_at_infinite_dt_is_the_transport(self, flux):
+        # At the zero state with dt = inf, J has no reaction or time term
+        # left: each column adds the transport of e_j to zeros, bit for bit.
+        grid = make_grid(torus_length=2.0, nx=7, nv=2, v_star=3.0)
+        chi1, chi2 = make_profiles(grid)
+        stepper = NonlinearStepper(grid, chi1, chi2, flux)
+        identity = np.eye(2 * grid.n_unknowns)
+        jac = stepper.jacobian(np.zeros(identity.shape[0]), math.inf)
+        for j, e in enumerate(identity):
+            assert np.array_equal(jac[:, j], stepper.transport(e))
 
     @GRIDS
     @FLUXES
