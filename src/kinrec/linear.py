@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,23 +64,13 @@ def interface_weights(flux: Flux, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
     return v / 2.0 + flux.lam, v / 2.0 - flux.lam
 
 
-def flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray:
-    """Per-cell transport update (flux difference over cell area).
-
-    field is one species, shape (nx, 2*nv), or a state.  The difference of
-    interface values keeps a constant field exactly stationary.
-    """
-    a, b = interface_weights(flux, grid)
-    right = a * field + b * np.roll(field, -1, axis=-2)
-    return (right - np.roll(right, 1, axis=-2)) / grid.dx
-
-
 def transport_symbol(flux: Flux, grid: GridSpec) -> np.ndarray:
-    """Per-mode symbol of flux_divergence, shape (nx//2+1, 2*nv): mode, velocity.
+    """Per-mode symbol of the transport stencil, shape (nx//2+1, 2*nv): mode, velocity.
 
-    tau_m(k) = (a_m + b_m*e^{i theta})(1 - e^{-i theta})/dx with theta =
-    2*pi*k/nx and (a, b) the interface weights; Re tau = (a - b)(1 - cos theta)
-    >= 0 for every flux.
+    The stencil updates cell i by (F_{i+1/2} - F_{i-1/2})/dx, F_{i+1/2} =
+    a*h_i + b*h_{i+1} with (a, b) the interface weights, so tau_m(k) = (a_m +
+    b_m*e^{i theta})(1 - e^{-i theta})/dx with theta = 2*pi*k/nx; Re tau =
+    (a - b)(1 - cos theta) >= 0 for every flux.
     """
     a, b = interface_weights(flux, grid)
     phase = np.exp(2j * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx)[:, None]
@@ -144,6 +135,14 @@ class ImplicitLinearOperator:
         p = self.grid.dv * weighted.sum(axis=2)
         sigma = (p - self._a * p[:, ::-1]) / self._det  # (sigma_f, sigma_g)
         modes -= self._coupling * sigma[:, ::-1, None]
+
+    def on_modes(self, keep: np.ndarray) -> "ImplicitLinearOperator":
+        """This operator for solve_modes on the modes keep (a mask or index) selects; no solve."""
+        op = copy.copy(self)
+        op._inv_d, op._coupling, op._a, op._det = (
+            x[keep] for x in (self._inv_d, self._coupling, self._a, self._det)
+        )
+        return op
 
 
 def assemble_linear_operator(

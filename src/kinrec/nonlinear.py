@@ -185,7 +185,7 @@ class NonlinearStepper:
         self._carried: tuple[np.ndarray, _Evaluation, float] | None = None
 
     def transport(self, u: np.ndarray) -> np.ndarray:
-        """The residual's transport of a raveled state: flux_divergence, bit for bit."""
+        """The residual's transport of a raveled state: the stencil's (right - right[down])/dx."""
         up, down = self._neighbours
         right = self._a * u + self._b * u[up]
         return (right - right[down]) / self.grid.dx

@@ -3,11 +3,12 @@
 The evolved variable differs by model.  Linear runs march the deviation from
 equilibrium (the well-prepared part of the data) as its spatial Fourier
 modes: one forward transform of the data, the step solved per mode, and an
-inverse transform only for a snapshot.  Nonlinear runs march the full
-distribution pair in physical space and transform state minus equilibrium
-once per recorded step.  Every per-step diagnostic is computed from the
-deviation's modes (DiagnosticsRecorder); only the bounds check of a
-nonlinear run reads the physical state.
+inverse transform only for a snapshot; modes that decay to exactly zero are
+no longer stepped.  Nonlinear runs march the full distribution pair in
+physical space and transform state minus equilibrium once per recorded step.
+Every per-step diagnostic is computed from the deviation's modes
+(DiagnosticsRecorder); only the bounds check of a nonlinear run reads the
+physical state.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ DIAGNOSTICS_BLOCK = 32
 # then the entries themselves are subnormal, and arithmetic on subnormals takes
 # a slow path: the march's cost is the point.  The bound is a property of the
 # float format, not a tuning value: the square of such an entry is below the
-# smallest normal double, so it cannot change a norm, an inner product or a
-# snapshot value at the printed precision.
+# smallest normal double, so next to a mode far above it, it cannot change a
+# norm, an inner product or a snapshot value at the printed precision.  The
+# flush also finds the dead modes, those whose entries it has all set to zero;
+# see _march_linear.
 UNDERFLOW = math.sqrt(sys.float_info.min)
 
 
@@ -236,6 +239,10 @@ class DiagnosticsRecorder:
     times strictly increase), and raise NotMeanFreeError.
 
     The bounds verdict of a nonlinear run is its envelope's passes.
+
+    Linear runs pass every mode, the dead ones that the march no longer steps
+    as zeros: a matrix-vector product's row can round differently at another
+    place in the product, so the sums are always over the whole array.
     """
 
     def __init__(self, setup: RunSetup) -> None:
@@ -411,19 +418,34 @@ class ExperimentAbortedError(RuntimeError):
 
 
 def _march_linear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
-    """March the deviation's modes; the step and every diagnostic are per mode."""
+    """March the deviation's modes; the step and every diagnostic are per mode.
+
+    Every DIAGNOSTICS_BLOCK steps it drops the modes whose entries the flush
+    has all set to zero, and steps the live ones alone.  No mode's step reads
+    another, so a dead mode would stay zero, and the flush makes each of its
+    entries +0.0 after every step: it stays +0.0 in the modes recorded.
+    """
     cfg = setup.cfg
     op = assemble_linear_operator(
         setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
     )
     modes = rfft_pair(setup.data0 - setup.equilibrium.state)
     recorder.observe(0.0, modes, None, None)
-    entries = modes.view(float)
+    # The live modes' indices and entries, which are modes itself until a drop.
+    live, stepped = np.arange(len(modes)), modes
     n_steps = round(cfg.t_final / cfg.dt)
     for n in range(1, n_steps + 1):
-        op.solve_modes(modes)
-        entries[np.abs(entries) < UNDERFLOW] = 0.0
+        op.solve_modes(stepped)
+        entries = stepped.view(float)
+        flushed = np.abs(entries) < UNDERFLOW
+        entries[flushed] = 0.0
+        if stepped is not modes:
+            modes[live] = stepped
         recorder.observe(n * cfg.dt, modes, cfg.dt, None)
+        if n % DIAGNOSTICS_BLOCK == 0:
+            keep = ~flushed.all(axis=(1, 2))
+            if not keep.all():
+                live, stepped, op = live[keep], stepped[keep], op.on_modes(keep)
 
 
 def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:

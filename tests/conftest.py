@@ -21,12 +21,13 @@ from kinrec.linear import (
     UPWIND,
     Flux,
     assemble_linear_operator,
-    flux_divergence,
+    interface_weights,
 )
 from kinrec.nonlinear import NonlinearStepper
 from kinrec.runner import (
     TIMESERIES_COLUMNS,
     TIMESERIES_HEADER,
+    UNDERFLOW,
     DiagnosticsRecorder,
     Snapshot,
     _count,
@@ -255,6 +256,17 @@ def interface_flux(h_left: float, h_right: float, v: float, flux: Flux) -> float
     return v * h_right
 
 
+def flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray:
+    """Per-cell transport update (flux difference over cell area).
+
+    field is one species, shape (nx, 2*nv), or a state.  The difference of
+    interface values keeps a constant field exactly stationary.
+    """
+    a, b = interface_weights(flux, grid)
+    right = a * field + b * np.roll(field, -1, axis=-2)
+    return (right - np.roll(right, 1, axis=-2)) / grid.dx
+
+
 def naive_flux_divergence(field: np.ndarray, flux: Flux, grid: GridSpec) -> np.ndarray:
     """Loop-based reference for the per-cell transport update."""
     nx, nvel = field.shape
@@ -390,7 +402,8 @@ def physical_linear_march(setup):
 def unflushed_linear_march(setup):
     """The runner's linear march without its underflow flush, the reference for it.
 
-    Steps the deviation's modes with solve_modes alone and records them with
+    Steps every one of the deviation's modes with solve_modes alone, so it
+    neither zeroes small entries nor drops dead modes, and records them with
     a DiagnosticsRecorder; returns the time-series columns and the snapshots.
     """
     cfg = setup.cfg
@@ -404,6 +417,25 @@ def unflushed_linear_march(setup):
         op.solve_modes(modes)
         recorder.observe(n * cfg.dt, modes, cfg.dt, None)
     return recorder.series, recorder.snapshots
+
+
+def undropped_linear_modes(setup):
+    """The modes of the data, then of each step, of the runner's linear march if it dropped none.
+
+    Every mode is stepped and flushed: the reference for the modes the march
+    hands its recorder.
+    """
+    cfg = setup.cfg
+    op = assemble_linear_operator(
+        setup.grid, setup.chi1, setup.chi2, setup.rho, cfg.dt, setup.flux
+    )
+    modes = rfft_pair(setup.data0 - setup.equilibrium.state)
+    entries = modes.view(float)
+    yield modes.copy()
+    for _ in range(round(cfg.t_final / cfg.dt)):
+        op.solve_modes(modes)
+        entries[np.abs(entries) < UNDERFLOW] = 0.0
+        yield modes.copy()
 
 
 def snapshot_csv(snapshot, grid) -> str:

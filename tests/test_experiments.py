@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     physical_diagnostics,
     physical_linear_march,
     snapshot_csv,
+    undropped_linear_modes,
     unflushed_linear_march,
 )
 import kinrec
@@ -68,6 +68,26 @@ def tiny_config(**overrides):
     merged = dict(TINY)
     merged.update(overrides)
     return load_config(None, merged)
+
+
+def linear_run_with_its_modes(cfg):
+    """A linear run, the number of modes each step solved, and the modes each observe took."""
+    stepped, observed = [], []
+    solve_modes, observe = ImplicitLinearOperator.solve_modes, DiagnosticsRecorder.observe
+
+    def counting(self, modes):
+        stepped.append(len(modes))
+        solve_modes(self, modes)
+
+    def recording(self, t, modes, *args):
+        observed.append(modes.tobytes())
+        observe(self, t, modes, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ImplicitLinearOperator, "solve_modes", counting)
+        patch.setattr(DiagnosticsRecorder, "observe", recording)
+        data = execute_run(cfg)
+    return data, stepped, observed
 
 
 class TestResolution:
@@ -233,11 +253,10 @@ class TestMarches:
         assert all(bounds is None for bounds in data.series["bounds_pass"])
 
     def test_linear_march_factorizes_nothing(self, monkeypatch):
-        # The linear step is solved per Fourier mode: a run neither factorizes
-        # nor builds Newton's stepper or its transport stencil.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the linear march called splu")
-
+        # The linear step is solved per Fourier mode: a run assembles one
+        # operator and builds neither Newton's stepper nor its transport
+        # stencil.  That no run factorizes, or imports scipy at all, is
+        # TestCli::test_runs_leave_scipy_unimported.
         assemble = runner.assemble_linear_operator
         operators = []
 
@@ -248,7 +267,6 @@ class TestMarches:
         def refuse_stepper(*args, **kwargs):
             raise AssertionError("the linear march built a Newton stepper or its stencil")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
         monkeypatch.setattr(nonlinear.NonlinearStepper, "__init__", refuse_stepper)
         monkeypatch.setattr(nonlinear, "interface_weights", refuse_stepper)
         monkeypatch.setattr(runner, "assemble_linear_operator", recording)
@@ -313,15 +331,23 @@ class TestMarches:
             np.testing.assert_allclose(got.state[1], want.state[1], rtol=0.0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize(
-        "flux, t_final, first",
-        [("lax-friedrichs", 50.0, 288), ("upwind", 50.0, 284), ("centered", 100.0, 874)],
+        "flux, t_final, first, live",
+        [
+            ("lax-friedrichs", 50.0, 288, 5),
+            ("upwind", 50.0, 284, 5),
+            ("centered", 100.0, 874, 9),
+        ],
     )
-    def test_underflow_flush_changes_no_output_and_engages(self, flux, t_final, first, monkeypatch):
+    def test_underflow_flush_changes_no_output_and_engages(
+        self, flux, t_final, first, live, monkeypatch
+    ):
         # The high modes of test 2 decay below UNDERFLOW from step `first`
         # on; centered transport damps them least, so it runs longer.  The
-        # march zeroes those entries, and its every column and snapshot keeps
-        # the bits of the march that does not.
+        # march zeroes those entries, drops the modes they leave all zero
+        # until `live` of the 11 are left, and its every column and snapshot
+        # keeps the bits of the march that does neither.
         below = []  # per step, the entries solve_modes leaves in (0, UNDERFLOW)
+        stepped = []  # per step, the modes solve_modes takes
         left = []  # per observed step, those the recorder sees
 
         def in_gap(modes):
@@ -333,6 +359,7 @@ class TestMarches:
         def counting_solve(self, modes):
             solve_modes(self, modes)
             below.append(in_gap(modes))
+            stepped.append(len(modes))
 
         def counting_observe(self, t, modes, *args):
             left.append(in_gap(modes))
@@ -347,6 +374,10 @@ class TestMarches:
         assert len(below) == data.summary.n_steps == n_steps
         assert left == [0] * (n_steps + 1)
         assert next(n for n, count in enumerate(below, 1) if count) == first
+        # Modes are dropped only after the steps that end a block.
+        drops = [n for n in range(1, n_steps) if stepped[n] != stepped[n - 1]]
+        assert drops and all(n % DIAGNOSTICS_BLOCK == 0 for n in drops)
+        assert (stepped[0], stepped[-1]) == (11, live)
         series, snapshots = unflushed_linear_march(data.setup)
         for column in TIMESERIES_COLUMNS:
             assert list(map(repr, data.series[column])) == list(map(repr, series[column]))
@@ -355,12 +386,49 @@ class TestMarches:
             assert (got.requested_t, got.actual_t) == (want.requested_t, want.actual_t)
             assert got.state.tobytes() == want.state.tobytes()
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        nx=st.integers(2, 10).map(lambda k: 2 * k + 1),
+        nv=st.integers(1, 2),
+        flux=st.sampled_from(FLUX_NAMES),
+        dt=st.floats(0.3, 1.0),
+    )
+    def test_dropping_dead_modes_changes_no_output(self, nx, nv, flux, dt):
+        # On these grids a mode of test 2 dies by step 580 at the latest
+        # (centered transport on 5x2 at dt = 0.3), so 640 steps drop one.
+        n_steps = 20 * DIAGNOSTICS_BLOCK
+        t_final = n_steps * dt
+        cfg = load_config(
+            None,
+            dict(test=2, nx=nx, nv=nv, flux=flux, dt=dt, t_final=t_final,
+                 snapshot_times=(0.0, t_final / 2, t_final)),
+        )
+        data, stepped, observed = linear_run_with_its_modes(cfg)
+        assert len(stepped) == n_steps and stepped[-1] < nx // 2 + 1
+        assert observed == [modes.tobytes() for modes in undropped_linear_modes(data.setup)]
+        series, snapshots = unflushed_linear_march(data.setup)
+        for column in TIMESERIES_COLUMNS:
+            assert list(map(repr, data.series[column])) == list(map(repr, series[column]))
+        assert len(data.snapshots) == len(snapshots) == 3
+        for got, want in zip(data.snapshots, snapshots):
+            assert (got.requested_t, got.actual_t) == (want.requested_t, want.actual_t)
+            assert got.state.tobytes() == want.state.tobytes()
+
+    def test_march_goes_on_after_every_mode_has_died(self):
+        # On 3x1 cells the deviation of test 1 decays to exactly zero, its
+        # mass-difference mode included, and from step 225 on the march
+        # steps no mode.  The unflushed march is no reference here: its norm
+        # is still 2.1e-153 at step 219, where the flushed one reads 0.
+        cfg = load_config(None, dict(test=1, nx=3, nv=1, dt=2.0, t_final=640.0))
+        data, stepped, observed = linear_run_with_its_modes(cfg)
+        assert data.summary.n_steps == len(stepped) == 320
+        assert stepped.index(0) == 224 and data.series["weighted_norm"][-1] == 0.0
+        assert observed == [modes.tobytes() for modes in undropped_linear_modes(data.setup)]
+
     def test_nonlinear_march_factorizes_nothing(self, monkeypatch):
         # Each Newton update is one per-mode solve with the x-averaged
-        # Jacobian, so a nonlinear run never factorizes.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the nonlinear march called splu")
-
+        # Jacobian, so a nonlinear run never factorizes; that it never imports
+        # scipy is TestCli::test_runs_leave_scipy_unimported.
         solve = ImplicitLinearOperator.solve
         solves = []
 
@@ -368,7 +436,6 @@ class TestMarches:
             solves.append(rhs.size)
             return solve(self, rhs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
         monkeypatch.setattr(ImplicitLinearOperator, "solve", counting)
         data = execute_run(tiny_config(model="nonlinear", test=4, seed=1, t_final=0.3))
         assert data.summary.n_steps >= 1 and data.summary.rejected_attempts == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     collision_linear,
     dense_reference_operator,
+    flux_divergence,
     lax_friedrichs_dissipation,
     linear_step_matrix,
     make_grid,
@@ -30,7 +31,6 @@ from kinrec.linear import (
     UPWIND,
     Flux,
     assemble_linear_operator,
-    flux_divergence,
 )
 from kinrec.state import (
     build_equilibrium,
@@ -247,6 +247,31 @@ class TestImplicitOperator:
             modes, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
         )
         np.testing.assert_array_equal(irfft_pair(modes, grid.nx).ravel(), solved)
+
+    @flux_settings
+    @given(
+        kind=st.sampled_from(FLUX_NAMES),
+        nx=st.one_of(flux_cases["nx"], st.sampled_from([37, 53, 71, 89, 101])),
+        nv=flux_cases["nv"],
+        lam=flux_cases["lam"],
+        rho=st.floats(0.2, 5.0),
+        dt=st.floats(1e-3, 2.0),
+        seed=flux_cases["seed"],
+    )
+    def test_on_modes_solves_the_kept_modes_bit_for_bit(self, kind, nx, nv, lam, rho, dt, seed):
+        # The linear march steps only its live modes, a contiguous copy of
+        # them, with the operator narrowed to them: each must keep the bits
+        # of the whole solve.
+        grid = build_grid(1.0, nx, nv, 3.0)
+        chi1, chi2 = make_profiles(grid)
+        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, drawn_flux(kind, lam))
+        rng = np.random.default_rng(seed)
+        modes = rfft_pair(random_pair(grid, rng))
+        keep = rng.random(len(modes)) < 0.5
+        kept = modes[keep]
+        op.on_modes(keep).solve_modes(kept)
+        op.solve_modes(modes)
+        assert kept.tobytes() == modes[keep].tobytes()
 
     def test_zero_state_is_fixed(self, setting):
         grid, chi1, chi2 = setting

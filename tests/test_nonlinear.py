@@ -10,6 +10,7 @@ from scipy.optimize import fsolve
 
 from conftest import (
     band_levels,
+    flux_divergence,
     make_grid,
     make_profiles,
     random_pair,
@@ -18,11 +19,7 @@ from conftest import (
     verify_moment_schemes_nonlinear,
 )
 from kinrec import load_config, nonlinear
-from kinrec.linear import (
-    Flux,
-    ImplicitLinearOperator,
-    flux_divergence,
-)
+from kinrec.linear import Flux, ImplicitLinearOperator
 from kinrec.nonlinear import (
     DT_SHRINK,
     MASS_DIFF_DRIFT_TOL,
