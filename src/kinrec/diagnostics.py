@@ -24,45 +24,37 @@ def wide_stencil_symbol(grid: GridSpec) -> np.ndarray:
     return symbol
 
 
-class NotMeanFreeError(ValueError):
-    """A Poisson source whose cell-sum is not zero; row is the first such row."""
-
-    def __init__(self, mean: float, row: int) -> None:
-        super().__init__(f"source must be mean-free for solvability, got cell-sum {mean:.3e}")
-        self.row = row
+# Cell-sums of a Poisson source at or below this pass the mean-free check
+# whatever the source's size; larger ones must be within it times rms u.
+MEAN_FREE_FLOOR = 1e-10
 
 
-def poisson_modes(u_hat: np.ndarray, symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """rfft modes of the mean-free potential phi with (Dc Dc phi)_i = -u_i.
+def check_mean_free(u_hat: np.ndarray, grid: GridSpec) -> None:
+    """Raise ValueError unless the source with rfft modes u_hat is mean-free.
 
-    u_hat holds rfft modes of sources u on the periodic grid, shape
-    (..., nx//2+1), one source per row, and symbol is
-    wide_stencil_symbol(grid); phi_hat = -u_hat / symbol row by row.  The
-    stencil is invertible on mean-free fields only, so each row's cell-sum
-    dx*u_hat[..., 0] must stay within 1e-10*max(1, rms u) of that row, with
-    rms u from Parseval (odd nx: weight 1 at k = 0 and 2 elsewhere).
-    Otherwise NotMeanFreeError names the first row that fails, counted in C
-    order over the leading axes (0 for a single source).
+    The wide stencil is invertible on mean-free fields only, so the cell-sum
+    dx*u_hat[0] must stay within MEAN_FREE_FLOOR*max(1, rms u), with rms u
+    from Parseval (odd nx: weight 1 at k = 0 and 2 elsewhere).
     """
     power = u_hat.real**2 + u_hat.imag**2
-    rms = np.sqrt(2.0 * np.sum(power, axis=-1) - power[..., 0]) / grid.nx
-    mean = grid.dx * u_hat[..., 0].real
-    failing = np.flatnonzero(np.abs(mean) > 1e-10 * np.maximum(1.0, rms))
-    if failing.size:
-        row = int(failing[0])
-        raise NotMeanFreeError(float(mean.flat[row]), row)
-    return -u_hat / symbol
+    rms = np.sqrt(2.0 * np.sum(power) - power[0]) / grid.nx
+    mean = grid.dx * u_hat[0].real
+    if abs(mean) > MEAN_FREE_FLOOR * np.maximum(1.0, rms):
+        raise ValueError(f"source must be mean-free for solvability, got cell-sum {mean:.3e}")
 
 
 def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Mean-free potential phi with (Dc Dc phi)_i = -u_h[i], in physical space.
 
-    The inverse rfft of poisson_modes, for a field of shape (nx,).
+    phi_hat = -u_hat / wide_stencil_symbol(grid) between a real FFT and its
+    inverse, for a mean-free field of shape (nx,).
     """
     u = np.asarray(u_h, dtype=float)
     if u.shape != (grid.nx,):
         raise ValueError(f"expected shape ({grid.nx},), got {u.shape}")
-    return np.fft.irfft(poisson_modes(np.fft.rfft(u), wide_stencil_symbol(grid), grid), grid.nx)
+    u_hat = np.fft.rfft(u)
+    check_mean_free(u_hat, grid)
+    return np.fft.irfft(-u_hat / wide_stencil_symbol(grid), grid.nx)
 
 
 def modified_entropy(

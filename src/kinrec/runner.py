@@ -25,10 +25,10 @@ from numpy.random import default_rng
 
 from .config import RunConfig, ValidationError, effective_config_text, resolve_config, snapshot_name
 from .diagnostics import (
+    MEAN_FREE_FLOOR,
     DecayFit,
-    NotMeanFreeError,
+    check_mean_free,
     fit_decay_rate,
-    poisson_modes,
     wide_stencil_symbol,
 )
 from .grid import (
@@ -184,7 +184,12 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     lam = resolve_lambda(cfg, grid)
     flux = Flux(kind=cfg.flux, lam=lam)
     dt_cap = cfg.dt if cfg.model == "linear" else cfg.dt_max
-    ledger = constants_ledger(chi1, chi2, rho, grid, lam, dt_cap)
+    try:
+        ledger = constants_ledger(chi1, chi2, rho, grid, lam, dt_cap)
+    except OverflowError as exc:  # a float ** past the largest double
+        raise ValidationError(
+            f"lambda = {lam:.6g} with dx = {grid.dx:.6g} overflows the estimate's constants"
+        ) from exc
     envelope = None
     if cfg.model == "nonlinear":
         envelope = BoundsEnvelope(rho, REPORT_ENVELOPE_FRACTION * rho, chi1, chi2)
@@ -233,10 +238,10 @@ class DiagnosticsRecorder:
     reading series runs it first, so the end of a run and its abort both
     see every observed step.
 
-    The entropy needs a mean-free deviation density.  A step whose density
-    drifts, which none of the three fluxes allows, makes flush keep the
-    steps before it, drop the snapshots of that step and later ones (step
-    times strictly increase), and raise NotMeanFreeError.
+    The entropy needs a mean-free deviation density.  observe checks each
+    step's density before it keeps anything of the step, so a step whose
+    density drifts, which none of the three fluxes allows, raises there and
+    the run ends on the step before it.
 
     The bounds verdict of a nonlinear run is its envelope's passes.
 
@@ -316,6 +321,9 @@ class DiagnosticsRecorder:
         density, current = self._sums[row]
         np.matmul(velocities, self._density_sum, out=density)
         np.matmul(velocities, self._current_sum, out=current)
+        # Only a cell-sum above the floor can fail the check, whatever rms u is.
+        if abs(self._setup.grid.dx * (density[0] - density[1]).real) > MEAN_FREE_FLOOR:
+            check_mean_free(density[0::2] - density[1::2], self._setup.grid)
         # |mode|^2 as the squares of the interleaved real and imaginary parts.
         np.square(modes.view(float).reshape(self._squares.shape), out=self._squares)
         np.matmul(self._squares, self._weights, out=self._power[row])
@@ -346,16 +354,7 @@ class DiagnosticsRecorder:
         density, current = self._sums[:n].reshape(n, 2, -1, 2).swapaxes(0, 1)
         u_hat = density[..., 0] - density[..., 1]
         j_hat = current[..., 0] - current[..., 1]
-        try:
-            dphi = self._gradient * poisson_modes(u_hat, self._poisson, grid)
-        except NotMeanFreeError as exc:
-            # Keep the steps before the first one without a potential.
-            failed = done + exc.row
-            self.snapshots = [s for s in self.snapshots if s.actual_t < series["t"][failed]]
-            for values in series.values():
-                del values[failed:]
-            self.flush()
-            raise
+        dphi = self._gradient * (-u_hat / self._poisson)
         norm_sq = self._power[:n] @ self._parseval
         delta = setup.ledger.delta
         entropy = 0.5 * norm_sq + delta * self._inner(j_hat, dphi)
@@ -366,12 +365,12 @@ class DiagnosticsRecorder:
         dt = np.array(series["dt_used"][done + first :], dtype=float)
         entropy[first:] += delta / (2.0 * dt) * self._inner(incr, incr)
         self._dphi_prev = dphi[-1].copy()
-        norm = np.sqrt(np.maximum(norm_sq, 0.0))
+        norm = np.sqrt(norm_sq)
         per_species = np.ascontiguousarray(density.swapaxes(1, 2))
         rho_l2 = np.sqrt(self._inner(per_species, per_species))
         mass = grid.dx * u_hat[:, 0].real
-        # A row with a bounds verdict came with the state, whose mass includes the equilibrium's.
-        mass[[b is not None for b in series["bounds_pass"][done:]]] += self._equilibrium_mass
+        if setup.cfg.model == "nonlinear":  # the state's mass includes the equilibrium's
+            mass += self._equilibrium_mass
         series["weighted_norm"] += norm.tolist()
         series["rho_f_l2"] += rho_l2[:, 0].tolist()
         series["rho_g_l2"] += rho_l2[:, 1].tolist()
@@ -535,15 +534,9 @@ def execute_run(cfg: RunConfig) -> RunData:
     march = _march_linear if cfg.model == "linear" else _march_nonlinear
     try:
         march(setup, recorder)
-        recorder.flush()
-    except Exception as exc:
-        error = exc
-        try:
-            recorder.flush()  # the steps observed before the failure
-        except NotMeanFreeError as earlier:  # a buffered step had already drifted
-            error = earlier
+    except Exception as error:
         if not recorder.series["t"]:
-            raise error
+            raise
         raise ExperimentAbortedError(
             f"{cfg.model} run with {cfg.flux} flux aborted at "
             f"t={recorder.series['t'][-1]:.6g}: {error}",

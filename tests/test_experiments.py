@@ -631,9 +631,9 @@ class TestMarches:
 
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_mid_block_drift_cuts_every_column_back(self, model, monkeypatch):
-        # The recorder finds a step whose density drifts only when it finishes
-        # the step's block; the partial data then end on the step before it,
-        # in every column and in the snapshots.
+        # A step whose density drifts in the middle of a block ends the march
+        # there; the partial data end on the step before it, in every column
+        # and in the snapshots.
         drift_step = DIAGNOSTICS_BLOCK + DIAGNOSTICS_BLOCK // 2
         steps = []
         if model == "linear":
@@ -673,6 +673,7 @@ class TestMarches:
         np.testing.assert_allclose(partial.series["t"], np.arange(drift_step) * dt, atol=1e-12)
         assert [s.requested_t for s in partial.snapshots] == list(snapshots[:2])
         assert partial.summary.n_steps == drift_step - 1
+        assert len(steps) == drift_step
 
 
 @pytest.fixture(scope="module")
@@ -1181,6 +1182,26 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "ini, flags, lam",
+        [
+            ("", ["--test", "2", "--dt", "1e-300", "--tfinal", "1e-299"], "2.24399e+299"),
+            ("[model]\ntest = 3\nlambda = 1e160\n", [], "1e+160"),
+            ("[model]\ntest = 1\nflux = centered\n\n[grid]\ntorus_length = 1e160\n", [], "0"),
+        ],
+        ids=["auto-lambda-of-a-tiny-dt", "huge-lambda", "huge-torus"],
+    )
+    def test_overflowing_estimate_constants_exit_two(self, tmp_path, capsys, ini, flags, lam):
+        # The constants ledger squares them with float **, which raises
+        # OverflowError past the largest double instead of returning inf.
+        path = tmp_path / "huge.ini"
+        path.write_text(ini)
+        out = tmp_path / "never"
+        assert main([str(path), "--nx", "7", "--nv", "2", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"lambda = {lam} with dx = " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["file/run", "file"], ids=["under-a-file", "a-file"])
     def test_uncreatable_output_dir_exits_two_before_the_run(
         self, tmp_path, capsys, monkeypatch, out
@@ -1254,16 +1275,16 @@ class TestCli:
 
     def test_mass_drift_aborts_on_the_entropy(self, tmp_path, capsys, monkeypatch):
         # A density difference that is not mean-free has no potential, so the
-        # entropy cannot be recorded.  The recorder finds such a step only
-        # when it finishes the step's block; the run must still stop with the
-        # steps before it and with no snapshot of it or of a later step.
+        # entropy cannot be recorded.  A drift in the middle of a block must
+        # stop the run at once, with the steps before it and with no snapshot
+        # of it or of a later step.
         self.check_drift_in_mid_block(tmp_path, capsys, monkeypatch, then_fails=False)
 
     def test_mass_drift_before_a_failure_aborts_on_the_entropy(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The march fails on a later step of the drifting step's block: the
-        # drift came first, so the run reports it and ends where it did.
+        # The march would fail on a later step of the drifting step's block:
+        # the drift comes first, so the run reports it and ends where it did.
         self.check_drift_in_mid_block(tmp_path, capsys, monkeypatch, then_fails=True)
 
     @staticmethod
@@ -1296,3 +1317,4 @@ class TestCli:
         assert f"aborted at t={float(rows[-1][0]):.6g}:" in err
         written = sorted(path.name for path in out.glob("snapshot_t*.csv"))
         assert written == sorted(snapshot_name(t) for t in snapshots[:2])
+        assert len(steps) == drift_step
