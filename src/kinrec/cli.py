@@ -83,8 +83,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"partial outputs written to {cfg.output_dir}", file=sys.stderr)
         return 1
     s = data.summary
-    kappa = f"{s.fit.kappa:.6g} (r^2={s.fit.r_squared:.6f})" if s.fit else "n/a"
-    print(f"model={s.model} flux={s.flux} lambda={s.lam:.6g} rho_inf={s.rho:.12g}")
+    kappa = "n/a" if s.kappa_fit is None else f"{s.kappa_fit:.6g} (r^2={s.r_squared:.6f})"
+    print(f"model={s.model} flux={s.flux} lambda={s.lambda_:.6g} rho_inf={s.rho_inf:.12g}")
     print(f"steps={s.n_steps} final_weighted_norm={s.final_weighted_norm:.6e}")
     print(f"fitted_decay_rate={kappa}")
     print(f"max_mass_drift={s.max_mass_drift_abs:.3e} (rel {s.max_mass_drift_rel:.3e})")

@@ -259,17 +259,8 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
         raise ValidationError(f"unknown override fields: {sorted(unknown)}")
 
     test = override_values.get("test", file_values.get("test"))
-    merged: dict[str, Any] = {}
-    if test is not None:
-        if test not in TEST_PRESETS:
-            raise ValidationError(f"model.test: must be one of {sorted(TEST_PRESETS)}, got {test}")
-        merged.update(TEST_PRESETS[test])
-        merged["test"] = test
-    merged.update(file_values)
-    merged.update(override_values)
-    if test is not None:
-        merged["test"] = test
-
+    # validate_config rejects a test number without a preset.
+    merged = {**TEST_PRESETS.get(test, {}), **file_values, **override_values}
     return resolve_config(replace(RunConfig(), **merged))
 
 

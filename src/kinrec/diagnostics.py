@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, VelocityProfile, centered_gradient
-from .state import ConstantsLedger, moments_ujs, weighted_norm
+from .state import ConstantsLedger, weighted_norm
 
 
 def wide_stencil_symbol(grid: GridSpec) -> np.ndarray:
@@ -66,7 +66,6 @@ def modified_entropy(
     chi1: VelocityProfile,
     chi2: VelocityProfile,
     grid: GridSpec,
-    d0: float,
     delta: float | None = None,
 ) -> float:
     """Mixed Lyapunov functional certifying exponential relaxation.
@@ -87,7 +86,7 @@ def modified_entropy(
         )
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _, j_h, _ = moments_ujs(state[0] - state[1], grid, d0)
+    j_h = grid.dv * ((state[0] - state[1]) @ grid.v_centers)
     dphi = centered_gradient(phi, grid)
     h = 0.5 * weighted_norm(state, chi1, chi2, ledger.rho, grid) ** 2
     h += delta * grid.dx * float(np.sum(j_h * dphi))

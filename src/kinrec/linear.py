@@ -80,14 +80,14 @@ def transport_symbol(flux: Flux, grid: GridSpec) -> np.ndarray:
 class ImplicitLinearOperator:
     """Backward-Euler step with coefficients constant in x, solved per Fourier mode.
 
-    The step maps a state h = (f, g) to h_s + dt*(T h_s + d_s h_s + c_s sigma_s')
+    The step maps a state h = (f, g) to h_s + dt*(T h_s + d_s w_s h_s + c_s sigma_s')
     per species s with partner s': T is the transport, d_s the reaction's
     diagonal, c_s the velocity profile of its coupling to the partner's site
-    density sigma = dv*sum_m w h, and w the weights of that site sum, 1 when
-    weights is None.  diagonal is shape (2, 1) or (2, 2*nv), coupling and
-    weights (2, 2*nv).  Nothing depends on x, so an rfft splits the step into
-    nx//2+1 separate systems.  In mode k, velocity m is diagonal through the
-    transport's symbol tau (transport_symbol): D_s = 1 + dt*(tau + d_s).
+    density sigma = dv*sum_m w h, and w the weights of that site sum and of
+    the diagonal, 1 when weights is None.  diagonal is shape (2, 1), coupling
+    and weights (2, 2*nv).  Nothing depends on x, so an rfft splits the step
+    into nx//2+1 separate systems.  In mode k, velocity m is diagonal through
+    the transport's symbol tau (transport_symbol): D_s = 1 + dt*(tau + d_s w_s).
     Eliminating (sigma_f, sigma_g) leaves a 2x2 system per mode with
     A_s = dv*sum w_s*dt*c_s/D_s and det = 1 - A_f*A_g.
 
@@ -113,6 +113,8 @@ class ImplicitLinearOperator:
             raise ValueError(f"dt must be positive, got {dt}")
         self.grid = grid
         self._weights = weights
+        if weights is not None:
+            diagonal = diagonal * weights
         # Per mode, species (f, g) and velocity; the coupling is the response
         # of each species to a unit site density of its partner.
         self._inv_d = 1.0 / (1.0 + dt * (tau[:, None, :] + diagonal))

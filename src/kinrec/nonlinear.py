@@ -245,30 +245,26 @@ class NonlinearStepper:
         A is the x-average of the Jacobian J at the state whose residual res
         is (that of the last residual call, or the carried state newton
         started from): its diagonal partner.mean(axis=1) and its rank-one
-        coupling eff.mean(axis=1).  With clamped cells, the diagonal averages
-        partner*mask and the site sums take the weights mask.mean(axis=1).
+        coupling eff.mean(axis=1).  With clamped cells, the diagonal and the
+        site sums both take the weights mask.mean(axis=1), where the average
+        of J has the diagonal mean(partner*mask) and a full coupling.
         A is the circulant nearest to J (T. Chan, SIAM J. Sci. Stat. Comput.
         9, 1988), equal to J at the uniform steady state; using it for
         J^{-1} makes Newton converge linearly, at a rate that shrinks with
         dt (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-        SIAM 1995, sec. 5.4).  Without clamped cells the update keeps the
-        mass difference of res: in mode 0, where the transport vanishes,
-        the diagonal d_s of each species is the site density of the other's
-        mean eff, so the site densities of the solution meet
-        sigma_s + dt*(d_s*sigma_s + d_s'*sigma_s') = those of the
-        right-hand side, and sigma_f - sigma_g is the right-hand side's.
+        SIAM 1995, sec. 5.4).  The update keeps the mass difference of res:
+        in mode 0, where the transport vanishes, the diagonal d_s of each
+        species is the site density of the other's mean eff, so the site
+        densities M_s and the weighted site sums sigma_s of the solution meet
+        M_s + dt*(d_s*sigma_s + d_s'*sigma_s') = the site densities of the
+        right-hand side, and M_f - M_g is the right-hand side's.
         """
         evaluation = self._evaluated
-        partner, mask = evaluation.partner, evaluation.mask
         nx = self.grid.nx
         # x-means as sum/nx: the bits of ndarray.mean, without its overhead.
-        if mask is None:
-            diagonal, weights = partner.sum(axis=1) / nx, None
-        else:
-            diagonal, weights = (partner * mask).sum(axis=1) / nx, mask.sum(axis=1) / nx
-        step = ImplicitLinearOperator(
-            self.grid, self._tau, dt, diagonal, evaluation.eff.sum(axis=1) / nx, weights
-        )
+        diagonal, coupling = evaluation.partner.sum(axis=1) / nx, evaluation.eff.sum(axis=1) / nx
+        weights = None if evaluation.mask is None else evaluation.mask.sum(axis=1) / nx
+        step = ImplicitLinearOperator(self.grid, self._tau, dt, diagonal, coupling, weights)
         return step.solve(-dt * res)
 
     def newton(

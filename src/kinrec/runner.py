@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -26,7 +26,6 @@ from numpy.random import default_rng
 from .config import RunConfig, ValidationError, effective_config_text, resolve_config, snapshot_name
 from .diagnostics import (
     MEAN_FREE_FLOOR,
-    DecayFit,
     check_mean_free,
     fit_decay_rate,
     wide_stencil_symbol,
@@ -380,12 +379,17 @@ class DiagnosticsRecorder:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """A run's results; summary.txt is its fields in this order (see summary_text)."""
+
     model: str
     flux: str
-    lam: float
-    rho: float
+    lambda_: float
+    rho_inf: float
     initial_mass_difference: float
-    fit: DecayFit | None
+    # The decay fit of the weighted norm (fit_decay_rate), None without one.
+    kappa_fit: float | None
+    r_squared: float | None
+    prefactor: float | None
     final_weighted_norm: float
     max_mass_drift_abs: float
     max_mass_drift_rel: float
@@ -489,8 +493,9 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
 
     try:
         fit = fit_decay_rate(series["t"], series["weighted_norm"])
+        kappa_fit, r_squared, prefactor = fit.kappa, fit.r_squared, fit.prefactor
     except ValueError:
-        fit = None
+        kappa_fit = r_squared = prefactor = None
 
     mass = series["mass_difference"]
     mass0 = mass[0]
@@ -506,10 +511,12 @@ def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> R
     summary = RunSummary(
         model=cfg.model,
         flux=cfg.flux,
-        lam=setup.flux.lam,
-        rho=setup.rho,
+        lambda_=setup.flux.lam,
+        rho_inf=setup.rho,
         initial_mass_difference=mass0,
-        fit=fit,
+        kappa_fit=kappa_fit,
+        r_squared=r_squared,
+        prefactor=prefactor,
         final_weighted_norm=series["weighted_norm"][-1],
         max_mass_drift_abs=drift,
         max_mass_drift_rel=drift / scale,
@@ -545,28 +552,19 @@ def execute_run(cfg: RunConfig) -> RunData:
     return _finalize(setup, recorder, start)
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return "%.17g" % value
+def _fmt(value: float | int | None) -> str:
+    """A number as the output files write it, None as an empty field.
 
-
-def _count(value: int | None) -> str:
-    return "" if value is None else str(value)
+    %.17g keeps every bit of a float, and writes an int below 10**17 in
+    decimal, a bool as 1 or 0.
+    """
+    return "" if value is None else "%.17g" % value
 
 
 def timeseries_csv(series: dict[str, list]) -> str:
-    rows = zip(
-        series["t"],
-        series["weighted_norm"],
-        series["rho_f_l2"],
-        series["rho_g_l2"],
-        series["entropy"],
-        series["mass_difference"],
-        ["" if b is None else ("1" if b else "0") for b in series["bounds_pass"]],
-        map(_fmt, series["dt_used"]),
-        map(_count, series["newton_iters"]),
-    )
+    # The last three columns may hold None, which _fmt writes as an empty field.
+    *numbers, bounds_pass, dt_used, newton_iters = (series[c] for c in TIMESERIES_COLUMNS)
+    rows = zip(*numbers, *(map(_fmt, c) for c in (bounds_pass, dt_used, newton_iters)))
     lines = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s" % row for row in rows]
     return "\n".join([TIMESERIES_HEADER] + lines) + "\n"
 
@@ -599,31 +597,17 @@ def snapshot_chunks(snapshot: Snapshot, grid: GridSpec, templates: list[str]) ->
 
 
 def summary_text(data: RunData) -> str:
-    s = data.summary
-    fit = s.fit
-    pairs = [
-        ("model", s.model),
-        ("flux", s.flux),
-        ("lambda", _fmt(s.lam)),
-        ("rho_inf", _fmt(s.rho)),
-        ("initial_mass_difference", _fmt(s.initial_mass_difference)),
-        ("kappa_fit", _fmt(fit.kappa) if fit else ""),
-        ("r_squared", _fmt(fit.r_squared) if fit else ""),
-        ("prefactor", _fmt(fit.prefactor) if fit else ""),
-        ("final_weighted_norm", _fmt(s.final_weighted_norm)),
-        ("max_mass_drift_abs", _fmt(s.max_mass_drift_abs)),
-        ("max_mass_drift_rel", _fmt(s.max_mass_drift_rel)),
-        ("f_ratio_min", _fmt(s.f_ratio_min)),
-        ("f_ratio_max", _fmt(s.f_ratio_max)),
-        ("g_ratio_min", _fmt(s.g_ratio_min)),
-        ("g_ratio_max", _fmt(s.g_ratio_max)),
-        ("n_steps", str(s.n_steps)),
-        ("newton_iterations", _count(s.newton_iterations)),
-        ("stalled_steps", _count(s.stalled_steps)),
-        ("rejected_attempts", _count(s.rejected_attempts)),
-        ("wall_clock_s", _fmt(s.wall_clock_s)),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    """One `key = value` line per field of RunSummary, in declaration order.
+
+    The key is the field's name without a trailing underscore (lambda_
+    writes lambda); a string is written as it is, any other value by _fmt.
+    """
+    lines = []
+    for field in fields(RunSummary):
+        value = getattr(data.summary, field.name)
+        text = value if isinstance(value, str) else _fmt(value)
+        lines.append(f"{field.name.rstrip('_')} = {text}\n")
+    return "".join(lines)
 
 
 _PLOT_SCRIPT = """\

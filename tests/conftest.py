@@ -10,7 +10,6 @@ from kinrec.grid import (
     build_grid,
     centered_gradient,
     discretize_profile,
-    gaussian_profile,
     heavytail_profile,
     oscillating_profile,
 )
@@ -30,7 +29,6 @@ from kinrec.runner import (
     UNDERFLOW,
     DiagnosticsRecorder,
     Snapshot,
-    _count,
     _fmt,
     snapshot_chunks,
     snapshot_templates,
@@ -228,10 +226,6 @@ def make_profiles(grid: GridSpec):
     )
 
 
-def make_gaussian(grid: GridSpec):
-    return discretize_profile(gaussian_profile, grid)
-
-
 def random_pair(grid: GridSpec, rng: np.random.Generator, scale=1.0) -> np.ndarray:
     return scale * rng.standard_normal((2, grid.nx, grid.n_vel))
 
@@ -353,7 +347,7 @@ def physical_diagnostics(deviation, phi_prev, dt, setup):
     phi = solve_discrete_poisson(u, grid)
     rho_f, rho_g = macroscopic_densities(deviation, grid)
     entropy = modified_entropy(
-        deviation, phi, phi_prev, dt, setup.ledger, setup.chi1, setup.chi2, grid, d0
+        deviation, phi, phi_prev, dt, setup.ledger, setup.chi1, setup.chi2, grid
     )
     norm = weighted_norm(deviation, setup.chi1, setup.chi2, setup.rho, grid)
     return norm, norm2(rho_f, grid), norm2(rho_g, grid), entropy, phi
@@ -449,10 +443,11 @@ def cellwise_timeseries_csv(series) -> str:
     for row in range(len(series["t"])):
         r = {column: values[row] for column, values in series.items()}
         bounds = "" if r["bounds_pass"] is None else ("1" if r["bounds_pass"] else "0")
+        newton = "" if r["newton_iters"] is None else str(r["newton_iters"])
         cells = (r["t"], r["weighted_norm"], r["rho_f_l2"], r["rho_g_l2"], r["entropy"],
                  r["mass_difference"])
         lines.append(
-            ",".join([_fmt(c) for c in cells] + [bounds, _fmt(r["dt_used"]), _count(r["newton_iters"])])
+            ",".join([_fmt(c) for c in cells] + [bounds, _fmt(r["dt_used"]), newton])
         )
     return "\n".join(lines) + "\n"
 

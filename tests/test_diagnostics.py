@@ -102,7 +102,7 @@ class TestModifiedEntropy:
         grid, chi1, chi2, ledger = setting
         zero = np.zeros((2, grid.nx, grid.n_vel))
         value = modified_entropy(
-            zero, np.zeros(grid.nx), None, 0.1, ledger, chi1, chi2, grid, d0=1.0
+            zero, np.zeros(grid.nx), None, 0.1, ledger, chi1, chi2, grid
         )
         assert value == 0.0
 
@@ -112,7 +112,7 @@ class TestModifiedEntropy:
         state = random_pair(grid, rng)
         phi, phi_prev = rng.standard_normal(grid.nx), rng.standard_normal(grid.nx)
         dt, d0 = 0.07, 1.3
-        got = modified_entropy(state, phi, phi_prev, dt, ledger, chi1, chi2, grid, d0)
+        got = modified_entropy(state, phi, phi_prev, dt, ledger, chi1, chi2, grid)
         _, j_h, _ = moments_ujs(state[0] - state[1], grid, d0)
         dphi = centered_gradient(phi, grid)
         incr = dphi - centered_gradient(phi_prev, grid)
@@ -128,16 +128,16 @@ class TestModifiedEntropy:
         rng = np.random.default_rng(3)
         state = random_pair(grid, rng)
         phi = rng.standard_normal(grid.nx)
-        partial = modified_entropy(state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0)
+        partial = modified_entropy(state, phi, None, 0.1, ledger, chi1, chi2, grid)
         same_prev = modified_entropy(
-            state, phi, phi.copy(), 0.1, ledger, chi1, chi2, grid, d0=1.0
+            state, phi, phi.copy(), 0.1, ledger, chi1, chi2, grid
         )
         assert partial == pytest.approx(same_prev, rel=1e-14)
-        moved = modified_entropy(state, phi, phi + 0.5, 0.1, ledger, chi1, chi2, grid, d0=1.0)
+        moved = modified_entropy(state, phi, phi + 0.5, 0.1, ledger, chi1, chi2, grid)
         # A constant potential shift has no gradient, so even this matches.
         assert moved == pytest.approx(partial, rel=1e-12)
         sheared = modified_entropy(
-            state, phi, phi + np.sin(grid.x_centers), 0.1, ledger, chi1, chi2, grid, d0=1.0
+            state, phi, phi + np.sin(grid.x_centers), 0.1, ledger, chi1, chi2, grid
         )
         assert sheared > partial
 
@@ -149,18 +149,18 @@ class TestModifiedEntropy:
         for bad in (0.0, -1.0, ceiling, 2.0 * ceiling):
             with pytest.raises(ValueError, match="delta"):
                 modified_entropy(
-                    state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0, delta=bad
+                    state, phi, None, 0.1, ledger, chi1, chi2, grid, delta=bad
                 )
         with pytest.raises(ValueError, match="dt"):
-            modified_entropy(state, phi, None, 0.0, ledger, chi1, chi2, grid, d0=1.0)
+            modified_entropy(state, phi, None, 0.0, ledger, chi1, chi2, grid)
 
     def test_default_delta_is_ledger_choice(self, setting):
         grid, chi1, chi2, ledger = setting
         state = random_pair(grid, np.random.default_rng(5))
         phi = np.cos(grid.x_centers)
-        default = modified_entropy(state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0)
+        default = modified_entropy(state, phi, None, 0.1, ledger, chi1, chi2, grid)
         explicit = modified_entropy(
-            state, phi, None, 0.1, ledger, chi1, chi2, grid, d0=1.0, delta=ledger.delta
+            state, phi, None, 0.1, ledger, chi1, chi2, grid, delta=ledger.delta
         )
         assert default == explicit
 

@@ -709,8 +709,8 @@ class TestOutputs:
         t = np.array([float(r["t"]) for r in rows])
         norms = np.array([float(r["weighted_norm"]) for r in rows])
         refit = fit_decay_rate(t, norms)
-        assert linear_run.summary.fit is not None
-        assert refit.kappa == pytest.approx(linear_run.summary.fit.kappa, rel=1e-12)
+        assert linear_run.summary.kappa_fit is not None
+        assert refit.kappa == pytest.approx(linear_run.summary.kappa_fit, rel=1e-12)
 
     def test_entropy_stays_within_norm_equivalence(self, linear_run):
         led = linear_run.setup.ledger
@@ -768,9 +768,13 @@ class TestOutputs:
     def test_summary_text_keys(self, linear_run):
         text = summary_text(linear_run)
         keys = [line.split(" = ")[0] for line in text.splitlines()]
-        assert keys[:4] == ["model", "flux", "lambda", "rho_inf"]
-        assert "kappa_fit" in keys and "max_mass_drift_rel" in keys
-        assert "n_steps" in keys
+        assert keys == [
+            "model", "flux", "lambda", "rho_inf", "initial_mass_difference",
+            "kappa_fit", "r_squared", "prefactor", "final_weighted_norm",
+            "max_mass_drift_abs", "max_mass_drift_rel",
+            "f_ratio_min", "f_ratio_max", "g_ratio_min", "g_ratio_max",
+            "n_steps", "newton_iterations", "stalled_steps", "rejected_attempts", "wall_clock_s",
+        ]
         values = dict(line.split(" = ") for line in text.splitlines())
         assert "krylov_iterations" not in values and "krylov_iterations_max" not in values
         assert values["newton_iterations"] == ""

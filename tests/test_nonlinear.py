@@ -394,8 +394,10 @@ class TestAveragedJacobian:
         # With clamped cells, J's coupling to the partner's site density at
         # each site, dv*eff_s(x, m)*mask_s'(x, m'), averages to a full
         # velocity matrix; the update keeps it rank one, the mean of eff
-        # times the mean of mask.  Every other entry of A is the circulant
-        # average of J: the transport and the diagonal mean(partner*mask).
+        # times the mean of mask.  J's diagonal partner*mask averages to
+        # mean(partner*mask); the update takes mean(partner) times the mean
+        # of mask, which keeps the mass difference.  The transport is the
+        # circulant average of J.
         grid, stepper, state, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
         eff = stepper.envelope.clamp(state)
         mask = (eff == state).astype(float)
@@ -403,6 +405,8 @@ class TestAveragedJacobian:
         u = state.ravel()
         inverse = mode_blocks(averaged_inverse(stepper, u, prev.ravel(), dt), grid.nx, grid.n_vel)
         average = mode_blocks(stepper.jacobian(u, dt), grid.nx, grid.n_vel)
+        density = grid.dv * eff.sum(axis=2)[::-1, :, None]  # the partner's, per site
+        diagonal = density.mean(axis=1) * mask.mean(axis=1) - (density * mask).mean(axis=1)
         n = grid.n_vel
         rank_one = np.zeros((2 * n, 2 * n))
         for species, partner in ((0, 1), (1, 0)):
@@ -413,9 +417,25 @@ class TestAveragedJacobian:
             )
         identity = np.eye(2 * n)
         for inv_k, jac_k in zip(inverse, average):
-            expected = jac_k + rank_one
+            expected = jac_k + rank_one + np.diag(diagonal.ravel())
             scale = np.max(np.abs(inv_k)) * np.max(np.abs(expected))
             assert np.max(np.abs(inv_k @ expected - identity)) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(**{**NEWTON_SETTINGS, "truncated": st.just(True)})
+    def test_clamped_update_keeps_the_mass_difference_of_its_right_hand_side(
+        self, nx, nv, flux, truncated, rho, dt, seed
+    ):
+        # In mode 0 the update's diagonal and its site sums take the same
+        # weights, the clamp's mean mask, so the two species' equations
+        # differ by the mass difference alone.
+        grid, stepper, state, prev = newton_setting(nx, nv, flux, truncated, rho, seed)
+        assume(not (stepper.envelope.clamp(state) == state).all())
+        res = stepper.residual(state.ravel(), prev.ravel(), dt)
+        delta = stepper.newton_update(res, dt).reshape(state.shape)
+        rhs = -dt * res.reshape(state.shape)
+        scale = grid.dx * grid.dv * float(np.sum(np.abs(rhs) + np.abs(delta)))
+        assert abs(mass_difference(delta, grid) - mass_difference(rhs, grid)) <= 1e-13 * scale
 
     @pytest.mark.parametrize(
         "flux",
