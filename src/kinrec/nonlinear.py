@@ -116,13 +116,6 @@ def check_maximum_principle(state: np.ndarray, envelope: BoundsEnvelope) -> Boun
     return BoundsReport(f_min, f_max, g_min, g_max, envelope.passes(state))
 
 
-def _defect(
-    u: np.ndarray, u_prev: np.ndarray, dt: float, transport: np.ndarray, reaction: np.ndarray
-) -> np.ndarray:
-    """The backward-Euler defect of NonlinearStepper.residual from its two parts at u."""
-    return (u - u_prev) / dt + transport - reaction
-
-
 @dataclass(frozen=True)
 class _Evaluation:
     """The residual's parts at a raveled state.
@@ -204,7 +197,7 @@ class NonlinearStepper:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         evaluation = self._evaluated = self._evaluate(u)
-        return _defect(u, u_prev, dt, evaluation.transport, evaluation.reaction)
+        return (u - u_prev) / dt + evaluation.transport - evaluation.reaction
 
     def _evaluate(self, u: np.ndarray) -> _Evaluation:
         cells = u.reshape(self._cells)
@@ -275,19 +268,24 @@ class NonlinearStepper:
         Starts from the previous state and stops once the residual's max norm
         is within cfg.tol_residual.  Raises NewtonDivergedError when the
         iteration budget is exhausted, on which adaptive_advance shrinks dt,
-        or when the converged state moved the conserved mass difference too
-        far: with clamped cells an update may move it, and only the
-        converged residual bounds that move.  A step that needs no iteration
-        returns a view of state_prev, so states are never written to; the
-        returned array is read-only.
+        when an iterate's residual max norm is not finite (a non-finite
+        update makes the iterate, and so that norm, non-finite), or when the
+        converged state moved the conserved mass difference too far: with
+        clamped cells an update may move it, and only the converged residual
+        bounds that move.  A step that needs no iteration returns a view of
+        state_prev, so states are never written to; the returned array is
+        read-only.
 
         When state_prev is the array the previous call returned, that call
         already computed its evaluation and mass difference, neither of
-        which depends on dt.  The first residual is formed from them with
-        residual's arithmetic, the first update reuses the evaluation, and a
-        step without iteration reads that mass for both ends of the drift
-        check, so the result has the bits a new stepper would give.  A failed
-        attempt carries nothing, so its retry at a smaller dt reuses them too.
+        which depends on dt.  The time increment of the first residual is
+        exactly zero, so that residual is the evaluation's transport minus
+        its reaction: it differs from residual's only in the sign of a zero,
+        which cannot move u + delta.  The first update reuses the
+        evaluation, and a step without iteration reads that mass for both
+        ends of the drift check, so the result has the bits a new stepper
+        would give.  A failed attempt carries nothing, so its retry at a
+        smaller dt reuses them too.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -296,7 +294,7 @@ class NonlinearStepper:
         if self._carried is not None and self._carried[0] is state_prev:
             _, evaluation, m_prev = self._carried
             self._evaluated = evaluation
-            res = _defect(u, u_prev, dt, evaluation.transport, evaluation.reaction)
+            res = evaluation.transport - evaluation.reaction
         else:
             res = self.residual(u, u_prev, dt)
             m_prev = mass_difference(state_prev, self.grid)
@@ -308,10 +306,7 @@ class NonlinearStepper:
                     f"residual {res_norm:.3e} after {iterations} iterations "
                     f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
                 )
-            delta = self.newton_update(res, dt)
-            if not np.isfinite(delta).all():
-                raise NewtonDivergedError(f"non-finite Newton update at dt {dt:.3e}")
-            u = u + delta
+            u = u + self.newton_update(res, dt)
             res = self.residual(u, u_prev, dt)
             res_norm = abs(res).max()
             if not math.isfinite(res_norm):

@@ -5,7 +5,9 @@ equilibrium (the well-prepared part of the data) as its spatial Fourier
 modes: one forward transform of the data, the step solved per mode, and an
 inverse transform only for a snapshot; modes that decay to exactly zero are
 no longer stepped.  Nonlinear runs march the full distribution pair in
-physical space and transform state minus equilibrium once per recorded step.
+physical space and transform state minus equilibrium once per step that
+moved it: a step without Newton iteration keeps its predecessor's state, and
+the recorder repeats that step's row.
 Every per-step diagnostic is computed from the deviation's modes
 (DiagnosticsRecorder); only the bounds check of a nonlinear run reads the
 physical state.
@@ -242,7 +244,11 @@ class DiagnosticsRecorder:
     density drifts, which none of the three fluxes allows, raises there and
     the run ends on the step before it.
 
-    The bounds verdict of a nonlinear run is its envelope's passes.
+    The bounds verdict of a nonlinear run is its envelope's passes.  A
+    nonlinear step without Newton iteration returns its predecessor's state
+    bit for bit, and observe takes no modes for it: its row is a copy of the
+    previous one, which may sit in the last slot of the previous block, and
+    its bounds verdict is the previous one.
 
     Linear runs pass every mode, the dead ones that the march no longer steps
     as zeros: a matrix-vector product's row can round differently at another
@@ -277,6 +283,8 @@ class DiagnosticsRecorder:
         self._sums = np.empty((DIAGNOSTICS_BLOCK, 2, 2 * n_modes), dtype=complex)
         self._power = np.empty((DIAGNOSTICS_BLOCK, n_modes))
         self._squares = np.empty((n_modes, self._weights.size))
+        # The slot of the last observed row.
+        self._last_row = 0
         self._dphi_prev: np.ndarray | None = None
         self._series: dict[str, list] = {column: [] for column in TIMESERIES_COLUMNS}
         self.snapshots: list[Snapshot] = []
@@ -301,32 +309,40 @@ class DiagnosticsRecorder:
     def observe(
         self,
         t: float,
-        modes: np.ndarray,
+        modes: np.ndarray | None,
         dt_used: float | None,
         newton_iterations: int | None,
         state: np.ndarray | None = None,
     ) -> None:
         """Buffer one step's sums from the deviation's modes, which are left unchanged.
 
-        state is the full distribution of a nonlinear run: it is checked
-        against the reporting envelope, kept for snapshots, and its mass
-        difference is the deviation's plus the equilibrium's.  Linear runs
-        evolve the deviation itself and pass none; a snapshot transforms the
-        modes back.
+        modes is None for a nonlinear step whose state is the previous
+        observed step's (one without Newton iteration): its row and bounds
+        verdict are that step's.  state is the full distribution of a
+        nonlinear run: it is checked against the reporting envelope, kept
+        for snapshots, and its mass difference is the deviation's plus the
+        equilibrium's.  Linear runs evolve the deviation itself and pass
+        none; a snapshot transforms the modes back.
         """
         series = self._series
         row = len(series["t"]) - len(series["weighted_norm"])
-        velocities = modes.reshape(-1, modes.shape[-1])
-        density, current = self._sums[row]
-        np.matmul(velocities, self._density_sum, out=density)
-        np.matmul(velocities, self._current_sum, out=current)
-        # Only a cell-sum above the floor can fail the check, whatever rms u is.
-        if abs(self._setup.grid.dx * (density[0] - density[1]).real) > MEAN_FREE_FLOOR:
-            check_mean_free(density[0::2] - density[1::2], self._setup.grid)
-        # |mode|^2 as the squares of the interleaved real and imaginary parts.
-        np.square(modes.view(float).reshape(self._squares.shape), out=self._squares)
-        np.matmul(self._squares, self._weights, out=self._power[row])
-        bounds_pass = None if state is None else self._setup.envelope.passes(state)
+        if modes is None:
+            self._sums[row] = self._sums[self._last_row]
+            self._power[row] = self._power[self._last_row]
+            bounds_pass = series["bounds_pass"][-1]
+        else:
+            velocities = modes.reshape(-1, modes.shape[-1])
+            density, current = self._sums[row]
+            np.matmul(velocities, self._density_sum, out=density)
+            np.matmul(velocities, self._current_sum, out=current)
+            # Only a cell-sum above the floor can fail the check, whatever rms u is.
+            if abs(self._setup.grid.dx * (density[0] - density[1]).real) > MEAN_FREE_FLOOR:
+                check_mean_free(density[0::2] - density[1::2], self._setup.grid)
+            # |mode|^2 as the squares of the interleaved real and imaginary parts.
+            np.square(modes.view(float).reshape(self._squares.shape), out=self._squares)
+            np.matmul(self._squares, self._weights, out=self._power[row])
+            bounds_pass = None if state is None else self._setup.envelope.passes(state)
+        self._last_row = row
         series["t"].append(t)
         series["dt_used"].append(dt_used)
         series["newton_iters"].append(newton_iterations)
@@ -452,6 +468,12 @@ def _march_linear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
 
 
 def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
+    """March the state with adaptive Newton steps; the recorder takes the deviation's modes.
+
+    A step without Newton iteration returns its predecessor's state, so it
+    is not transformed again: the recorder repeats that step's row and
+    bounds verdict.
+    """
     cfg = setup.cfg
     state = setup.data0
     # Subtracted in physical space: near the solver floor the deviation is
@@ -478,13 +500,8 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         state, next_dt = result.state, result.next_dt
         t += result.dt_used
         recorder.rejected_attempts += result.rejected_attempts
-        recorder.observe(
-            t,
-            rfft_pair(state - equilibrium),
-            result.dt_used,
-            result.newton_iterations,
-            state,
-        )
+        modes = rfft_pair(state - equilibrium) if result.newton_iterations else None
+        recorder.observe(t, modes, result.dt_used, result.newton_iterations, state)
 
 
 def _finalize(setup: RunSetup, recorder: DiagnosticsRecorder, start: float) -> RunData:

@@ -154,20 +154,6 @@ def macroscopic_densities(state: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.dv * state.sum(axis=-1)
 
 
-def moments_ujs(
-    h: np.ndarray, grid: GridSpec, d0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zeroth, first, and centered-second velocity moments of a field.
-
-    u = dv*sum(h), j = dv*sum(v h), s = dv*sum((v^2 - d0) h), each (nx,).
-    """
-    v = grid.v_centers
-    u = grid.dv * h.sum(axis=1)
-    j = grid.dv * (h @ v)
-    s = grid.dv * (h @ (v**2 - d0))
-    return u, j, s
-
-
 @dataclass(frozen=True)
 class ConstantsLedger:
     """Every constant entering the discrete relaxation estimate.

@@ -22,7 +22,7 @@ from kinrec.linear import (
     assemble_linear_operator,
     interface_weights,
 )
-from kinrec.nonlinear import NonlinearStepper
+from kinrec.nonlinear import AdaptiveController, NewtonConfig, NonlinearStepper, adaptive_advance
 from kinrec.runner import (
     TIMESERIES_COLUMNS,
     TIMESERIES_HEADER,
@@ -39,7 +39,6 @@ from kinrec.state import (
     equilibrium_rho,
     macroscopic_densities,
     mass_difference,
-    moments_ujs,
     rfft_pair,
     weighted_inner,
     weighted_norm,
@@ -67,6 +66,20 @@ def second_difference(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     order.
     """
     return (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / grid.dx**2
+
+
+def moments_ujs(
+    h: np.ndarray, grid: GridSpec, d0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeroth, first, and centered-second velocity moments of a field.
+
+    u = dv*sum(h), j = dv*sum(v h), s = dv*sum((v^2 - d0) h), each (nx,).
+    """
+    v = grid.v_centers
+    u = grid.dv * h.sum(axis=1)
+    j = grid.dv * (h @ v)
+    s = grid.dv * (h @ (v**2 - d0))
+    return u, j, s
 
 
 def equilibrium_rho_from_state(state: np.ndarray, grid: GridSpec) -> float:
@@ -430,6 +443,41 @@ def undropped_linear_modes(setup):
         op.solve_modes(modes)
         entries[np.abs(entries) < UNDERFLOW] = 0.0
         yield modes.copy()
+
+
+def recomputed_nonlinear_march(setup):
+    """The runner's nonlinear march, transforming and reducing every step: its reference.
+
+    The march hands the recorder no modes for a step without Newton
+    iteration, whose state is its predecessor's, and the recorder repeats
+    that step's row and bounds verdict.  Here every step's deviation is
+    transformed and observed as it is; returns the time-series columns and
+    the snapshots.
+    """
+    cfg = setup.cfg
+    equilibrium = setup.equilibrium.state
+    stepper = NonlinearStepper(
+        setup.grid,
+        setup.chi1,
+        setup.chi2,
+        setup.flux,
+        envelope=setup.envelope if cfg.truncated else None,
+    )
+    newton_cfg = NewtonConfig(cfg.newton_tol, cfg.newton_max_iterations)
+    controller = AdaptiveController(dt_min=cfg.dt_min, dt_max=cfg.dt_max)
+    recorder = DiagnosticsRecorder(setup)
+    state, t, next_dt = setup.data0, 0.0, cfg.dt
+    recorder.observe(0.0, rfft_pair(state - equilibrium), None, None, state)
+    while t < cfg.t_final - 1e-12:
+        result = adaptive_advance(
+            state, min(next_dt, cfg.t_final - t), controller, newton_cfg, stepper
+        )
+        state, next_dt = result.state, result.next_dt
+        t += result.dt_used
+        recorder.observe(
+            t, rfft_pair(state - equilibrium), result.dt_used, result.newton_iterations, state
+        )
+    return recorder.series, recorder.snapshots
 
 
 def snapshot_csv(snapshot, grid) -> str:

@@ -23,6 +23,7 @@ from conftest import (
     equilibrium_rho_from_state,
     forward_gradient,
     linear_step_matrix,
+    moments_ujs,
     project_pi,
     random_pair,
     random_positive_pair,
@@ -56,7 +57,6 @@ from kinrec.nonlinear import (
 from kinrec.runner import build_setup, execute_run, run_experiment
 from kinrec.state import (
     macroscopic_densities,
-    moments_ujs,
     weighted_inner,
     weighted_norm,
 )

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_poisson, make_grid, make_profiles, random_pair
+from conftest import dense_poisson, make_grid, make_profiles, moments_ujs, random_pair
 from kinrec.diagnostics import (
     fit_decay_rate,
     modified_entropy,
     solve_discrete_poisson,
 )
 from kinrec.grid import centered_gradient
-from kinrec.state import constants_ledger, moments_ujs, weighted_norm
+from kinrec.state import constants_ledger, weighted_norm
 
 
 def wide_second_difference(phi, grid):

@@ -17,9 +17,11 @@ from conftest import (
     band_levels,
     cellwise_snapshot_csv,
     cellwise_timeseries_csv,
+    moments_ujs,
     norm2,
     physical_diagnostics,
     physical_linear_march,
+    recomputed_nonlinear_march,
     snapshot_csv,
     undropped_linear_modes,
     unflushed_linear_march,
@@ -56,7 +58,6 @@ from kinrec.state import (
     build_equilibrium,
     irfft_pair,
     mass_difference,
-    moments_ujs,
     rfft_pair,
     species_profiles,
 )
@@ -968,6 +969,37 @@ class TestModalDiagnostics:
             assert held_array_bytes(recorder) <= allowed
             assert len(recorder._series["t"]) - len(recorder._series["entropy"]) < DIAGNOSTICS_BLOCK
         assert len(recorder.series["t"]) == 2 * DIAGNOSTICS_BLOCK + 1
+
+
+class TestStalledSteps:
+    """A nonlinear step without Newton iteration reuses its predecessor's row."""
+
+    @pytest.mark.parametrize(
+        "overrides, stalled",
+        [
+            (dict(test=3, nx=7, nv=2, t_final=30.0), 75),
+            (dict(test=3, nx=21, nv=8), 81),
+            (dict(test=3, nx=21, nv=8, truncated=True), 0),
+        ],
+        ids=["test3-7x2", "test3-21x8", "test3-21x8-truncated"],
+    )
+    def test_reused_rows_are_the_recomputed_ones_bit_for_bit(self, overrides, stalled):
+        # The march transforms no stalled step and the recorder copies the
+        # row before it, also across a block edge; the reference transforms
+        # and reduces every step.  %.17g writes every bit of a float and the
+        # sign of a zero.
+        data = execute_run(load_config(None, overrides))
+        series, snapshots = recomputed_nonlinear_march(data.setup)
+        counts = data.series["newton_iters"]
+        assert data.summary.stalled_steps == counts[1:].count(0) == stalled
+        if stalled:  # one begins a block, and its predecessor sits in the last slot
+            assert 0 in counts[DIAGNOSTICS_BLOCK::DIAGNOSTICS_BLOCK]
+        assert timeseries_csv(data.series) == timeseries_csv(series)
+        assert len(data.snapshots) == len(snapshots) > 1
+        grid = data.setup.grid
+        for got, want in zip(data.snapshots, snapshots):
+            assert (got.requested_t, got.actual_t) == (want.requested_t, want.actual_t)
+            assert snapshot_csv(got, grid) == snapshot_csv(want, grid)
 
 
 class TestPerStepBounds:

@@ -9,6 +9,7 @@ from conftest import (
     equilibrium_rho_from_state,
     make_grid,
     make_profiles,
+    moments_ujs,
     norm2,
     project_pi,
     random_pair,
@@ -25,7 +26,6 @@ from kinrec.state import (
     irfft_pair,
     macroscopic_densities,
     mass_difference,
-    moments_ujs,
     rfft_pair,
     weighted_inner,
     weighted_norm,
