@@ -115,29 +115,19 @@ class VelocityProfile:
     fourth_moment: float
 
 
-def profile_from_samples(
-    samples: np.ndarray, grid: GridSpec, *, symmetrize: bool = False
-) -> VelocityProfile:
+def profile_from_samples(samples: np.ndarray, grid: GridSpec) -> VelocityProfile:
     """Normalize point samples at the velocity midpoints into a profile.
 
-    Rejects non-positive samples, samples without a finite sum, and asymmetry
-    beyond 1e-12 relative unless symmetrize is set; mirror pairs are averaged
-    either way, which is a no-op on already-symmetric data and makes the
-    symmetry bitwise exact.
+    Rejects non-positive samples and samples without a finite sum.  Mirror
+    pairs are averaged, which is a no-op on already-symmetric data and makes
+    the symmetry bitwise exact.
     """
     s = np.asarray(samples, dtype=float)
     if s.shape != (grid.n_vel,):
         raise ValueError(f"expected {grid.n_vel} samples, got shape {s.shape}")
     if not np.all(s > 0.0):
         raise ValueError("velocity profile samples must be strictly positive")
-    mirrored = s[::-1]
-    scale = np.maximum(np.abs(s), np.abs(mirrored))
-    if not symmetrize and np.any(np.abs(s - mirrored) > 1e-12 * scale):
-        raise ValueError(
-            "velocity profile samples are not even in v; pass symmetrize=True "
-            "to average mirror cells"
-        )
-    s = 0.5 * (s + mirrored)
+    s = 0.5 * (s + s[::-1])
     mass = grid.dv * float(np.sum(s))
     if not 0.0 < mass < math.inf:  # else the normalised profile is not finite
         raise ValueError(f"velocity profile samples must have a finite sum, got mass {mass}")

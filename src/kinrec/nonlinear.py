@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .grid import GridSpec, VelocityProfile
 from .linear import Flux, ImplicitLinearOperator, interface_weights, transport_symbol
 from .state import mass_difference, species_profiles
@@ -20,18 +21,6 @@ class StepFailedError(RuntimeError):
     """Adaptive stepping reached dt_min without producing an acceptable state."""
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol_residual: float = 1e-11
-    max_iterations: int = 25
-
-    def __post_init__(self) -> None:
-        if self.tol_residual <= 0.0:
-            raise ValueError(f"tol_residual must be positive, got {self.tol_residual}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
 # Step-size rule of the nonlinear march: grow after an accept within the
 # iteration budget, shrink after a reject.
 DT_GROWTH = 2.0
@@ -41,20 +30,6 @@ ACCEPT_ITERATION_BUDGET = 8
 # Relative per-step tolerance on the conserved mass difference, which every
 # flux conserves, the centered one included.
 MASS_DIFF_DRIFT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AdaptiveController:
-    """Bounds on the step size of the nonlinear march."""
-
-    dt_min: float
-    dt_max: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dt_min <= self.dt_max:
-            raise ValueError(
-                f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}"
-            )
 
 
 # Relative slack of the bounds check, so that the rounding of a state's
@@ -260,14 +235,13 @@ class NonlinearStepper:
         step = ImplicitLinearOperator(self.grid, self._tau, dt, diagonal, coupling, weights)
         return step.solve(-dt * res)
 
-    def newton(
-        self, state_prev: np.ndarray, dt: float, cfg: NewtonConfig
-    ) -> tuple[np.ndarray, int]:
+    def newton(self, state_prev: np.ndarray, dt: float, cfg: RunConfig) -> tuple[np.ndarray, int]:
         """Solve the implicit step; returns the new state and iteration count.
 
         Starts from the previous state and stops once the residual's max norm
-        is within cfg.tol_residual.  Raises NewtonDivergedError when the
-        iteration budget is exhausted, on which adaptive_advance shrinks dt,
+        is within the run's cfg.newton_tol, which validate_config keeps
+        positive.  Raises NewtonDivergedError when cfg.newton_max_iterations
+        iterations did not get there, on which adaptive_advance shrinks dt,
         when an iterate's residual max norm is not finite (a non-finite
         update makes the iterate, and so that norm, non-finite), or when the
         converged state moved the conserved mass difference too far: with
@@ -300,11 +274,11 @@ class NonlinearStepper:
             m_prev = mass_difference(state_prev, self.grid)
         res_norm = abs(res).max()
         iterations = 0
-        while res_norm > cfg.tol_residual:
-            if iterations >= cfg.max_iterations:
+        while res_norm > cfg.newton_tol:
+            if iterations >= cfg.newton_max_iterations:
                 raise NewtonDivergedError(
                     f"residual {res_norm:.3e} after {iterations} iterations "
-                    f"(tol {cfg.tol_residual:.3e}, dt {dt:.3e})"
+                    f"(tol {cfg.newton_tol:.3e}, dt {dt:.3e})"
                 )
             u = u + self.newton_update(res, dt)
             res = self.residual(u, u_prev, dt)
@@ -334,33 +308,29 @@ class StepResult:
 
 
 def adaptive_advance(
-    state_prev: np.ndarray,
-    dt: float,
-    controller: AdaptiveController,
-    cfg: NewtonConfig,
-    stepper: NonlinearStepper,
+    state_prev: np.ndarray, dt: float, cfg: RunConfig, stepper: NonlinearStepper
 ) -> StepResult:
     """Advance one accepted step from an attempt of dt, shrinking on Newton failure.
 
-    The accepted step grows the next dt, up to dt_max, only when Newton took
-    at most ACCEPT_ITERATION_BUDGET iterations; a rejection shrinks dt down
-    to dt_min.  A failure at or below dt_min raises StepFailedError.  The
-    result counts the rejected attempts before the accepted one.
+    The accepted step grows the next dt, up to cfg.dt_max, only when Newton
+    took at most ACCEPT_ITERATION_BUDGET iterations; a rejection shrinks dt
+    down to cfg.dt_min.  A failure at or below dt_min raises StepFailedError.
+    The result counts the rejected attempts before the accepted one.
     """
     rejected = 0
     while True:
         try:
             state, iterations = stepper.newton(state_prev, dt, cfg)
         except NewtonDivergedError as exc:
-            if dt <= controller.dt_min * (1.0 + 1e-12):
+            if dt <= cfg.dt_min * (1.0 + 1e-12):
                 raise StepFailedError(
-                    f"no acceptable step above dt_min={controller.dt_min}: {exc}"
+                    f"no acceptable step above dt_min={cfg.dt_min}: {exc}"
                 ) from exc
-            dt = max(dt * DT_SHRINK, controller.dt_min)
+            dt = max(dt * DT_SHRINK, cfg.dt_min)
             rejected += 1
             continue
         if iterations <= ACCEPT_ITERATION_BUDGET:
-            next_dt = min(dt * DT_GROWTH, controller.dt_max)
+            next_dt = min(dt * DT_GROWTH, cfg.dt_max)
         else:
             next_dt = dt
         return StepResult(state, dt, next_dt, iterations, rejected)

@@ -42,9 +42,7 @@ from .grid import (
 )
 from .linear import LAX_FRIEDRICHS, Flux, assemble_linear_operator
 from .nonlinear import (
-    AdaptiveController,
     BoundsEnvelope,
-    NewtonConfig,
     NonlinearStepper,
     check_maximum_principle,
     adaptive_advance,
@@ -118,7 +116,7 @@ def resolve_profile(name: str, grid: GridSpec) -> VelocityProfile:
         return discretize_profile(NAMED_PROFILES[name], grid)
     if name.startswith("file:"):
         samples = np.loadtxt(name[len("file:"):], dtype=float).reshape(-1)
-        return profile_from_samples(samples, grid, symmetrize=True)
+        return profile_from_samples(samples, grid)
     raise ValueError(f"unknown velocity profile {name!r}")
 
 
@@ -487,16 +485,10 @@ def _march_nonlinear(setup: RunSetup, recorder: DiagnosticsRecorder) -> None:
         envelope=setup.envelope if cfg.truncated else None,
     )
     recorder.rejected_attempts = 0
-    newton_cfg = NewtonConfig(
-        tol_residual=cfg.newton_tol, max_iterations=cfg.newton_max_iterations
-    )
-    controller = AdaptiveController(dt_min=cfg.dt_min, dt_max=cfg.dt_max)
     recorder.observe(0.0, rfft_pair(state - equilibrium), None, None, state)
     t, next_dt = 0.0, cfg.dt
     while t < cfg.t_final - 1e-12:
-        result = adaptive_advance(
-            state, min(next_dt, cfg.t_final - t), controller, newton_cfg, stepper
-        )
+        result = adaptive_advance(state, min(next_dt, cfg.t_final - t), cfg, stepper)
         state, next_dt = result.state, result.next_dt
         t += result.dt_used
         recorder.rejected_attempts += result.rejected_attempts

@@ -22,7 +22,7 @@ from kinrec.linear import (
     assemble_linear_operator,
     interface_weights,
 )
-from kinrec.nonlinear import AdaptiveController, NewtonConfig, NonlinearStepper, adaptive_advance
+from kinrec.nonlinear import NonlinearStepper, adaptive_advance
 from kinrec.runner import (
     TIMESERIES_COLUMNS,
     TIMESERIES_HEADER,
@@ -463,15 +463,11 @@ def recomputed_nonlinear_march(setup):
         setup.flux,
         envelope=setup.envelope if cfg.truncated else None,
     )
-    newton_cfg = NewtonConfig(cfg.newton_tol, cfg.newton_max_iterations)
-    controller = AdaptiveController(dt_min=cfg.dt_min, dt_max=cfg.dt_max)
     recorder = DiagnosticsRecorder(setup)
     state, t, next_dt = setup.data0, 0.0, cfg.dt
     recorder.observe(0.0, rfft_pair(state - equilibrium), None, None, state)
     while t < cfg.t_final - 1e-12:
-        result = adaptive_advance(
-            state, min(next_dt, cfg.t_final - t), controller, newton_cfg, stepper
-        )
+        result = adaptive_advance(state, min(next_dt, cfg.t_final - t), cfg, stepper)
         state, next_dt = result.state, result.next_dt
         t += result.dt_used
         recorder.observe(

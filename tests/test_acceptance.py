@@ -47,9 +47,7 @@ from kinrec.grid import (
 )
 from kinrec.linear import Flux, assemble_linear_operator
 from kinrec.nonlinear import (
-    AdaptiveController,
     BoundsEnvelope,
-    NewtonConfig,
     NonlinearStepper,
     adaptive_advance,
     check_maximum_principle,
@@ -100,13 +98,10 @@ def envelope_march(setup, flux, state, envelope, t_final):
     """
     cfg = setup.cfg
     stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, flux)
-    newton_cfg = NewtonConfig(tol_residual=cfg.newton_tol,
-                              max_iterations=cfg.newton_max_iterations)
-    controller = AdaptiveController(dt_min=1e-8, dt_max=0.3)
     t, dt, steps, violations, first = 0.0, 1e-3, 0, 0, None
     f_min, f_max = math.inf, -math.inf
     while t < t_final - 1e-12:
-        result = adaptive_advance(state, dt, controller, newton_cfg, stepper)
+        result = adaptive_advance(state, dt, cfg, stepper)
         state, dt = result.state, result.next_dt
         t += result.dt_used
         steps += 1
@@ -397,9 +392,8 @@ def test_criterion_08_newton_jacobian_exactness():
 
     setup = build_setup(load_config(None, {"test": 3}))
     eq = setup.equilibrium.state
-    newton_cfg = NewtonConfig(tol_residual=1e-11, max_iterations=25)
     stepper = NonlinearStepper(setup.grid, setup.chi1, setup.chi2, setup.flux)
-    result, iterations = stepper.newton(eq, 0.1, newton_cfg)
+    result, iterations = stepper.newton(eq, 0.1, setup.cfg)
     assert iterations <= 1
     drift = np.max(np.abs(result - eq))
     assert drift <= 1e-9
@@ -427,13 +421,10 @@ def test_criterion_09_moment_scheme_consistency():
     cfg3 = load_config(None, {"test": 3})
     s3 = build_setup(cfg3)
     stepper = NonlinearStepper(s3.grid, s3.chi1, s3.chi2, s3.flux)
-    newton_cfg = NewtonConfig(tol_residual=cfg3.newton_tol,
-                              max_iterations=cfg3.newton_max_iterations)
-    controller = AdaptiveController(dt_min=cfg3.dt_min, dt_max=cfg3.dt_max)
     state, dt = s3.data0.copy(), cfg3.dt
     worst_nonlinear = 0.0
     for _ in range(12):
-        result = adaptive_advance(state, dt, controller, newton_cfg, stepper)
+        result = adaptive_advance(state, dt, cfg3, stepper)
         res_u, res_j = verify_moment_schemes_nonlinear(
             state, result.state, s3.equilibrium, s3.grid, result.dt_used, s3.flux.lam)
         worst_nonlinear = max(worst_nonlinear, res_u, res_j)

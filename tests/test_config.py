@@ -177,6 +177,12 @@ class TestValidation:
             ({"flux": "upwind", "lam": 2.5}, "model.lambda"),
             # Three steps of 3e-10 end at 9e-10: the whole-step slack is relative.
             ({"dt": 3e-10, "t_final": 1e-9}, "time.t_final"),
+            # The Newton solve and the step rule read these from RunConfig
+            # unchecked; validate_config is their only guard.
+            ({"newton_tol": -1e-3}, "newton.tol_residual"),
+            ({"model": "nonlinear", "dt_min": 0.0}, "time.dt_min"),
+            ({"model": "nonlinear", "dt_min": -1e-6}, "time.dt_min"),
+            ({"model": "nonlinear", "dt_min": 0.5}, "time.dt"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, path):

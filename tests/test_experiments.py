@@ -797,8 +797,8 @@ class TestOutputs:
         attempts = []
         advance = runner.adaptive_advance
 
-        def recording(state, dt, controller, cfg, stepper):
-            result = advance(state, dt, controller, cfg, stepper)
+        def recording(state, dt, cfg, stepper):
+            result = advance(state, dt, cfg, stepper)
             attempts.append(result.rejected_attempts)
             return result
 

@@ -275,20 +275,15 @@ class TestProfiles:
         with pytest.raises(ValueError, match="finite sum"):
             profile_from_samples(samples, grid)
 
-    def test_asymmetric_samples_rejected_without_symmetrize(self):
+    def test_mirror_pairs_are_averaged(self):
+        # A no-op on even samples; other samples, as a file may hold, give a
+        # bitwise even profile.
         grid = make_grid(nv=4)
-        samples = 1.0 + 0.1 * np.arange(grid.n_vel)
-        with pytest.raises(ValueError, match="symmetrize"):
-            profile_from_samples(samples, grid)
-        prof = profile_from_samples(samples, grid, symmetrize=True)
-        assert np.all(prof.values == prof.values[::-1])
-
-    def test_symmetrize_is_identity_on_symmetric_data(self):
-        grid = make_grid(nv=4)
-        samples = np.exp(-0.5 * grid.v_centers**2)
-        plain = profile_from_samples(samples, grid)
-        averaged = profile_from_samples(samples, grid, symmetrize=True)
-        assert np.all(plain.values == averaged.values)
+        even = np.exp(-0.5 * grid.v_centers**2)
+        prof = profile_from_samples(even, grid)
+        assert np.all(prof.values == even / (grid.dv * np.sum(even)))
+        skewed = profile_from_samples(1.0 + 0.1 * np.arange(grid.n_vel), grid)
+        assert np.all(skewed.values == skewed.values[::-1])
 
     def test_wrong_sample_count_rejected(self):
         grid = make_grid(nv=4)
