@@ -669,6 +669,20 @@ class TestNewton:
             before, abs=1e-11 * (1.0 + abs(before))
         )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"newton_tol": 0.0},
+            {"newton_tol": -1e-3},
+            {"newton_max_iterations": 0},
+        ],
+    )
+    def test_invalid_config_rejected(self, kwargs):
+        # newton() reads these settings from the run's config unchecked, so a
+        # nonlinear run must be refused at load time.
+        with pytest.raises(ValueError, match=r"newton\."):
+            load_config(None, {"model": "nonlinear", **kwargs})
+
 
 class TestEnvelope:
     def test_gamma_must_stay_below_rho(self, setting):
