@@ -49,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="t1,t2,...",
         help="comma-separated snapshot times",
     )
-    parser.add_argument(
-        "--emit-plot-script",
-        action="store_true",
-        default=None,
-        help="write plot.py next to the output CSV files",
-    )
     return parser
 
 

@@ -44,7 +44,6 @@ class RunConfig:
     output_dir: str = "run"
     snapshot_times: tuple[float, ...] = ()
     seed: int = 0
-    emit_plot_script: bool = False
 
 
 TEST_PRESETS: dict[int, dict[str, Any]] = {
@@ -146,7 +145,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Any]] = {
     ("output", "dir"): ("output_dir", str),
     ("output", "snapshots"): ("snapshot_times", parse_snapshots),
     ("output", "seed"): ("seed", _parse_int),
-    ("output", "emit_plot_script"): ("emit_plot_script", _parse_bool),
 }
 
 _FIELD_TO_SECTION_KEY = {field: sk for sk, (field, _) in _SCHEMA.items()}
@@ -234,8 +232,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise bad("t_final", f"must be non-negative, got {cfg.t_final}")
     if cfg.model == "linear" and cfg.t_final is not None:
         # The linear march takes fixed steps of dt and must land on t_final.
-        steps = round(cfg.t_final / cfg.dt)
-        if abs(steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
+        steps = cfg.t_final / cfg.dt
+        if steps == math.inf:
+            raise bad("dt", f"t_final / dt overflows a double, got dt={cfg.dt}")
+        if abs(round(steps) * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise bad("t_final", f"must be a whole number of dt={cfg.dt} steps, got {cfg.t_final}")
     if cfg.newton_tol <= 0:
         raise bad("newton_tol", f"must be positive, got {cfg.newton_tol}")

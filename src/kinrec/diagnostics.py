@@ -24,7 +24,7 @@ def wide_stencil_symbol(grid: GridSpec) -> np.ndarray:
     return symbol
 
 
-# Cell-sums of a Poisson source at or below this pass the mean-free check
+# Cell means of a Poisson source at or below this pass the mean-free check
 # whatever the source's size; larger ones must be within it times rms u.
 MEAN_FREE_FLOOR = 1e-10
 
@@ -32,15 +32,16 @@ MEAN_FREE_FLOOR = 1e-10
 def check_mean_free(u_hat: np.ndarray, grid: GridSpec) -> None:
     """Raise ValueError unless the source with rfft modes u_hat is mean-free.
 
-    The wide stencil is invertible on mean-free fields only, so the cell-sum
-    dx*u_hat[0] must stay within MEAN_FREE_FLOOR*max(1, rms u), with rms u
-    from Parseval (odd nx: weight 1 at k = 0 and 2 elsewhere).
+    The wide stencil is invertible on mean-free fields only, so the cell mean
+    u_hat[0]/nx must stay within MEAN_FREE_FLOOR*max(1, rms u), with rms u
+    from Parseval (odd nx: weight 1 at k = 0 and 2 elsewhere).  Both sides
+    are means over the cells, so the rule does not depend on the torus length.
     """
     power = u_hat.real**2 + u_hat.imag**2
     rms = np.sqrt(2.0 * np.sum(power) - power[0]) / grid.nx
-    mean = grid.dx * u_hat[0].real
+    mean = u_hat[0].real / grid.nx
     if abs(mean) > MEAN_FREE_FLOOR * np.maximum(1.0, rms):
-        raise ValueError(f"source must be mean-free for solvability, got cell-sum {mean:.3e}")
+        raise ValueError(f"source must be mean-free for solvability, got cell mean {mean:.3e}")
 
 
 def solve_discrete_poisson(u_h: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -15,6 +15,7 @@ physical state.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import time
@@ -112,12 +113,10 @@ def resolve_lambda(cfg: RunConfig, grid: GridSpec) -> float:
 
 
 def resolve_profile(name: str, grid: GridSpec) -> VelocityProfile:
-    if name in NAMED_PROFILES:
-        return discretize_profile(NAMED_PROFILES[name], grid)
     if name.startswith("file:"):
         samples = np.loadtxt(name[len("file:"):], dtype=float).reshape(-1)
         return profile_from_samples(samples, grid)
-    raise ValueError(f"unknown velocity profile {name!r}")
+    return discretize_profile(NAMED_PROFILES[name], grid)
 
 
 def _bump(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -167,7 +166,16 @@ class RunSetup:
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
-    """Grid, profiles, initial data and constants of a resolved configuration."""
+    """Grid, profiles, initial data and constants of a resolved configuration.
+
+    After validate_config, the one check of a run's inputs: a derived number
+    that a double cannot hold is a ValidationError naming its input.  dx**2,
+    by which the recorder's Poisson symbol divides, names grid.torus_length.
+    rho must be finite, positive and keep the data's mass difference, which
+    scales with the velocity band, and the estimate's constants must hold;
+    both name grid.vstar, or the constants lambda's source if they hold
+    without the LF terms.
+    """
     grid = build_grid(cfg.torus_length, cfg.nx, cfg.nv, cfg.v_star)
     profiles = []
     for field in ("chi1", "chi2"):
@@ -178,16 +186,39 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     chi1, chi2 = profiles
     rng = default_rng(cfg.seed)
     data0 = initial_data(cfg, grid, rng)
-    rho = equilibrium_rho(mass_difference(data0, grid), grid.torus_length)
+    if not sys.float_info.min <= grid.dx * grid.dx < math.inf:
+        raise ValidationError(f"grid.torus_length: dx**2 is not a normal double at dx = {grid.dx:.6g}")
+    mass = mass_difference(data0, grid)
+    rho = equilibrium_rho(mass, grid.torus_length)
+    if not 0.0 < rho < math.inf:
+        raise ValidationError(
+            f"grid.vstar: the mass difference {mass:.6g} gives rho = {rho:.6g}, "
+            "not a finite positive number"
+        )
     eq = build_equilibrium(rho, chi1, chi2, grid)
+    # rho solves torus_length*(rho - 1/rho) = mass, but far below -torus_length
+    # its sum cancels digits, and the deviation from eq may not be mean-free.
+    if abs(rho - 1.0 / rho - mass / grid.torus_length) > MEAN_FREE_FLOOR:
+        sums = grid.dv * (data0 - eq.state).sum(axis=2)
+        try:
+            check_mean_free(np.fft.rfft(sums[0] - sums[1]), grid)
+        except ValueError as exc:
+            raise ValidationError(
+                f"grid.vstar: rho = {rho:.6g} loses the data's mass difference: {exc}"
+            ) from exc
     lam = resolve_lambda(cfg, grid)
     flux = Flux(kind=cfg.flux, lam=lam)
     dt_cap = cfg.dt if cfg.model == "linear" else cfg.dt_max
     try:
         ledger = constants_ledger(chi1, chi2, rho, grid, lam, dt_cap)
-    except OverflowError as exc:  # a float ** past the largest double
+    except ArithmeticError as exc:  # a float ** past the largest double, or a division by 0
+        key = "grid.vstar"
+        with contextlib.suppress(ArithmeticError):  # they hold without the LF terms
+            constants_ledger(chi1, chi2, rho, grid, 0.0, dt_cap)
+            key = "time.dt" if cfg.lam is None else "model.lambda"
         raise ValidationError(
-            f"lambda = {lam:.6g} with dx = {grid.dx:.6g} overflows the estimate's constants"
+            f"{key}: the estimate's constants overflow or divide by zero at lambda = "
+            f"{lam:.6g}, v* = {grid.v_star:.6g}, rho = {rho:.6g}"
         ) from exc
     envelope = None
     if cfg.model == "nonlinear":
@@ -240,7 +271,7 @@ class DiagnosticsRecorder:
     The entropy needs a mean-free deviation density.  observe checks each
     step's density before it keeps anything of the step, so a step whose
     density drifts, which none of the three fluxes allows, raises there and
-    the run ends on the step before it.
+    the run ends on the step before it.  build_setup checks the initial one.
 
     The bounds verdict of a nonlinear run is its envelope's passes.  A
     nonlinear step without Newton iteration returns its predecessor's state
@@ -333,8 +364,10 @@ class DiagnosticsRecorder:
             density, current = self._sums[row]
             np.matmul(velocities, self._density_sum, out=density)
             np.matmul(velocities, self._current_sum, out=current)
-            # Only a cell-sum above the floor can fail the check, whatever rms u is.
-            if abs(self._setup.grid.dx * (density[0] - density[1]).real) > MEAN_FREE_FLOOR:
+            # Only a cell mean above the floor can fail the check, whatever rms u
+            # is; build_setup has checked the initial record's.
+            sum_u = abs((density[0] - density[1]).real)
+            if dt_used is not None and sum_u > MEAN_FREE_FLOOR * self._setup.grid.nx:
                 check_mean_free(density[0::2] - density[1::2], self._setup.grid)
             # |mode|^2 as the squares of the interleaved real and imaginary parts.
             np.square(modes.view(float).reshape(self._squares.shape), out=self._squares)
@@ -619,48 +652,6 @@ def summary_text(data: RunData) -> str:
     return "".join(lines)
 
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Plot the time series and snapshots written next to this script.\"\"\"
-import csv
-import glob
-import os
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-
-with open(os.path.join(here, "timeseries.csv")) as fh:
-    rows = list(csv.DictReader(fh))
-t = [float(r["t"]) for r in rows]
-norm = [float(r["weighted_norm"]) for r in rows]
-fig, ax = plt.subplots()
-ax.semilogy(t, norm, marker=".", lw=1)
-ax.set_xlabel("t")
-ax.set_ylabel("weighted norm of deviation")
-fig.savefig(os.path.join(here, "decay.png"), dpi=150)
-
-for path in sorted(glob.glob(os.path.join(here, "snapshot_t*.csv"))):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        dims = fh.readline().strip().split()
-        n = int(dims[1].split("=")[1])
-        l2 = 2 * int(dims[2].split("=")[1])
-        rows = list(csv.DictReader(fh))
-    f = [[0.0] * l2 for _ in range(n)]
-    for r in rows:
-        f[int(r["i"])][int(r["j"])] = float(r["f"])
-    fig, ax = plt.subplots()
-    ax.imshow([list(col) for col in zip(*f)], origin="lower", aspect="auto")
-    ax.set_title(header.lstrip("# "))
-    ax.set_xlabel("x cell")
-    ax.set_ylabel("v cell")
-    fig.savefig(path.replace(".csv", ".png"), dpi=150)
-"""
-
-
 def write_outputs(data: RunData, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -671,8 +662,6 @@ def write_outputs(data: RunData, out_dir: str | Path) -> Path:
             fh.writelines(snapshot_chunks(snapshot, data.setup.grid, templates))
     (out / "summary.txt").write_text(summary_text(data), encoding="utf-8")
     (out / "config.ini").write_text(effective_config_text(data.setup.cfg), encoding="utf-8")
-    if data.setup.cfg.emit_plot_script:
-        (out / "plot.py").write_text(_PLOT_SCRIPT, encoding="utf-8")
     return out
 
 

@@ -88,38 +88,28 @@ def equilibrium_rho(mass_diff: float, torus_length: float) -> float:
 
     This is the spatial density level of species one in the steady state
     compatible with the conserved mass difference; species two sits at 1/rho.
+    In floats it can round to 0 or overflow, which build_setup refuses.
     """
-    if torus_length <= 0.0:
-        raise ValueError(f"torus_length must be positive, got {torus_length}")
-    rho = (mass_diff + math.hypot(mass_diff, 2.0 * torus_length)) / (2.0 * torus_length)
-    if rho <= 0.0:
-        raise ValueError(f"equilibrium density came out non-positive: {rho}")
-    return rho
+    return (mass_diff + math.hypot(mass_diff, 2.0 * torus_length)) / (2.0 * torus_length)
 
 
 @dataclass(frozen=True)
 class EquilibriumData:
-    """Spatially uniform steady state and the derived velocity-average weight.
+    """Spatially uniform steady state.
 
     rho is the density level of species one (species two sits at 1/rho);
-    state holds f = rho*chi1 and g = chi2/rho on the grid; d0 is the
-    rho-weighted mean of the two profile second moments used to split the
-    second velocity moment into a transported and a fluctuating part.
+    state holds f = rho*chi1 and g = chi2/rho on the grid.
     """
 
     rho: float
     state: np.ndarray
-    d0: float
 
 
 def build_equilibrium(
     rho: float, chi1: VelocityProfile, chi2: VelocityProfile, grid: GridSpec
 ) -> EquilibriumData:
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
     state = np.stack([rho * chi1.values, chi2.values / rho])[:, None].repeat(grid.nx, axis=1)
-    d0 = (rho**2 * chi1.second_moment + chi2.second_moment) / (rho**2 + 1.0)
-    return EquilibriumData(rho=float(rho), state=state, d0=d0)
+    return EquilibriumData(rho=float(rho), state=state)
 
 
 def weighted_inner(
@@ -166,6 +156,7 @@ class ConstantsLedger:
     rho: float
     lam: float
     dt_max: float
+    d0: float        # rho-weighted mean second moment of the two profiles
     c_mc: float      # collision coercivity on the non-kernel part
     c_u: float       # exact norm ratio between density difference and kernel part
     c_j1: float      # first-moment bound
@@ -197,17 +188,10 @@ def constants_ledger(
 
     lam is the LF diffusion strength (0 reproduces the centered transport,
     which drops the transport-dissipation terms); delta_fraction places the
-    mixing weight strictly inside its admissible interval.
+    mixing weight strictly inside its admissible interval.  Unchecked: rho > 0,
+    lam >= 0, dt_max > 0 and 0 < delta_fraction < 1; build_setup refuses a
+    set-up whose constants overflow or divide by zero.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    if dt_max <= 0.0:
-        raise ValueError(f"dt_max must be positive, got {dt_max}")
-    if not 0.0 < delta_fraction < 1.0:
-        raise ValueError(f"delta_fraction must lie in (0, 1), got {delta_fraction}")
-
     d1, d2 = chi1.second_moment, chi2.second_moment
     q1, q2 = chi1.fourth_moment, chi2.fourth_moment
     d0 = (rho**2 * d1 + d2) / (rho**2 + 1.0)
@@ -238,6 +222,7 @@ def constants_ledger(
         rho=float(rho),
         lam=float(lam),
         dt_max=float(dt_max),
+        d0=d0,
         c_mc=c_mc,
         c_u=c_u,
         c_j1=c_j1,

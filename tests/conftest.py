@@ -191,6 +191,7 @@ def verify_moment_schemes_nonlinear(
     state_prev: np.ndarray,
     state_next: np.ndarray,
     equilibrium: EquilibriumData,
+    d0: float,
     grid: GridSpec,
     dt: float,
     lam: float,
@@ -208,7 +209,7 @@ def verify_moment_schemes_nonlinear(
     rho_f, rho_g = macroscopic_densities(state_next, grid)
     shift = (rho_f - rho, rho_g - 1.0 / rho)
     return verify_moment_schemes(
-        state_prev - eq, state_next - eq, grid, rho, equilibrium.d0, dt, lam, shift
+        state_prev - eq, state_next - eq, grid, rho, d0, dt, lam, shift
     )
 
 
@@ -355,7 +356,7 @@ def physical_diagnostics(deviation, phi_prev, dt, setup):
     rho_f_l2, rho_g_l2, entropy, phi), with phi from the Poisson solve of
     the deviation's density difference.
     """
-    grid, d0 = setup.grid, setup.equilibrium.d0
+    grid, d0 = setup.grid, setup.ledger.d0
     u = moments_ujs(deviation[0] - deviation[1], grid, d0)[0]
     phi = solve_discrete_poisson(u, grid)
     rho_f, rho_g = macroscopic_densities(deviation, grid)

@@ -218,7 +218,7 @@ def test_criterion_03_per_step_dissipation():
 
     op = assemble_linear_operator(grid, setup.chi1, setup.chi2, setup.rho, dt, setup.flux)
     dev = setup.data0 - eq.state
-    u0 = moments_ujs(dev[0] - dev[1], grid, eq.d0)[0]
+    u0 = moments_ujs(dev[0] - dev[1], grid, led.d0)[0]
     phi = solve_discrete_poisson(u0, grid)
     entropy = lambda state, phi, phi_prev: modified_entropy(
         state, phi, phi_prev, dt, led, setup.chi1, setup.chi2, grid
@@ -237,7 +237,7 @@ def test_criterion_03_per_step_dissipation():
         gap_sq = weighted_norm(gap, setup.chi1, setup.chi2, setup.rho, grid) ** 2
         min_coercivity = min(min_coercivity, dissipation - led.c_mc * gap_sq)
 
-        u = moments_ujs(dev[0] - dev[1], grid, eq.d0)[0]
+        u = moments_ujs(dev[0] - dev[1], grid, led.d0)[0]
         phi_prev, phi = phi, solve_discrete_poisson(u, grid)
         h = entropy(dev, phi, phi_prev)
         norm_sq = weighted_norm(dev, setup.chi1, setup.chi2, setup.rho, grid) ** 2
@@ -412,7 +412,7 @@ def test_criterion_09_moment_scheme_consistency():
     for _ in range(50):
         nxt = op.solve(dev)
         res_u, res_j = verify_moment_schemes(dev, nxt, setup.grid, setup.rho,
-                                             setup.equilibrium.d0, cfg.dt,
+                                             setup.ledger.d0, cfg.dt,
                                              setup.flux.lam)
         worst_linear = max(worst_linear, res_u, res_j)
         dev = nxt
@@ -426,7 +426,8 @@ def test_criterion_09_moment_scheme_consistency():
     for _ in range(12):
         result = adaptive_advance(state, dt, cfg3, stepper)
         res_u, res_j = verify_moment_schemes_nonlinear(
-            state, result.state, s3.equilibrium, s3.grid, result.dt_used, s3.flux.lam)
+            state, result.state, s3.equilibrium, s3.ledger.d0, s3.grid, result.dt_used,
+            s3.flux.lam)
         worst_nonlinear = max(worst_nonlinear, res_u, res_j)
         state, dt = result.state, result.next_dt
     assert worst_nonlinear <= 1e-10

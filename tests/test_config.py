@@ -183,6 +183,16 @@ class TestValidation:
             ({"model": "nonlinear", "dt_min": 0.0}, "time.dt_min"),
             ({"model": "nonlinear", "dt_min": -1e-6}, "time.dt_min"),
             ({"model": "nonlinear", "dt_min": 0.5}, "time.dt"),
+            # The inputs that the layers below take unchecked; each restates
+            # a guard test of build_grid, Flux or the Newton residual.
+            ({"nx": 4}, "grid.nx"),
+            ({"torus_length": 0.0}, "grid.torus_length"),
+            ({"lam": 0.0}, "model.lambda"),
+            ({"flux": "centered", "lam": 1.0}, "model.lambda"),
+            ({"model": "nonlinear", "dt": 0.0}, "time.dt"),
+            ({"model": "nonlinear", "dt_max": 0.0}, "time.dt"),
+            # t_final/dt overflows, so no whole number of steps reaches t_final.
+            ({"dt": 1e-320, "t_final": 50.0}, "time.dt"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, path):
@@ -215,7 +225,6 @@ class TestRoundTrip:
                 "test": 4,
                 "lam": 2.5,
                 "newton_max_iterations": 40,
-                "emit_plot_script": True,
                 "snapshot_times": (0.0, 0.125, 3.0),
                 "output_dir": "elsewhere",
                 "seed": 7,

@@ -58,6 +58,17 @@ class TestPoisson:
         with pytest.raises(ValueError, match="mean-free"):
             solve_discrete_poisson(np.ones(grid.nx), grid)
 
+    @pytest.mark.parametrize("torus_length", [1e-3, 1.0, 1e6, 1e12])
+    def test_mean_free_verdict_does_not_depend_on_the_torus_length(self, torus_length):
+        # The check compares the cell mean of u with its rms, both independent
+        # of dx: a source whose mean is rounding of its size passes on any
+        # torus, and a mean of a thousandth of its size fails on any.
+        grid = make_grid(torus_length=torus_length, nx=7)
+        u = np.sin(2.0 * np.pi * grid.x_centers / grid.torus_length) + 1e-15
+        solve_discrete_poisson(u, grid)
+        with pytest.raises(ValueError, match="mean-free"):
+            solve_discrete_poisson(u + 1e-3, grid)
+
     def test_rejects_wrong_shape(self):
         grid = make_grid(nx=7)
         with pytest.raises(ValueError, match="shape"):

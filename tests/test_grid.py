@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import backward_gradient, forward_gradient, make_grid, norm2, second_difference
+from kinrec.config import ValidationError, load_config
 from kinrec.grid import (
     NAMED_PROFILES,
     VelocityProfile,
@@ -63,22 +64,26 @@ class TestBuildGrid:
     @pytest.mark.parametrize(
         "args",
         [
-            (1.0, 100, 4, 1.0),
-            (1.0, 4, 4, 1.0),
-            (1.0, 1, 4, 1.0),
-            (1.0, 5, 0, 1.0),
-            (0.0, 5, 4, 1.0),
-            (-1.0, 5, 4, 1.0),
-            (1.0, 5, 4, 0.0),
+            (1.0, 100, 4, 1.0, "grid.nx"),
+            (1.0, 4, 4, 1.0, "grid.nx"),
+            (1.0, 1, 4, 1.0, "grid.nx"),
+            (1.0, 5, 0, 1.0, "grid.nv"),
+            (0.0, 5, 4, 1.0, "grid.torus_length"),
+            (-1.0, 5, 4, 1.0, "grid.torus_length"),
+            (1.0, 5, 4, 0.0, "grid.vstar"),
         ],
     )
     def test_invalid_mesh_rejected(self, args):
-        with pytest.raises(ValueError):
-            build_grid(*args)
+        # build_grid takes its sizes unchecked: load_config refuses every mesh
+        # it cannot build, naming the key.
+        torus_length, nx, nv, v_star, path = args
+        mesh = dict(torus_length=torus_length, nx=nx, nv=nv, v_star=v_star)
+        with pytest.raises(ValidationError, match=path.replace(".", r"\.")):
+            load_config(None, mesh)
 
     def test_even_cell_count_message_mentions_odd(self):
-        with pytest.raises(ValueError, match="odd"):
-            build_grid(1.0, 100, 4, 1.0)
+        with pytest.raises(ValidationError, match="odd"):
+            load_config(None, dict(torus_length=1.0, nx=100, nv=4, v_star=1.0))
 
 
 GRADIENTS = {

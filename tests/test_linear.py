@@ -32,15 +32,17 @@ from kinrec.linear import (
     Flux,
     assemble_linear_operator,
 )
+from kinrec.config import ValidationError, load_config
+from kinrec.runner import build_setup
 from kinrec.state import (
-    build_equilibrium,
+    constants_ledger,
     irfft_pair,
     mass_difference,
     rfft_pair,
     weighted_inner,
 )
 
-ALL_FLUXES = [Flux.lax_friedrichs(1.3), Flux.centered(), Flux.upwind()]
+ALL_FLUXES = [Flux(LAX_FRIEDRICHS, 1.3), Flux(CENTERED), Flux(UPWIND)]
 
 flux_cases = dict(
     nx=st.integers(1, 15).map(lambda k: 2 * k + 1),
@@ -54,7 +56,7 @@ flux_settings = settings(derandomize=True, database=None, max_examples=60, deadl
 
 
 def drawn_flux(kind, lam):
-    return Flux.lax_friedrichs(lam) if kind == LAX_FRIEDRICHS else Flux(kind)
+    return Flux(LAX_FRIEDRICHS, lam) if kind == LAX_FRIEDRICHS else Flux(kind)
 
 
 def drawn_field(grid, seed):
@@ -69,23 +71,23 @@ def setting():
 
 
 class TestFlux:
-    def test_factories(self):
-        assert Flux.lax_friedrichs(2.0).kind == LAX_FRIEDRICHS
-        assert Flux.centered().kind == CENTERED
-        assert Flux.upwind().kind == UPWIND
-
     def test_kind_names_are_config_spellings(self):
         assert LAX_FRIEDRICHS == "lax-friedrichs"
         assert CENTERED == "centered"
         assert UPWIND == "upwind"
 
     @pytest.mark.parametrize(
-        "args", [("lax-friedrichs", 0.0), ("lax-friedrichs", -1.0), ("centered", 1.0),
-                 ("upwind", 0.5), ("bogus", 0.0)]
+        "args",
+        [("lax-friedrichs", 0.0, "model.lambda"), ("lax-friedrichs", -1.0, "model.lambda"),
+         ("centered", 1.0, "model.lambda"), ("upwind", 0.5, "model.lambda"),
+         ("bogus", 0.0, "model.flux")],
     )
     def test_invalid_combinations_rejected(self, args):
-        with pytest.raises(ValueError):
-            Flux(*args)
+        # Flux takes its kind and lam unchecked: a run's come from a config
+        # that load_config refuses, naming the key, unless Flux can use them.
+        kind, lam, path = args
+        with pytest.raises(ValidationError, match=path.replace(".", r"\.")):
+            load_config(None, {"flux": kind, "lam": lam})
 
 
 class TestFluxDivergence:
@@ -123,7 +125,7 @@ class TestFluxDivergence:
         grid = make_grid(nx=11, nv=3)
         field = np.random.default_rng(3).standard_normal((grid.nx, grid.n_vel))
         lam = 0.8
-        lf = flux_divergence(field, Flux.lax_friedrichs(lam), grid)
+        lf = flux_divergence(field, Flux(LAX_FRIEDRICHS, lam), grid)
         composed = grid.v_centers * centered_gradient(field, grid) - lam * grid.dx * (
             second_difference(field, grid)
         )
@@ -137,7 +139,7 @@ class TestCollisionMatrix:
         # matrix @ state)/dt with T the transport stencil on both species.
         grid, chi1, chi2 = setting
         state = random_pair(grid, np.random.default_rng(5))
-        dt, flux = 0.25, Flux.lax_friedrichs(1.3)
+        dt, flux = 0.25, Flux(LAX_FRIEDRICHS, 1.3)
         matrix = linear_step_matrix(grid, chi1, chi2, rho, dt, flux)
         transport = flux_divergence(state, flux, grid)
         stepped = (state + dt * transport).ravel() - matrix @ state.ravel()
@@ -164,7 +166,7 @@ class TestImplicitOperator:
     def test_matrix_matches_dense_reference_larger(self):
         grid = make_grid(torus_length=1.5, nx=5, nv=2, v_star=2.0)
         chi1, chi2 = make_profiles(grid)
-        flux = Flux.lax_friedrichs(1.1)
+        flux = Flux(LAX_FRIEDRICHS, 1.1)
         dense = dense_reference_operator(grid, chi1, chi2, 0.8, 0.05, flux)
         np.testing.assert_allclose(
             linear_step_matrix(grid, chi1, chi2, 0.8, 0.05, flux), dense, atol=1e-13
@@ -173,7 +175,7 @@ class TestImplicitOperator:
     def test_apply_equals_stencil_action(self, setting):
         grid, chi1, chi2 = setting
         rho, dt = 1.2, 0.1
-        flux = Flux.lax_friedrichs(0.9)
+        flux = Flux(LAX_FRIEDRICHS, 0.9)
         matrix = linear_step_matrix(grid, chi1, chi2, rho, dt, flux)
         state = random_pair(grid, np.random.default_rng(6))
         applied = (matrix @ state.ravel()).reshape(state.shape)
@@ -275,7 +277,7 @@ class TestImplicitOperator:
 
     def test_zero_state_is_fixed(self, setting):
         grid, chi1, chi2 = setting
-        op = assemble_linear_operator(grid, chi1, chi2, 1.0, 0.1, Flux.centered())
+        op = assemble_linear_operator(grid, chi1, chi2, 1.0, 0.1, Flux(CENTERED))
         out = op.solve(np.zeros(2 * grid.n_unknowns))
         assert np.all(out == 0.0)
 
@@ -328,17 +330,21 @@ class TestImplicitOperator:
             before, abs=1e-11 * max(1.0, abs(before))
         )
 
-    def test_invalid_parameters_rejected(self, setting):
-        grid, chi1, chi2 = setting
-        with pytest.raises(ValueError, match="dt"):
-            assemble_linear_operator(grid, chi1, chi2, 1.0, 0.0, Flux.centered())
-        with pytest.raises(ValueError, match="rho"):
-            assemble_linear_operator(grid, chi1, chi2, -1.0, 0.1, Flux.centered())
+    def test_invalid_parameters_rejected(self):
+        # The operator takes dt and rho unchecked: load_config refuses a dt
+        # that is not positive, and build_setup an equilibrium level that is
+        # not a finite positive number (here the data's mass difference is so
+        # far below -torus_length that rho rounds to 0).
+        with pytest.raises(ValidationError, match=r"time\.dt"):
+            load_config(None, {"dt": 0.0})
+        cfg = load_config(None, dict(test=4, nx=5, nv=1, t_final=0.3, v_star=1e12, seed=2))
+        with pytest.raises(ValidationError, match=r"grid\.vstar: .* rho = 0,"):
+            build_setup(cfg)
 
 
 class TestEnergyStructure:
     @pytest.mark.parametrize(
-        "flux", [Flux.lax_friedrichs(1.3), Flux.centered()], ids=lambda f: f.kind
+        "flux", [Flux(LAX_FRIEDRICHS, 1.3), Flux(CENTERED)], ids=lambda f: f.kind
     )
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_per_step_energy_inequality(self, setting, flux, rho):
@@ -361,12 +367,12 @@ class TestEnergyStructure:
     def test_centered_form_vanishes(self, setting):
         grid, chi1, chi2 = setting
         state = random_pair(grid, np.random.default_rng(12))
-        form = transport_quadratic_form(state, Flux.centered(), chi1, chi2, 1.2, grid)
+        form = transport_quadratic_form(state, Flux(CENTERED), chi1, chi2, 1.2, grid)
         scale = weighted_inner(state, state, chi1, chi2, 1.2, grid)
         assert abs(form) <= 1e-12 * scale
 
     @pytest.mark.parametrize(
-        "flux", [Flux.lax_friedrichs(2.0), Flux.upwind()], ids=lambda f: f.kind
+        "flux", [Flux(LAX_FRIEDRICHS, 2.0), Flux(UPWIND)], ids=lambda f: f.kind
     )
     def test_dissipative_forms_are_nonnegative(self, setting, flux):
         grid, chi1, chi2 = setting
@@ -384,9 +390,9 @@ class TestEnergyStructure:
         for _ in range(10):
             state = random_pair(grid, rng)
             lf = transport_quadratic_form(
-                state, Flux.lax_friedrichs(lam), chi1, chi2, rho, grid
+                state, Flux(LAX_FRIEDRICHS, lam), chi1, chi2, rho, grid
             )
-            cen = transport_quadratic_form(state, Flux.centered(), chi1, chi2, rho, grid)
+            cen = transport_quadratic_form(state, Flux(CENTERED), chi1, chi2, rho, grid)
             dissipation = lax_friedrichs_dissipation(state, lam, chi1, chi2, rho, grid)
             assert dissipation >= 0.0
             assert lf - cen == pytest.approx(dissipation, rel=1e-11)
@@ -404,13 +410,13 @@ class TestMomentSchemes:
         # satisfy their own closed updates; lam = 0 covers the centered flux.
         grid, chi1, chi2 = setting
         rho, dt = 1.2, 0.07
-        flux = Flux.lax_friedrichs(lam) if lam > 0.0 else Flux.centered()
-        eq = build_equilibrium(rho, chi1, chi2, grid)
+        flux = Flux(LAX_FRIEDRICHS, lam) if lam > 0.0 else Flux(CENTERED)
+        d0 = constants_ledger(chi1, chi2, rho, grid, lam, dt).d0
         op = assemble_linear_operator(grid, chi1, chi2, rho, dt, flux)
         state = random_pair(grid, np.random.default_rng(15))
         for _ in range(5):
             nxt = op.solve(state)
-            res_u, res_j = verify_moment_schemes(state, nxt, grid, rho, eq.d0, dt, lam)
+            res_u, res_j = verify_moment_schemes(state, nxt, grid, rho, d0, dt, lam)
             assert res_u <= 1e-11
             assert res_j <= 1e-11
             state = nxt
@@ -418,13 +424,13 @@ class TestMomentSchemes:
     def test_perturbed_step_fails_closure(self, setting):
         grid, chi1, chi2 = setting
         rho, dt, lam = 1.2, 0.07, 1.3
-        eq = build_equilibrium(rho, chi1, chi2, grid)
-        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, Flux.lax_friedrichs(lam))
+        d0 = constants_ledger(chi1, chi2, rho, grid, lam, dt).d0
+        op = assemble_linear_operator(grid, chi1, chi2, rho, dt, Flux(LAX_FRIEDRICHS, lam))
         state = random_pair(grid, np.random.default_rng(16))
         nxt = op.solve(state)
         bad = nxt.copy()
         bad[0, 2, 1] += 1e-3
-        res_u, res_j = verify_moment_schemes(state, bad, grid, rho, eq.d0, dt, lam)
+        res_u, res_j = verify_moment_schemes(state, bad, grid, rho, d0, dt, lam)
         assert max(res_u, res_j) > 1e-6
 
 

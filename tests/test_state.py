@@ -14,7 +14,7 @@ from conftest import (
     project_pi,
     random_pair,
 )
-from kinrec.config import load_config
+from kinrec.config import ValidationError, load_config
 from kinrec.grid import VelocityProfile, build_grid, discretize_profile, gaussian_profile
 from kinrec.runner import build_setup
 from kinrec.state import (
@@ -89,8 +89,10 @@ class TestEquilibriumDensity:
         assert equilibrium_rho(-2.7, 1.3) == pytest.approx(1.0 / rho, rel=1e-14)
 
     def test_bad_torus_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            equilibrium_rho(1.0, 0.0)
+        # equilibrium_rho divides by the torus length unchecked: load_config
+        # refuses one that is not positive.
+        with pytest.raises(ValidationError, match=r"grid\.torus_length: must be positive"):
+            load_config(None, {"torus_length": 0.0})
 
     def test_from_state(self, setting):
         grid, chi1, chi2 = setting
@@ -113,7 +115,8 @@ class TestBuildEquilibrium:
         chi = discretize_profile(gaussian_profile, grid)
         eq = build_equilibrium(1.0, chi, chi, grid)
         np.testing.assert_array_equal(eq.state[0], eq.state[1])
-        assert eq.d0 == pytest.approx(chi.second_moment, rel=1e-15)
+        d0 = constants_ledger(chi, chi, 1.0, grid, 0.0, 0.1).d0
+        assert d0 == pytest.approx(chi.second_moment, rel=1e-15)
 
     def test_weight_interpolates_profile_moments(self):
         # rho = 2 with second moments 1 and 6 averages to (4*1 + 6)/5 = 2.
@@ -121,13 +124,16 @@ class TestBuildEquilibrium:
         chi1 = VelocityProfile(values=vals, second_moment=1.0, fourth_moment=3.0)
         chi2 = VelocityProfile(values=vals, second_moment=6.0, fourth_moment=50.0)
         grid = make_grid(nv=1)
-        eq = build_equilibrium(2.0, chi1, chi2, grid)
-        assert eq.d0 == pytest.approx(2.0, rel=1e-15)
+        d0 = constants_ledger(chi1, chi2, 2.0, grid, 0.0, 0.1).d0
+        assert d0 == pytest.approx(2.0, rel=1e-15)
 
-    def test_nonpositive_density_rejected(self, setting):
-        grid, chi1, chi2 = setting
-        with pytest.raises(ValueError, match="positive"):
-            build_equilibrium(0.0, chi1, chi2, grid)
+    def test_nonpositive_density_rejected(self):
+        # build_equilibrium divides by rho unchecked: build_setup refuses a
+        # rho that is not a finite positive number.  Here the data's mass
+        # difference is so far below -torus_length that rho rounds to 0.
+        cfg = load_config(None, dict(test=4, nx=5, nv=1, t_final=0.3, v_star=1e12, seed=2))
+        with pytest.raises(ValidationError, match=r"grid\.vstar: .* rho = 0, not a finite"):
+            build_setup(cfg)
 
 
 class TestWeightedGeometry:
@@ -278,7 +284,7 @@ class TestMoments:
         chi = discretize_profile(gaussian_profile, grid)
         eq = build_equilibrium(1.0, chi, chi, grid)
         h = eq.state[0] - eq.state[1]
-        u, j, s = moments_ujs(h, grid, eq.d0)
+        u, j, s = moments_ujs(h, grid, constants_ledger(chi, chi, 1.0, grid, 0.0, 0.1).d0)
         assert np.all(u == 0.0) and np.all(j == 0.0) and np.all(s == 0.0)
 
     def test_matches_direct_sums(self, setting):
@@ -300,15 +306,14 @@ class TestMoments:
         # kernel split, with constants from the ledger.
         grid, chi1, chi2 = setting
         led = constants_ledger(chi1, chi2, rho, grid, lam=1.0, dt_max=0.1)
-        eq = build_equilibrium(rho, chi1, chi2, grid)
         rng = np.random.default_rng(13)
         for _ in range(25):
             state = random_pair(grid, rng)
             proj = project_pi(state, rho, chi1, chi2, grid)
             rest = state - proj
-            u, j, s = moments_ujs(state[0] - state[1], grid, eq.d0)
-            _, jf, _ = moments_ujs(state[0], grid, eq.d0)
-            _, jg, _ = moments_ujs(state[1], grid, eq.d0)
+            u, j, s = moments_ujs(state[0] - state[1], grid, led.d0)
+            _, jf, _ = moments_ujs(state[0], grid, led.d0)
+            _, jg, _ = moments_ujs(state[1], grid, led.d0)
             total = weighted_norm(state, chi1, chi2, rho, grid)
             kernel = weighted_norm(proj, chi1, chi2, rho, grid)
             rest_norm = weighted_norm(rest, chi1, chi2, rho, grid)
@@ -360,21 +365,26 @@ class TestConstantsLedger:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"rho": 0.0},
-            {"rho": -1.0},
-            {"lam": -0.5},
-            {"dt_max": 0.0},
-            {"delta_fraction": 0.0},
-            {"delta_fraction": 1.0},
+            # rho rounds to 0: the data's mass difference is far below -torus_length.
+            {"test": 4, "v_star": 1e12, "seed": 2, "path": "grid.vstar"},
+            {"test": 4, "v_star": 1e12, "seed": 3, "path": "grid.vstar"},
+            {"lam": -0.5, "path": "model.lambda"},
+            {"model": "nonlinear", "dt_max": 0.0, "path": "time.dt"},
+            # The profiles' second moments underflow to 0, and delta1 divides by them.
+            {"v_star": 1e-308, "path": "grid.vstar"},
+            # The auto lambda = dx/(2 dt) overflows the squares of the LF terms.
+            {"dt": 1e-300, "t_final": 1e-299, "path": "time.dt"},
         ],
     )
-    def test_invalid_arguments_rejected(self, setting, kwargs):
-        grid, chi1, chi2 = setting
-        base = dict(rho=1.0, lam=1.0, dt_max=0.1, delta_fraction=0.9)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            constants_ledger(chi1, chi2, base["rho"], grid, base["lam"], base["dt_max"],
-                             base["delta_fraction"])
+    def test_invalid_arguments_rejected(self, kwargs):
+        # constants_ledger takes its arguments unchecked: a run's come from a
+        # config that load_config or build_setup refuses, naming the key,
+        # unless every constant is a double.
+        overrides = dict(nx=5, nv=1, t_final=0.3)
+        overrides.update(kwargs)
+        path = overrides.pop("path").replace(".", r"\.")
+        with pytest.raises(ValidationError, match=path):
+            build_setup(load_config(None, overrides))
 
 
 class TestPeriodicTransforms:
