@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,18 @@ def transport_symbol(flux: Flux, grid: GridSpec) -> np.ndarray:
     return (a + b * phase) * (1.0 - phase.conj()) / grid.dx
 
 
+@functools.lru_cache(maxsize=8)
+def _site_sum_vector(n_vel: int, dv: float) -> np.ndarray:
+    """dv per velocity, read-only: modes @ it gives each mode's site sums.
+
+    The stacked product is one small product per mode, so a mode's sums
+    keep their bits wherever the mode sits (ImplicitLinearOperator.on_modes).
+    """
+    vector = np.full(n_vel, dv, dtype=complex)
+    vector.flags.writeable = False
+    return vector
+
+
 class ImplicitLinearOperator:
     """Backward-Euler step with coefficients constant in x, solved per Fourier mode.
 
@@ -92,14 +105,19 @@ class ImplicitLinearOperator:
     ) -> None:
         self.grid = grid
         self._weights = weights
+        self._dv = _site_sum_vector(grid.n_vel, grid.dv)
         if weights is not None:
             diagonal = diagonal * weights
-        # Per mode, species (f, g) and velocity; the coupling is the response
-        # of each species to a unit site density of its partner.
-        self._inv_d = 1.0 / (1.0 + dt * (tau[:, None, :] + diagonal))
-        self._coupling = self._inv_d * dt * coupling
+        # Per mode, species (f, g) and velocity, 1/(1 + dt*(tau + d)) built in
+        # place; the coupling is the response of each species to a unit site
+        # density of its partner.
+        inv_d = tau[:, None, :] + diagonal
+        inv_d *= dt
+        inv_d += 1.0
+        self._inv_d = np.divide(1.0, inv_d, out=inv_d)
+        self._coupling = inv_d * (dt * coupling)
         weighted = self._coupling if weights is None else self._coupling * weights
-        self._a = grid.dv * weighted.sum(axis=2)
+        self._a = weighted @ self._dv
         self._det = 1.0 - self._a[:, :1] * self._a[:, 1:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -113,7 +131,7 @@ class ImplicitLinearOperator:
         """Overwrite the rfft_pair modes of a right-hand side with those of the solution."""
         modes *= self._inv_d
         weighted = modes if self._weights is None else modes * self._weights
-        p = self.grid.dv * weighted.sum(axis=2)
+        p = weighted @ self._dv
         sigma = (p - self._a * p[:, ::-1]) / self._det  # (sigma_f, sigma_g)
         modes -= self._coupling * sigma[:, ::-1, None]
 

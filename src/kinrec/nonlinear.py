@@ -98,7 +98,7 @@ class _Evaluation:
     with eff's partner site densities dv*sum_m eff (species swapped), and the
     clamp's mask: 1 where the clamp leaves a cell as it is and 0 where it
     moves it, or None when it moves none (and without an envelope).  The
-    Newton update at that state reuses eff, partner and mask.
+    Newton update at that state reuses eff and mask, and jacobian all three.
     """
 
     transport: np.ndarray
@@ -145,6 +145,9 @@ class NonlinearStepper:
         self._neighbours = np.stack([np.roll(index, s, axis=1).ravel() for s in (-1, 1)])
         self._a, self._b = (np.broadcast_to(w, self._cells).ravel() for w in (a, b))
         self._tau = transport_symbol(flux, grid)
+        # The x-mean and the site sum of the Newton update's coefficients, as products.
+        self._x_mean = np.full(grid.nx, 1.0 / grid.nx)
+        self._dv = np.full(grid.n_vel, grid.dv)
         # The evaluation of the last residual call, or the carried one that
         # newton started from.
         self._evaluated: _Evaluation | None = None
@@ -209,10 +212,12 @@ class NonlinearStepper:
 
         A is the x-average of the Jacobian J at the state whose residual res
         is (that of the last residual call, or the carried state newton
-        started from): its diagonal partner.mean(axis=1) and its rank-one
-        coupling eff.mean(axis=1).  With clamped cells, the diagonal and the
-        site sums both take the weights mask.mean(axis=1), where the average
-        of J has the diagonal mean(partner*mask) and a full coupling.
+        started from): its rank-one coupling is the x-mean of eff, one
+        product with a 1/nx vector, and its diagonal the x-mean of partner,
+        which is dv times the velocity sum of the partner's coupling.  With
+        clamped cells, the diagonal and the site sums both take the weights
+        of the mask's x-mean, where the average of J has the diagonal
+        mean(partner*mask) and a full coupling.
         A is the circulant nearest to J (T. Chan, SIAM J. Sci. Stat. Comput.
         9, 1988), equal to J at the uniform steady state; using it for
         J^{-1} makes Newton converge linearly, at a rate that shrinks with
@@ -225,10 +230,9 @@ class NonlinearStepper:
         right-hand side, and M_f - M_g is the right-hand side's.
         """
         evaluation = self._evaluated
-        nx = self.grid.nx
-        # x-means as sum/nx: the bits of ndarray.mean, without its overhead.
-        diagonal, coupling = evaluation.partner.sum(axis=1) / nx, evaluation.eff.sum(axis=1) / nx
-        weights = None if evaluation.mask is None else evaluation.mask.sum(axis=1) / nx
+        coupling = self._x_mean @ evaluation.eff
+        diagonal = (coupling @ self._dv)[::-1, None]
+        weights = None if evaluation.mask is None else self._x_mean @ evaluation.mask
         step = ImplicitLinearOperator(self.grid, self._tau, dt, diagonal, coupling, weights)
         return step.solve(-dt * res)
 

@@ -178,14 +178,17 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     """
     grid = build_grid(cfg.torus_length, cfg.nx, cfg.nv, cfg.v_star)
     profiles = []
-    for field in ("chi1", "chi2"):
-        try:
-            profiles.append(resolve_profile(getattr(cfg, field), grid))
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"model.{field}: {exc}") from exc
+    # On a band or torus too wide for a double, the samples overflow; the
+    # checks below refuse such grids, so NumPy's warnings would only precede
+    # their error line.
+    with np.errstate(all="ignore"):
+        for field in ("chi1", "chi2"):
+            try:
+                profiles.append(resolve_profile(getattr(cfg, field), grid))
+            except (OSError, ValueError) as exc:
+                raise ValidationError(f"model.{field}: {exc}") from exc
+        data0 = initial_data(cfg, grid, default_rng(cfg.seed))
     chi1, chi2 = profiles
-    rng = default_rng(cfg.seed)
-    data0 = initial_data(cfg, grid, rng)
     if not sys.float_info.min <= grid.dx * grid.dx < math.inf:
         raise ValidationError(f"grid.torus_length: dx**2 is not a normal double at dx = {grid.dx:.6g}")
     mass = mass_difference(data0, grid)

@@ -517,29 +517,36 @@ class TestMarches:
 
     @pytest.mark.parametrize(
         "overrides, steps, iterations, stalled, bounds",
-        [({"test": 3, "nx": 21}, 341, 324, 81, (115, 227))]
+        [({"test": 3, "nx": 21, "nv": 8}, 341, 324, 81, (115, 227))]
         + [
-            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": seed}, 41, iterations, 0, (None, 0))
+            ({"test": 4, "nx": 51, "nv": 8, "t_final": 10.0, "seed": seed},
+             41, iterations, 0, (None, 0))
             for seed, iterations in enumerate([134, 133, 136, 132, 135, 132, 131, 135, 134, 132])
         ]
         # The truncated scheme: the clamp of the reaction into the reporting
         # envelope, from build_setup through the march.
         + [
-            ({"test": 3, "nx": 21, "truncated": True}, 341, 564, 0, (None, 0)),
-            ({"test": 4, "nx": 51, "t_final": 10.0, "seed": 0, "truncated": True},
+            ({"test": 3, "nx": 21, "nv": 8, "truncated": True}, 341, 564, 0, (None, 0)),
+            ({"test": 4, "nx": 51, "nv": 8, "t_final": 10.0, "seed": 0, "truncated": True},
              41, 120, 0, (None, 0)),
+        ]
+        # The nonlinear presets as users run them, on their 101x16 grids.
+        + [
+            ({"test": 3}, 345, 389, 84, (117, 229)),
+            ({"test": 4}, 174, 203, 69, (69, 106)),
         ],
         ids=["test3"] + [f"test4-seed{seed}" for seed in range(10)]
-        + ["test3-truncated", "test4-seed0-truncated"],
+        + ["test3-truncated", "test4-seed0-truncated", "preset3", "preset4"],
     )
     def test_nonlinear_step_sequence_is_pinned(self, overrides, steps, iterations, stalled, bounds):
-        # The adaptive march of the benchmark's two nonlinear runs.  Newton
-        # converges linearly with the x-averaged Jacobian, so any change to
-        # its coefficients, the per-mode solve or the transforms that moves a
-        # Newton count, a step or a stall shows here and must re-pin them.
+        # The adaptive march of the benchmark's two nonlinear runs and of the
+        # two nonlinear presets.  Newton converges linearly with the
+        # x-averaged Jacobian, so any change to its coefficients, the
+        # per-mode solve or the transforms that moves a Newton count, a step
+        # or a stall shows here and must re-pin them.
         # bounds is the first row inside the reporting envelope and the
         # number of such rows, which also pins REPORT_ENVELOPE_FRACTION.
-        data = execute_run(load_config(None, dict(nv=8, **overrides)))
+        data = execute_run(load_config(None, overrides))
         counts = data.series["newton_iters"][1:]
         values = dict(line.split(" = ") for line in summary_text(data).splitlines())
         stalls = int(values["stalled_steps"])
@@ -680,6 +687,63 @@ class TestMarches:
         assert [s.requested_t for s in partial.snapshots] == list(snapshots[:2])
         assert partial.summary.n_steps == drift_step - 1
         assert len(steps) == drift_step
+
+
+def final_state(**overrides):
+    """The state at t_final of a run on the default torus."""
+    cfg = load_config(None, dict(snapshot_times=(overrides["t_final"],), **overrides))
+    return execute_run(cfg).snapshots[-1].state
+
+
+def successive_ratios(differences):
+    return [coarse / fine for coarse, fine in zip(differences, differences[1:])]
+
+
+class TestConvergenceOrders:
+    """The scheme approximates the PDE at its stated orders (LeVeque, ch. 8).
+
+    Each case refines one step size with the other fixed and takes the max
+    norm of the difference between successive final states; their ratio is
+    2**p under dt halving and 3**p under 3x refinement for a scheme of
+    order p.  The identity tests compare the solver with its own discrete
+    scheme, so an error shared by both, such as a wrong dt or dx factor,
+    shows only here.  LF keeps a fixed lambda (the automatic dx/(2 dt)
+    changes the scheme with dt) and the nonlinear run fixed steps.
+    """
+
+    DT_HALVINGS = (0.04, 0.02, 0.01, 0.005)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(test=1, flux="lax-friedrichs", lam=0.5, t_final=2.0),
+            dict(test=2, flux="upwind", t_final=2.0),
+            dict(model="nonlinear", test=3, lam=6.0, t_final=1.0),
+        ],
+        ids=["test1-lf", "test2-upwind", "test3-nonlinear"],
+    )
+    def test_backward_euler_is_first_order_in_dt(self, overrides):
+        states = []
+        for dt in self.DT_HALVINGS:
+            fixed = dict(dt_min=dt, dt_max=dt) if overrides.get("model") == "nonlinear" else {}
+            states.append(final_state(nx=21, nv=4, dt=dt, **fixed, **overrides))
+        ratios = successive_ratios([np.abs(a - b).max() for a, b in zip(states, states[1:])])
+        print(f"dt orders: {[round(math.log2(r), 3) for r in ratios]} (ratios {ratios})")
+        assert all(1.8 <= r <= 2.2 for r in ratios)
+
+    def test_centered_flux_is_second_order_in_dx(self):
+        # Nested grids: each coarse cell is the mean of three fine ones.
+        states = [
+            final_state(test=1, flux="centered", nx=nx, nv=4, dt=2e-3, t_final=0.5)
+            for nx in (21, 63, 189, 567)
+        ]
+        differences = [
+            np.abs(coarse - fine.reshape(2, coarse.shape[1], 3, -1).mean(axis=2)).max()
+            for coarse, fine in zip(states, states[1:])
+        ]
+        ratios = successive_ratios(differences)
+        print(f"dx orders: {[round(math.log(r, 3), 3) for r in ratios]} (ratios {ratios})")
+        assert all(8.5 <= r <= 9.5 for r in ratios)
 
 
 @pytest.fixture(scope="module")
@@ -1423,6 +1487,14 @@ class TestExitCodes:
         (["--dt", "1e-300"], "", "time.dt"),
         # rho keeps 7 digits, and the initial deviation has a cell mean of -1.6e-3.
         (["--test", "4", "--nx", "5", "--tfinal", "0", "--vstar", "1e6"], "", "grid.vstar"),
+        # Profile samples and initial data that overflow.
+        (["--test", "4", "--nx", "5", "--nv", "1", "--vstar", "1e100"], "", "model.chi1"),
+        ([], "[grid]\ntorus_length = 1e160\nnx = 5\nnv = 1\n[time]\nt_final = 1\n",
+         "grid.torus_length"),
+    ]
+    SETUP_REFUSAL_IDS = [
+        "tiny-vstar", "rho-rounds-to-zero", "huge-torus", "tiny-dt", "rho-loses-the-mass",
+        "overflowing-profile", "overflowing-data",
     ]
 
     @staticmethod
@@ -1437,14 +1509,25 @@ class TestExitCodes:
                 code = main([str(path), *flags, "--out", str(base / "runs" / "out")])
         return code, err.getvalue()
 
-    @pytest.mark.parametrize("flags, ini, field", SETUP_REFUSALS,
-                             ids=["tiny-vstar", "rho-rounds-to-zero", "huge-torus", "tiny-dt",
-                                  "rho-loses-the-mass"])
+    @pytest.mark.parametrize("flags, ini, field", SETUP_REFUSALS, ids=SETUP_REFUSAL_IDS)
     def test_setup_refusals_exit_two(self, tmp_path, flags, ini, field):
         code, err = self.run_cli(tmp_path, flags, ini)
         assert code == 2
         assert err.startswith(f"error: {field}: ")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flags, ini, field", SETUP_REFUSALS, ids=SETUP_REFUSAL_IDS)
+    def test_setup_refusals_print_only_their_error_line(self, tmp_path, capsys, flags, ini, field):
+        # build_setup's own checks decide on these set-ups, so no NumPy
+        # warning may print before the error line.
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([str(path), *flags, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(flags=exit_flags, ini=exit_ini)
